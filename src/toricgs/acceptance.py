@@ -27,7 +27,14 @@ import numpy as np
 from . import polyforms
 from .fixture_files import fixture_path
 from .graphs import Multigraph, SimpleGraph, enumerate_spanning_trees, phi
-from .lc import canonical_key, certify_nonlocal, graph_from_key, lc_equivalent, lc_orbit
+from .lc import (
+    DEFAULT_ORBIT_BUDGET,
+    canonical_key,
+    certify_nonlocal,
+    graph_from_key,
+    lc_equivalent,
+    lc_orbit,
+)
 from .pauli import (
     Tableau,
     apply_hadamard,
@@ -113,9 +120,9 @@ def orbit_partition(graphs_list: list[SimpleGraph]) -> dict[int, int]:
         if k in rep_of:
             continue
         orbit = lc_orbit(g)
-        rep = int(min(int(x) for x in orbit.members))
+        rep = orbit.members[0]
         for member in orbit.members:
-            rep_of[int(member)] = rep
+            rep_of[member] = rep
     return rep_of
 
 
@@ -303,7 +310,7 @@ def criterion_5_cross_oracle(full_six: bool = False) -> CriterionResult:
     )
 
 
-def criterion_6_tetriamond(budget: int = 10**8) -> CriterionResult:
+def criterion_6_tetriamond(budget: int = DEFAULT_ORBIT_BUDGET) -> CriterionResult:
     t0 = time.time()
     emb = polyforms.polyform_embedding(polyforms.triangle_tetriamond_cells(), "triangular")
     graph = phi_graph(emb)
@@ -319,7 +326,7 @@ def criterion_6_tetriamond(budget: int = 10**8) -> CriterionResult:
     )
 
 
-def criterion_7_eight_qubit_base(budget: int = 10**8) -> CriterionResult:
+def criterion_7_eight_qubit_base(budget: int = DEFAULT_ORBIT_BUDGET) -> CriterionResult:
     t0 = time.time()
     emb = load_setup(fixture_path("reduced_8qubit.json"))
     is_nonlocal, orbit = certify_nonlocal(
@@ -407,10 +414,10 @@ def criterion_11_leaf_suites() -> CriterionResult:
     subgraph_fail = 0
     pool = leaf_graph_pool(rng)
     for leaf in pool:
-        orbit = lc_orbit(leaf.graph, engine="python")
+        orbit = lc_orbit(leaf.graph)
         a, b = leaf.outer, leaf.inner
-        minus_a = lc_orbit(leaf.graph.delete_vertex(a), engine="python")
-        minus_b = lc_orbit(epsilon_swap(leaf).graph.delete_vertex(b), engine="python")
+        minus_a = lc_orbit(leaf.graph.delete_vertex(a))
+        minus_b = lc_orbit(epsilon_swap(leaf).graph.delete_vertex(b))
         for key in orbit.members:
             member = orbit.member_graph(key)
             if not orbit.contains(canonical_key(member.permute_pair(a, b))):

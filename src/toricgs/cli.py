@@ -28,10 +28,10 @@ from .graphs import (
     to_dot,
 )
 from .lc import (
+    DEFAULT_ORBIT_BUDGET,
     OrbitBudgetError,
     WitnessBudgetError,
     certify_nonlocal,
-    find_local_representative,
     lc_equivalent,
     lc_orbit,
 )
@@ -162,10 +162,10 @@ def cmd_lc_orbit(args) -> int:
         lines = []
         for key in orbit.members:
             if orbit.witness_paths is not None:
-                path = orbit.witness_paths[int(key)]
-                lines.append(f"{int(key):x} {','.join(str(v) for v in path)}")
+                path = orbit.witness_paths[key]
+                lines.append(f"{key:x} {','.join(str(v) for v in path)}")
             else:
-                lines.append(f"{int(key):x}")
+                lines.append(f"{key:x}")
         _write_out(args.out, "\n".join(lines) + "\n")
         result["dump"] = os.path.basename(args.out)
     _emit({"command": "lc-orbit", "inputs": {"graph": _input_record(args.graph)}, "result": result})
@@ -205,25 +205,7 @@ def cmd_locality(args) -> int:
     relation = adjacency_relation(emb)
     inputs = {"setup": _input_record(args.setup)}
     try:
-        rep = find_local_representative(graph, relation, budget=args.budget)
-        if rep is not None:
-            result = {
-                "verdict": "local",
-                "local_graph": graph_to_dict(rep.graph),
-                "complementations": list(rep.path),
-            }
-            if args.format == "dot":
-                result["dot"] = _locality_dot(rep.graph, relation)
-            _emit({"command": "locality", "inputs": inputs, "result": result})
-            return EXIT_OK
-        _, orbit = certify_nonlocal(graph, relation, budget=args.budget)
-        result = {
-            "verdict": "nonlocal",
-            "orbit_size": orbit.size,
-            "orbit_digest": orbit.digest(),
-        }
-        _emit({"command": "locality", "inputs": inputs, "result": result})
-        return EXIT_OK
+        is_nonlocal, orbit = certify_nonlocal(graph, relation, budget=args.budget)
     except OrbitBudgetError as exc:
         _emit(
             {
@@ -233,6 +215,23 @@ def cmd_locality(args) -> int:
             }
         )
         return EXIT_BUDGET
+    if is_nonlocal:
+        result = {
+            "verdict": "nonlocal",
+            "orbit_size": orbit.size,
+            "orbit_digest": orbit.digest(),
+        }
+    else:
+        local = orbit.member_graph(orbit.hit_key)
+        result = {
+            "verdict": "local",
+            "local_graph": graph_to_dict(local),
+            "complementations": list(orbit.hit_path),
+        }
+        if args.format == "dot":
+            result["dot"] = _locality_dot(local, relation)
+    _emit({"command": "locality", "inputs": inputs, "result": result})
+    return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
@@ -301,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, setup=False):
-        p.add_argument("--budget", type=int, default=10**8, help="orbit member budget")
-        p.add_argument("--workers", type=int, default=1, help="reserved; must be >= 1")
+        p.add_argument(
+            "--budget", type=int, default=DEFAULT_ORBIT_BUDGET, help="orbit member budget"
+        )
         if setup:
             p.add_argument("--setup", required=True, help="setup JSON file")
 
@@ -360,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     if args.budget < 1:
         parser.error("--budget must be at least 1")
     try:

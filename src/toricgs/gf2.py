@@ -63,9 +63,6 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def to_entries(self) -> list[list[int]]:
         return [bits(r, self.ncols) for r in self.rows]
 
@@ -135,12 +132,6 @@ def rank(m: BitMatrix) -> int:
     """Dimension of the row space of ``m``."""
     _, pivots = _eliminate(m.rows, m.ncols)
     return len(pivots)
-
-
-def row_reduce(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
-    """Canonical reduced row echelon form of ``m`` (zero rows dropped)."""
-    reduced, pivots = _eliminate(m.rows, m.ncols)
-    return BitMatrix(reduced, m.ncols), pivots
 
 
 def nullspace(m: BitMatrix) -> list[int]:

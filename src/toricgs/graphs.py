@@ -522,12 +522,14 @@ def graph_to_dict(g: SimpleGraph) -> dict:
     return {"vertices": list(g.labels), "edges": [list(e) for e in g.edges()]}
 
 
-def graph_from_dict(data: dict) -> SimpleGraph:
-    def freeze(value):
-        if isinstance(value, list):
-            return tuple(freeze(v) for v in value)
-        return value
+def freeze(value):
+    """Nested JSON lists as nested tuples, so labels read from files are hashable."""
+    if isinstance(value, list):
+        return tuple(freeze(v) for v in value)
+    return value
 
+
+def graph_from_dict(data: dict) -> SimpleGraph:
     try:
         labels = [freeze(v) for v in data["vertices"]]
         edges = [(freeze(u), freeze(v)) for u, v in data["edges"]]

@@ -3,13 +3,11 @@
 A labeled graph on n vertices is identified by its canonical key: the
 upper-triangle bits of the adjacency matrix packed row-major into one
 integer.  Orbits under local complementation are closed breadth-first over
-those keys.  Two engines produce identical member sets:
-
-* a pure-Python engine that can track complementation paths and evaluate an
-  arbitrary stop predicate, used for small instances and witness recovery;
-* a vectorized numpy engine that processes whole BFS generations as uint64
-  key arrays, used for exhaustive certification runs (keys must fit 64 bits,
-  i.e. n <= 11; larger orbits are out of enumeration range anyway).
+those keys by one numpy engine, for every n.  It stores each key as
+big-endian uint64 words, processes whole generations in fixed-size chunks of
+the frontier, and records each member's parent and complemented vertex, so
+complementation paths come from the same run.  A locality search is the same
+closure with the allowed-edge mask as its stop test.
 
 The pairwise equivalence test is algebraic: two adjacency matrices are
 LC-equivalent iff diagonal matrices A, B, C, D over GF(2) exist with
@@ -24,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from .graphs import GraphError, SimpleGraph
 
 DEFAULT_ORBIT_BUDGET = 10**8
 DEFAULT_WITNESS_BUDGET = 24  # max free dimensions, i.e. 2^24 candidates
-_VECTOR_MAX_N = 11  # packed keys must fit in uint64
+_CHUNK = 512  # frontier members complemented per numpy step
 
 
 class OrbitBudgetError(RuntimeError):
@@ -107,10 +105,10 @@ class LcOrbit:
 
     labels: tuple
     seed_key: int
-    members: Union[list[int], np.ndarray]  # ascending keys
+    members: list[int]  # ascending keys
     complete: bool
     generations: int
-    witness_paths: Optional[dict[int, tuple]] = None
+    witness_paths: Optional[dict[int, tuple]] = None  # in breadth-first path order
     hit_key: Optional[int] = None
     hit_path: Optional[tuple] = None
 
@@ -123,11 +121,6 @@ class LcOrbit:
         return len(self.members)
 
     def contains(self, key: int) -> bool:
-        if isinstance(self.members, np.ndarray):
-            if key >> 64:
-                return False
-            i = int(np.searchsorted(self.members, np.uint64(key)))
-            return i < len(self.members) and int(self.members[i]) == key
         i = bisect_left(self.members, key)
         return i < len(self.members) and self.members[i] == key
 
@@ -135,175 +128,149 @@ class LcOrbit:
         return graph_from_key(key, self.labels)
 
     def digest(self) -> str:
-        """Engine-independent fingerprint of the full member set."""
+        """Fingerprint of the full member set."""
         h = hashlib.sha256()
         for k in self.members:
-            h.update(format(int(k), "x").encode())
+            h.update(format(k, "x").encode())
             h.update(b",")
         return h.hexdigest()
 
 
-def _orbit_python(
-    g: SimpleGraph,
-    stop: Optional[Callable[[SimpleGraph], bool]],
-    budget: int,
-    track_paths: bool,
-) -> LcOrbit:
-    n = g.n
-    seed_rows = tuple(g.rows)
-    seed_key = _pack_rows(seed_rows, n)
-    visited = {seed_key}
-    paths: Optional[dict[int, tuple]] = {seed_key: ()} if track_paths else None
+def _complement_chunk(keys: np.ndarray, n: int, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """Keys of the n complementations of each key, in (key, vertex) order.
 
-    if stop is not None and stop(g):
-        members = sorted(visited)
-        return LcOrbit(g.labels, seed_key, members, False, 0, paths, seed_key, ())
-
-    frontier = [(seed_rows, ())]
-    generations = 0
-    while frontier:
-        generations += 1
-        nxt = []
-        for rows, path in frontier:
-            for v in range(n):
-                m = rows[v]
-                if m == 0:
-                    continue
-                new_rows = list(rows)
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    u = low.bit_length() - 1
-                    new_rows[u] ^= m ^ low
-                    mm ^= low
-                key = _pack_rows(new_rows, n)
-                if key in visited:
-                    continue
-                visited.add(key)
-                new_path = path + (v,) if (track_paths or stop is not None) else ()
-                if paths is not None:
-                    paths[key] = new_path
-                if stop is not None and stop(SimpleGraph(g.labels, new_rows)):
-                    return LcOrbit(
-                        g.labels, seed_key, sorted(visited), False, generations,
-                        paths, key, new_path,
-                    )
-                if len(visited) > budget:
-                    raise OrbitBudgetError(budget, len(visited))
-                nxt.append((tuple(new_rows), new_path))
-        frontier = nxt
-    return LcOrbit(g.labels, seed_key, sorted(visited), True, generations, paths)
+    Key bit (iu[k], ju[k]) is the k-th most significant.  Complementing at v
+    flips edge bit (i, j) iff (v, i) and (v, j) are both edges, so each child
+    is its parent's bits XOR one row-pair AND of the parent's adjacency matrix.
+    """
+    width = keys.dtype.itemsize
+    nbits = len(iu)
+    bits = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1)[:, 8 * width - nbits :]
+    adj = np.zeros((len(keys), n, n), dtype=np.uint8)
+    adj[:, iu, ju] = adj[:, ju, iu] = bits
+    adj = adj.reshape(len(keys) * n, n)  # row (key, v): the neighbourhood of v
+    flips = adj[:, iu]
+    flips &= adj[:, ju]
+    children = np.zeros((len(keys), n, 8 * width), dtype=np.uint8)
+    np.bitwise_xor(
+        flips.reshape(len(keys), n, nbits), bits[:, None, :],
+        out=children[:, :, 8 * width - nbits :],
+    )
+    return np.packbits(children, axis=2).reshape(-1, width).view(keys.dtype).ravel()
 
 
-def _unpack_keys_vec(keys: np.ndarray, n: int) -> np.ndarray:
-    """uint64 key array -> (n, F) uint32 adjacency row array."""
-    rows = np.zeros((n, len(keys)), dtype=np.uint32)
-    shift = 0
-    for i in range(n):
-        width = n - 1 - i
-        chunk = ((keys >> np.uint64(shift)) & np.uint64((1 << width) - 1)).astype(
-            np.uint32
-        )
-        rows[i] |= chunk << np.uint32(i + 1)
-        for dj in range(width):
-            rows[i + 1 + dj] |= ((chunk >> np.uint32(dj)) & np.uint32(1)) << np.uint32(i)
-        shift += width
-    return rows
+def _key_ints(keys: np.ndarray) -> list[int]:
+    return [int.from_bytes(k, "big") for k in keys.tolist()]
 
 
-def _pack_rows_vec(rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, F) uint32 adjacency rows -> uint64 key array."""
-    keys = np.zeros(rows.shape[1], dtype=np.uint64)
-    shift = 0
-    for i in range(n):
-        keys |= (rows[i] >> np.uint32(i + 1)).astype(np.uint64) << np.uint64(shift)
-        shift += n - 1 - i
-    return keys
+def _locate(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion points of ``keys`` in the ascending ``sorted_keys``, and which occur."""
+    pos = np.searchsorted(sorted_keys, keys)
+    if len(sorted_keys) == 0:
+        return pos, np.zeros(len(keys), dtype=bool)
+    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+
+
+def _first_inside(keys: np.ndarray, outside: Optional[np.ndarray]) -> Optional[int]:
+    """Position of the first key with no bit in ``outside``, if any."""
+    if outside is None:
+        return None
+    width = len(outside)
+    hits = np.flatnonzero(~(keys.view(np.uint8).reshape(-1, width) & outside).any(axis=1))
+    return int(hits[0]) if len(hits) else None
 
 
 def _orbit_vector(
-    g: SimpleGraph, budget: int, local_mask: Optional[int]
+    g: SimpleGraph,
+    budget: int,
+    local_mask: Optional[int] = None,
+    track_paths: bool = False,
 ) -> LcOrbit:
+    """Breadth-first closure over whole generations of numpy key arrays.
+
+    Keys are stored as big-endian words, most significant first, so a void
+    view of their bytes sorts, dedupes and binary-searches in numeric key
+    order.  Each generation lists its new members in path order: by the
+    position of the parent in the previous generation, then by the
+    complemented vertex.  The ``parent * n + vertex`` origin of a member
+    therefore spells its shortest, lexicographically least path.  The
+    frontier is complemented in chunks of ``_CHUNK`` members, and the budget
+    is checked after each chunk against the distinct keys found so far.
+
+    With ``local_mask``, enumeration stops after the first generation that
+    holds a key with no edge outside the mask; the hit is the first such key
+    in path order.
+    """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     n = g.n
-    if n > _VECTOR_MAX_N:
-        raise ValueError("vector engine requires n <= 11 (64-bit keys)")
-    if n == 0:
-        members = np.array([0], dtype=np.uint64)
-        hit = 0 if local_mask is not None else None
-        return LcOrbit(g.labels, 0, members, local_mask is None, 0, None, hit)
-    seed_key = _pack_rows(g.rows, n)
-    visited = np.array([seed_key], dtype=np.uint64)
-    frontier = visited.copy()
-    not_local = None
+    nbits = n * (n - 1) // 2
+    width = 8 * max(1, -(-nbits // 64))  # bytes of W uint64 words
+    key_type = np.dtype((np.void, width))
+    iu, ju = (ix[::-1] for ix in np.triu_indices(n, 1))
+    outside = None
     if local_mask is not None:
-        not_local = ~np.uint64(local_mask)
-        if seed_key & local_mask == seed_key:
-            return LcOrbit(g.labels, seed_key, visited, False, 0, None, seed_key)
-    generations = 0
-    while len(frontier):
-        generations += 1
-        rows = _unpack_keys_vec(frontier, n)
-        out_keys = []
-        for v in range(n):
-            m = rows[v]
-            new_rows = rows.copy()
-            for u in range(n):
-                if u == v:
-                    continue
-                sel = (m >> np.uint32(u)) & np.uint32(1)
-                new_rows[u] ^= (m ^ np.uint32(1 << u)) * sel
-            out_keys.append(_pack_rows_vec(new_rows, n))
-        cand = np.unique(np.concatenate(out_keys))
-        pos = np.searchsorted(visited, cand)
-        pos_c = np.minimum(pos, len(visited) - 1)
-        fresh = cand[(visited[pos_c] != cand)]
-        if len(fresh) == 0:
-            break
-        if len(visited) + len(fresh) > budget:
-            raise OrbitBudgetError(budget, len(visited) + len(fresh))
-        if not_local is not None:
-            hits = fresh[(fresh & not_local) == 0]
-            if len(hits):
-                visited = np.sort(np.concatenate([visited, fresh]))
-                return LcOrbit(
-                    g.labels, seed_key, visited, False, generations, None,
-                    int(hits[0]),
-                )
-        visited = np.sort(np.concatenate([visited, fresh]))
-        frontier = fresh
-    return LcOrbit(g.labels, seed_key, visited, True, generations, None)
+        outside_bits = ((1 << nbits) - 1) & ~local_mask
+        outside = np.frombuffer(outside_bits.to_bytes(width, "big"), np.uint8)
+
+    seed_key = _pack_rows(g.rows, n)
+    frontier = np.frombuffer(seed_key.to_bytes(width, "big"), dtype=key_type)
+    visited = frontier
+    origins = []  # per generation: parent * n + vertex of each member
+    paths = [()]
+    witness_paths = {seed_key: ()} if track_paths else None
+    hit = _first_inside(frontier, outside)
+    while hit is None and len(frontier):
+        fresh = visited[:0]  # this generation's keys so far, ascending
+        new_keys, new_origins = [], []
+        for start in range(0, len(frontier), _CHUNK):
+            cand = _complement_chunk(frontier[start : start + _CHUNK], n, iu, ju)
+            cand, where = np.unique(cand, return_index=True)
+            _, seen = _locate(visited, cand)
+            cand, where = cand[~seen], where[~seen]
+            pos, seen = _locate(fresh, cand)
+            cand, where = cand[~seen], where[~seen]
+            fresh = np.insert(fresh, pos[~seen], cand)
+            if len(visited) + len(fresh) > budget:
+                raise OrbitBudgetError(budget, len(visited) + len(fresh))
+            order = np.argsort(where)
+            new_keys.append(cand[order])
+            new_origins.append(where[order] + start * n)
+        frontier = np.concatenate(new_keys)
+        origins.append(np.concatenate(new_origins))
+        visited = np.sort(np.concatenate([visited, fresh]), kind="stable")
+        if track_paths:
+            parent, vertex = np.divmod(origins[-1], n)
+            paths = [paths[p] + (v,) for p, v in zip(parent.tolist(), vertex.tolist())]
+            witness_paths.update(zip(_key_ints(frontier), paths))
+        hit = _first_inside(frontier, outside)
+
+    members = _key_ints(visited)
+    if hit is None:
+        return LcOrbit(g.labels, seed_key, members, True, len(origins), witness_paths)
+    path, i = [], hit
+    for generation in reversed(origins):
+        i, v = divmod(int(generation[i]), n)
+        path.append(v)
+    return LcOrbit(
+        g.labels, seed_key, members, False, len(origins), witness_paths,
+        _key_ints(frontier[hit : hit + 1])[0], tuple(reversed(path)),
+    )
 
 
 def lc_orbit(
     g: SimpleGraph,
-    stop: Optional[Callable[[SimpleGraph], bool]] = None,
     budget: int = DEFAULT_ORBIT_BUDGET,
     track_paths: bool = False,
-    engine: str = "auto",
 ) -> LcOrbit:
     """Breadth-first closure of ``{g}`` under all local complementations.
 
-    If ``stop`` fires on a member, enumeration halts there and the orbit
-    records the hit (with its complementation path when ``track_paths`` or a
-    stop predicate is given).  Exceeding ``budget`` raises
-    :class:`OrbitBudgetError`; that outcome means "instance too large", never
-    "not found".
+    With ``track_paths`` the orbit maps every member to its shortest,
+    lexicographically least complementation path.  Exceeding ``budget``
+    raises :class:`OrbitBudgetError`; that outcome means "instance too
+    large", never "not found".
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if engine == "auto":
-        engine = (
-            "python"
-            if stop is not None or track_paths or g.n > _VECTOR_MAX_N
-            else "vector"
-        )
-    if engine == "vector":
-        if stop is not None or track_paths:
-            raise ValueError("the vector engine does not support stop/paths")
-        return _orbit_vector(g, budget, None)
-    if engine != "python":
-        raise ValueError(f"unknown engine {engine!r}")
-    return _orbit_python(g, stop, budget, track_paths)
+    return _orbit_vector(g, budget, track_paths=track_paths)
 
 
 @dataclass(frozen=True)
@@ -441,66 +408,33 @@ class LocalRepresentative:
 
 
 def find_local_representative(
-    g: SimpleGraph,
-    adjacency,
-    budget: int = DEFAULT_ORBIT_BUDGET,
-    want_path: bool = True,
+    g: SimpleGraph, adjacency, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Optional[LocalRepresentative]:
     """Search the orbit of ``g`` for a member whose edges all lie in ``adjacency``.
 
     ``adjacency`` is the allowed-edge graph (an ``AdjacencyRelation`` or a
     plain :class:`SimpleGraph` over the same vertices).  Returns the first
-    local member in breadth-first order, or ``None`` after exhausting the
-    orbit.  Budget exhaustion raises :class:`OrbitBudgetError` (unknown, not
-    nonlocal).
-
-    The heavy enumeration runs vectorized; when a local member exists the hit
-    generation is small, so the path (shortest, lexicographically least) is
-    recovered with the Python engine afterwards.
+    local member in breadth-first path order with its shortest,
+    lexicographically least complementation path, or ``None`` after
+    exhausting the orbit.  Budget exhaustion raises :class:`OrbitBudgetError`
+    (unknown, not nonlocal).
     """
-    adj_graph: SimpleGraph = getattr(adjacency, "graph", adjacency)
-    mask = _edge_mask(adj_graph, g.labels)
-
-    def is_local(member: SimpleGraph) -> bool:
-        key = _pack_rows(member.rows, member.n)
-        return key & ~mask == 0
-
-    if g.n > _VECTOR_MAX_N:
-        orbit = lc_orbit(g, stop=is_local, budget=budget, engine="python")
-        if orbit.hit_key is None:
-            return None
-        return LocalRepresentative(orbit.member_graph(orbit.hit_key), orbit.hit_path)
-
-    orbit = _orbit_vector(g, budget, mask)
+    _, orbit = certify_nonlocal(g, adjacency, budget)
     if orbit.hit_key is None:
         return None
-    if not want_path:
-        return LocalRepresentative(orbit.member_graph(orbit.hit_key), ())
-    recovered = lc_orbit(g, stop=is_local, budget=budget, engine="python")
-    assert recovered.hit_key is not None
-    return LocalRepresentative(
-        recovered.member_graph(recovered.hit_key), recovered.hit_path
-    )
+    return LocalRepresentative(orbit.member_graph(orbit.hit_key), orbit.hit_path)
 
 
 def certify_nonlocal(
     g: SimpleGraph, adjacency, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> tuple[bool, LcOrbit]:
-    """Exhaustively enumerate the orbit and scan it for local members.
+    """Enumerate the orbit until a member is a subgraph of the adjacency graph.
 
-    Returns ``(nonlocal, orbit)`` where ``nonlocal`` is True iff no member is
-    a subgraph of the adjacency graph.  Raises :class:`OrbitBudgetError` when
-    the orbit exceeds the budget.
+    Returns ``(nonlocal, orbit)``.  A nonlocal orbit is complete; otherwise
+    the orbit records the first local member in ``hit_key`` and its path in
+    ``hit_path``.  Raises :class:`OrbitBudgetError` when the orbit exceeds
+    the budget.
     """
     adj_graph: SimpleGraph = getattr(adjacency, "graph", adjacency)
-    mask = _edge_mask(adj_graph, g.labels)
-    if g.n <= _VECTOR_MAX_N:
-        orbit = _orbit_vector(g, budget, mask)
-        return orbit.hit_key is None, orbit
-    key_mask = mask
-
-    def is_local(member: SimpleGraph) -> bool:
-        return _pack_rows(member.rows, member.n) & ~key_mask == 0
-
-    orbit = lc_orbit(g, stop=is_local, budget=budget, engine="python")
+    orbit = _orbit_vector(g, budget, _edge_mask(adj_graph, g.labels))
     return orbit.hit_key is None, orbit

@@ -29,10 +29,18 @@ from typing import Iterable, Optional, Sequence
 from .graphs import (
     GraphError,
     SimpleGraph,
+    freeze,
     local_complement,
     local_complement_sequence,
 )
-from .lc import LcOrbit, certify_nonlocal, lc_equivalent, lc_orbit
+from .lc import (
+    DEFAULT_ORBIT_BUDGET,
+    DEFAULT_WITNESS_BUDGET,
+    LcOrbit,
+    certify_nonlocal,
+    lc_equivalent,
+    lc_orbit,
+)
 from .surface import (
     AdjacencyRelation,
     Embedding,
@@ -45,12 +53,6 @@ from .surface import (
 
 class CertificateError(ValueError):
     """A required nonlocality certificate is missing or does not verify."""
-
-
-def _freeze_value(value):
-    if isinstance(value, list):
-        return tuple(_freeze_value(v) for v in value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -146,14 +148,14 @@ def scan_leaf_graphs(
 ) -> list[tuple[LeafGraph, tuple]]:
     """All orbit members with a leaf at ``outer`` (optionally pinned inner).
 
-    Members come back in breadth-first discovery order together with their
+    Members come back in breadth-first path order together with their
     complementation paths, so the first entry is the one an early-exit search
     would report.  Intended as the audit/discovery helper for reduction
     steps; the verifier itself takes the leaf graph as explicit input.
     """
-    orbit = lc_orbit(g, budget=budget, track_paths=True, engine="python")
+    orbit = lc_orbit(g, budget=budget, track_paths=True)
     found = []
-    for key, path in sorted(orbit.witness_paths.items(), key=lambda kv: (len(kv[1]), kv[1])):
+    for key, path in orbit.witness_paths.items():
         member = orbit.member_graph(key)
         if member.degree(outer) != 1:
             continue
@@ -208,7 +210,7 @@ class CertStore:
 
 
 def exhaustive_certificate(
-    e: Embedding, budget: int = 10**8
+    e: Embedding, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> tuple[bool, Certificate, LcOrbit]:
     """Fully enumerate the orbit of the instance and scan for local members."""
     g = phi_graph(e)
@@ -290,7 +292,7 @@ def verify_reduction_step(
     reduced_b: Embedding,
     leaf: LeafGraph,
     certificates: dict[str, Certificate],
-    max_free: int = 28,
+    max_free: int = DEFAULT_WITNESS_BUDGET,
 ) -> StepReport:
     """Check the three reduction hypotheses for one system.
 
@@ -426,7 +428,7 @@ def load_chain_spec(path) -> ChainSpec:
             system=r["system"],
             source=r["source"],
             edge_map={int(k): int(v) for k, v in r["edge_map"]},
-            vertex_map={_freeze_value(k): _freeze_value(v) for k, v in r["vertex_map"]},
+            vertex_map={freeze(k): freeze(v) for k, v in r["vertex_map"]},
         )
         for r in data.get("relabel", [])
     ]
@@ -440,8 +442,8 @@ def load_chain_spec(path) -> ChainSpec:
 
 def reduction_chain(
     spec: ChainSpec,
-    budget: int = 10**8,
-    max_free: int = 28,
+    budget: int = DEFAULT_ORBIT_BUDGET,
+    max_free: int = DEFAULT_WITNESS_BUDGET,
     store: Optional[CertStore] = None,
 ) -> ChainReport:
     """Verify a whole reduction chain from its exhaustive base upward.

@@ -25,6 +25,7 @@ from .graphs import (
     SimpleGraph,
     SpanningTree,
     first_spanning_tree,
+    freeze,
     phi,
 )
 from .pauli import PauliString, Tableau, conjugate_hadamard, graph_stabilizer, span_equal
@@ -58,12 +59,6 @@ class Embedding:
     @property
     def n_qubits(self) -> int:
         return self.graph.n_edges
-
-    def qubit_of_edge(self, edge_index: int) -> int:
-        return self.qubit_ids[edge_index]
-
-    def face_edge_sets(self) -> list[frozenset[int]]:
-        return [frozenset(w) for w in self.faces]
 
     def to_dict(self) -> dict:
         return {
@@ -468,16 +463,10 @@ def contract_embedding(e: Embedding, edge_index: int) -> Embedding:
 # Setup files
 
 
-def _freeze(value):
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
-
-
 def setup_from_dict(data: dict) -> Embedding:
     try:
-        vertices = [_freeze(v) for v in data["vertices"]]
-        edges = [(_freeze(u), _freeze(v)) for u, v in data["edges"]]
+        vertices = [freeze(v) for v in data["vertices"]]
+        edges = [(freeze(u), freeze(v)) for u, v in data["edges"]]
         faces = tuple(tuple(int(k) for k in w) for w in data["faces"])
         closed = bool(data["closed"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -44,11 +44,11 @@ def test_phi_nonlocal_edges_drawn_dashed(capsys):
     assert "style=dashed" in report["result"]["dot"]
 
 
-def test_phi_reports_are_byte_identical_across_workers(capsys):
+def test_phi_reports_are_byte_identical_across_runs(capsys):
     args = ("phi", "--setup", fixture_path("tetriamond.json"))
     _, first = run_cli(capsys, *args)
     _, second = run_cli(capsys, *args)
-    _, third = run_cli(capsys, *args, "--workers", "4")
+    _, third = run_cli(capsys, *args)
     assert first == second == third
 
 
@@ -90,6 +90,16 @@ def test_lc_orbit_stats_and_dump(capsys, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == report["result"]["orbit_size"]
     assert all(" " in line or line for line in lines)
+
+
+def test_lc_orbit_empty_graph_generations(capsys, tmp_path):
+    graph = tmp_path / "empty.graph.json"
+    graph.write_text(json.dumps({"vertices": [], "edges": []}))
+    for paths in ((), ("--paths",)):
+        code, report = run_json(capsys, "lc-orbit", "--graph", str(graph), *paths)
+        assert code == EXIT_OK
+        assert report["result"]["orbit_size"] == 1
+        assert report["result"]["generations"] == 1
 
 
 def test_lc_orbit_budget_exit_code(capsys):
@@ -152,6 +162,82 @@ def test_locality_nonlocal_instance(capsys):
     assert report["result"]["orbit_size"] == 828
 
 
+# Class size and orbit digest of each nonlocal setup fixture.
+NONLOCAL_CLASSES = {
+    "pentomino_plus": (20992, "7f97966fc5015cea455cd349af777df40a3fdb9873b44c3e930bc5be44c5d319"),
+    "tetriamond": (828, "025c936bcef23014179ddf1b42b30a4e763e34c955d0956557cf28e82cded436"),
+    "reduced_8qubit": (148, "7b150cd88f5a1393acb4de90a164add94967e912f25a299db5d2f888531dfb2a"),
+    "torus_2x2": (148, "5d0d5b0e2dd0f594bb8986b0a6a59faff6a3501f56e14a97d6841f93c8bf640e"),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(NONLOCAL_CLASSES))
+def test_locality_pins_nonlocal_classes(capsys, setup):
+    size, digest = NONLOCAL_CLASSES[setup]
+    code, report = run_json(capsys, "locality", "--setup", fixture_path(f"{setup}.json"))
+    assert code == EXIT_OK
+    assert report["result"] == {"verdict": "nonlocal", "orbit_size": size, "orbit_digest": digest}
+
+
+# Reported complementations of every local polyform up to 5 cells, keyed by
+# (lattice, cells, index in enumeration order); shapes not listed are
+# nonlocal, or local with the empty path.
+LOCAL_PATHS = {
+    ("square", 3, 1): [0, 5],
+    ("square", 4, 1): [0, 7],
+    ("square", 4, 2): [2, 8],
+    ("square", 4, 3): [0, 2, 5, 7],
+    ("square", 4, 4): [2, 6],
+    ("square", 5, 1): [0, 9],
+    ("square", 5, 2): [2, 10],
+    ("square", 5, 3): [0, 2, 7, 9],
+    ("square", 5, 4): [0, 4, 7, 11],
+    ("square", 5, 5): [0, 7, 8, 12],
+    ("square", 5, 6): [2, 8, 9, 12],
+    ("square", 5, 7): [4, 9],
+    ("square", 5, 8): [2, 6, 7, 11],
+    ("square", 5, 9): [2, 6, 8, 12],
+    ("square", 5, 10): [2, 6, 7, 9],
+    ("triangular", 2, 0): [0, 2],
+    ("triangular", 3, 0): [0, 3],
+    ("triangular", 4, 0): [0, 2, 3, 5],
+    ("triangular", 4, 2): [0, 1, 3, 5],
+    ("triangular", 5, 0): [0, 2, 3, 6],
+    ("triangular", 5, 2): [0, 2, 3, 5, 6, 8],
+    ("triangular", 5, 3): [0, 1, 3, 5, 6, 8],
+}
+NONLOCAL_POLYFORMS = {("square", 5, 11), ("triangular", 4, 1), ("triangular", 5, 1)}
+
+
+def test_locality_pins_complementations_of_local_polyforms(capsys, tmp_path):
+    seen = set()
+    for lattice in ("square", "triangular"):
+        for cells in range(1, 6):
+            _, report = run_json(
+                capsys, "enumerate", "--lattice", lattice, "--n", str(cells), "--out", str(tmp_path)
+            )
+            for index in range(report["result"]["count"]):
+                shape = (lattice, cells, index)
+                if shape in NONLOCAL_POLYFORMS:
+                    continue
+                setup = tmp_path / f"{lattice}_{cells}_{index}.json"
+                code, result = run_json(capsys, "locality", "--setup", str(setup))
+                assert code == EXIT_OK
+                assert result["result"]["verdict"] == "local"
+                assert result["result"]["complementations"] == LOCAL_PATHS.get(shape, [])
+                seen.add(shape)
+    assert set(LOCAL_PATHS) <= seen
+
+
+def test_locality_unknown_on_budget_beyond_one_key_word(capsys):
+    # 18 qubits: three-word keys; the budget is checked per frontier chunk
+    code, report = run_json(
+        capsys, "locality", "--setup", fixture_path("torus_3x3.json"), "--budget", "100000"
+    )
+    assert code == EXIT_BUDGET
+    assert report["result"] == {"verdict": "unknown", "reason": "budget", "budget": 100000}
+
+
 def test_locality_unknown_on_budget(capsys):
     code, report = run_json(
         capsys,
@@ -201,11 +287,6 @@ def test_error_exit_code_on_missing_file(capsys):
     code, report = run_json(capsys, "phi", "--setup", "/nonexistent/file.json")
     assert code == EXIT_ERROR
     assert "error" in report
-
-
-def test_workers_must_be_positive(capsys):
-    with pytest.raises(SystemExit):
-        main(["phi", "--setup", "x.json", "--workers", "0"])
 
 
 def test_selftest_subset(capsys):

@@ -26,6 +26,36 @@ def path(n):
     return SimpleGraph.from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
+def reference_closure(g):
+    """Breadth-first closure over ``local_complement``: key -> first path found.
+
+    Vertices are complemented in position order, so each member's path is the
+    shortest, lexicographically least one and the dict lists members in that
+    order.
+    """
+    paths = {canonical_key(g): ()}
+    frontier = [(g, ())]
+    while frontier:
+        nxt = []
+        for h, p in frontier:
+            for i, v in enumerate(h.labels):
+                child = local_complement(h, v)
+                key = canonical_key(child)
+                if key not in paths:
+                    paths[key] = p + (i,)
+                    nxt.append((child, p + (i,)))
+        frontier = nxt
+    return paths
+
+
+def assert_matches_reference(g):
+    orbit = lc_orbit(g, track_paths=True)
+    expected = reference_closure(g)
+    assert orbit.complete
+    assert orbit.members == sorted(expected)
+    assert list(orbit.witness_paths.items()) == list(expected.items())
+
+
 # -- canonical keys -----------------------------------------------------------
 
 
@@ -55,7 +85,7 @@ def test_single_vertex_orbit():
 
 
 def test_k3_orbit_is_triangle_plus_paths():
-    orbit = lc_orbit(SimpleGraph.complete([1, 2, 3]), engine="python")
+    orbit = lc_orbit(SimpleGraph.complete([1, 2, 3]))
     assert orbit.size == 4
     members = {frozenset(orbit.member_graph(k).edges()) for k in orbit.members}
     assert frozenset([(1, 2), (1, 3), (2, 3)]) in members
@@ -70,32 +100,37 @@ def test_orbit_closure_under_every_complementation():
     rng = np.random.default_rng(42)
     for _ in range(25):
         g = random_simple_graph(rng, int(rng.integers(2, 7)))
-        orbit = lc_orbit(g, engine="python")
+        orbit = lc_orbit(g)
         for key in orbit.members:
             member = orbit.member_graph(key)
             for v in member.labels:
                 assert orbit.contains(canonical_key(local_complement(member, v)))
 
 
-def test_engines_agree():
+def test_orbit_matches_reference_closure():
     rng = np.random.default_rng(43)
     for _ in range(40):
-        g = random_simple_graph(rng, int(rng.integers(1, 9)))
-        a = lc_orbit(g, engine="python")
-        b = lc_orbit(g, engine="vector")
-        assert a.members == sorted(int(k) for k in b.members)
-        assert a.size == b.size
+        assert_matches_reference(random_simple_graph(rng, int(rng.integers(0, 9))))
+    for _ in range(2):
+        assert_matches_reference(random_simple_graph(rng, 9))
+
+
+def test_orbit_with_multi_word_keys_matches_reference_closure():
+    # 14 vertices: 91 key bits, two words; edges at vertices 12 and 13 set
+    # bits in the high word
+    edges = [(0, 13), (13, 12), (12, 1), (1, 11), (2, 10), (10, 3), (3, 9), (9, 2)]
+    g = SimpleGraph.from_edges(range(14), edges)
+    assert_matches_reference(g)
+    assert lc_orbit(g).size == 330
 
 
 def test_orbit_budget_exceeded():
     with pytest.raises(OrbitBudgetError):
-        lc_orbit(star(6), budget=3, engine="python")
-    with pytest.raises(OrbitBudgetError):
-        lc_orbit(star(6), budget=3, engine="vector")
+        lc_orbit(star(6), budget=3)
 
 
 def test_orbit_paths_are_shortest_and_lexicographic():
-    orbit = lc_orbit(SimpleGraph.complete([0, 1, 2]), track_paths=True, engine="python")
+    orbit = lc_orbit(SimpleGraph.complete([0, 1, 2]), track_paths=True)
     for key, p in orbit.witness_paths.items():
         # replaying the path reaches the member
         g = SimpleGraph.complete([0, 1, 2])
@@ -108,10 +143,15 @@ def test_orbit_paths_are_shortest_and_lexicographic():
 
 
 def test_stop_predicate_short_circuits():
-    target = canonical_key(SimpleGraph.complete(range(4)))
-    orbit = lc_orbit(star(4), stop=lambda g: canonical_key(g) == target)
-    assert orbit.hit_key == target
-    assert orbit.hit_path == (0,)
+    # the stop test is the allowed-edge mask: K4 minus {0, 1} holds the stars
+    # centred at 2 and 3, both two complementations from the star at 0
+    allowed = SimpleGraph.from_edges(range(4), [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    is_nonlocal, orbit = certify_nonlocal(star(4), allowed)
+    centred_at_2 = SimpleGraph.from_edges(range(4), [(2, 0), (2, 1), (2, 3)])
+    assert not is_nonlocal
+    assert orbit.hit_key == canonical_key(centred_at_2)
+    assert orbit.hit_path == (0, 2)
+    assert orbit.generations == 2
     assert not orbit.complete
 
 
@@ -209,15 +249,13 @@ def test_certify_budget_error():
         certify_nonlocal(star(6), SimpleGraph.empty(list(range(6))), budget=2)
 
 
-def test_orbit_digest_is_engine_independent():
-    g = star(5)
-    assert lc_orbit(g, engine="python").digest() == lc_orbit(g, engine="vector").digest()
-
-
-def test_empty_graph_orbit_both_engines():
+def test_empty_graph_orbit():
+    # one generation is processed and finds nothing, with or without paths
     g = SimpleGraph.empty([])
-    assert lc_orbit(g, engine="python").size == 1
-    assert lc_orbit(g, engine="vector").size == 1
+    for track_paths in (False, True):
+        orbit = lc_orbit(g, track_paths=track_paths)
+        assert orbit.size == 1 and orbit.complete
+        assert orbit.generations == 1
 
 
 def test_cross_oracle_on_disconnected_graphs():
@@ -242,7 +280,7 @@ def test_witness_paths_are_lexicographically_least():
     import itertools as it
 
     seed = star(4)
-    orbit = lc_orbit(seed, track_paths=True, engine="python")
+    orbit = lc_orbit(seed, track_paths=True)
     max_len = max(len(p) for p in orbit.witness_paths.values())
     best = {}
     for length in range(max_len + 1):
@@ -256,8 +294,8 @@ def test_witness_paths_are_lexicographically_least():
     assert best == orbit.witness_paths
 
 
-def test_local_search_python_fallback_beyond_vector_range():
-    # 12 vertices exceeds the packed-uint64 engine; the Python path applies
+def test_local_search_beyond_one_key_word():
+    # 12 vertices: 66 key bits, so keys take two uint64 words
     n = 12
     complete = SimpleGraph.complete(range(n))
     allowed = star(n)
