@@ -7,7 +7,7 @@ decides pairwise equivalence algebraically, and certifies whether a setup
 admits an equivalent graph state whose edges only connect vicinal qubits.
 """
 
-from .gf2 import BitMatrix, nullspace, rank, row_space_equal, solve_affine
+from .gf2 import BitMatrix, nullspace, rank
 from .graphs import (
     GraphError,
     Multigraph,

@@ -292,6 +292,13 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not failed else EXIT_ERROR
 
 
+def _budget(text: str) -> int:
+    """Parse ``--budget``: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricgs",
@@ -299,58 +306,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, setup=False):
+    def with_budget(p):
         p.add_argument(
-            "--budget", type=int, default=DEFAULT_ORBIT_BUDGET, help="orbit member budget"
+            "--budget", type=_budget, default=DEFAULT_ORBIT_BUDGET, help="orbit member budget"
         )
-        if setup:
-            p.add_argument("--setup", required=True, help="setup JSON file")
 
     p = sub.add_parser("phi", help="map a setup to its tree graph")
-    common(p, setup=True)
+    p.add_argument("--setup", required=True, help="setup JSON file")
     p.add_argument("--tree", help="CSV of spanning-tree edge indices")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--out", help="write the graph/DOT here as well")
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("verify-thm1", help="span check of the rotated stabilizer")
-    common(p, setup=True)
+    p.add_argument("--setup", required=True, help="setup JSON file")
     p.add_argument("--tree", help="CSV of spanning-tree edge indices")
     p.set_defaults(func=cmd_verify_thm1)
 
     p = sub.add_parser("lc-orbit", help="enumerate a graph's complementation class")
-    common(p)
+    with_budget(p)
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--paths", action="store_true", help="track complementation paths")
     p.add_argument("--out", help="dump hex keys (and paths) to this file")
     p.set_defaults(func=cmd_lc_orbit)
 
     p = sub.add_parser("lc-equiv", help="pairwise equivalence witness")
-    common(p)
     p.add_argument("--g", required=True, help="first graph JSON file")
     p.add_argument("--h", required=True, help="second graph JSON file")
     p.set_defaults(func=cmd_lc_equiv)
 
     p = sub.add_parser("locality", help="local / nonlocal / unknown verdict")
-    common(p, setup=True)
+    with_budget(p)
+    p.add_argument("--setup", required=True, help="setup JSON file")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.set_defaults(func=cmd_locality)
 
     p = sub.add_parser("reduce", help="verify a reduction chain")
-    common(p)
+    with_budget(p)
     p.add_argument("--chain", required=True, help="chain specification JSON")
     p.add_argument("--certs", help="certificate store directory")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("enumerate", help="enumerate polyform setups")
-    common(p)
     p.add_argument("--lattice", choices=("square", "triangular"), required=True)
     p.add_argument("--n", type=int, required=True, help="number of cells")
     p.add_argument("--out", help="directory for the setup files")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    common(p)
     p.add_argument("--only", help="CSV of criterion numbers to run")
     p.set_defaults(func=cmd_selftest)
 
@@ -360,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget < 1:
-        parser.error("--budget must be at least 1")
     try:
         return args.func(args)
     except (GraphError, EmbeddingError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -9,6 +9,12 @@ N <= 16 qubits), which keeps the dense representation both simple and fast.
 Bit vectors passed in and out of this module use the same convention: an
 ``int`` whose bit ``j`` is component ``j``.  Use :func:`bits` / :func:`from_bits`
 to convert to and from explicit 0/1 lists.
+
+Every function below rests on one reduction of a row against a pivot map
+(``_reduce`` / ``_echelon``).  :func:`in_row_span` answers all its goals from
+one elimination in which each row carries its own index bit, the
+row-combination bookkeeping of stabilizer tableaux; :func:`nullspace` adds
+one back-substitution pass to reach the canonical reduced echelon form.
 """
 
 from __future__ import annotations
@@ -66,15 +72,6 @@ class BitMatrix:
     def to_entries(self) -> list[list[int]]:
         return [bits(r, self.ncols) for r in self.rows]
 
-    def transpose(self) -> "BitMatrix":
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= 1 << i
-                r &= r - 1
-        return BitMatrix(cols, self.nrows)
-
     def matmul(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
@@ -101,37 +98,63 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols}: [{body}])"
 
 
-def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+def _reduce(row: int, basis: dict[int, int]) -> int:
+    """Clear from ``row`` every pivot of ``basis`` that is set in it, lowest first.
+
+    ``basis`` maps a pivot bit to a row whose lowest set bit it is, so adding
+    that row never sets a lower bit.  The result has no pivot bit set; it is
+    0 iff ``row`` lies in the span of the basis.
+    """
+    rest = row
+    while rest:
+        low = rest & -rest
+        r = basis.get(low)
+        if r is None:
+            rest ^= low
+        else:
+            row ^= r
+            rest = row & ~((low << 1) - 1)
+    return row
+
+
+def _echelon(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
+    """Pivot map of the row space, and the indices of the rows kept in it.
+
+    Row ``i`` is kept iff it is independent of rows ``0..i-1``; the map sends
+    each pivot bit to the kept row it was reduced to.
+    """
+    basis: dict[int, int] = {}
+    kept: list[int] = []
+    for i, row in enumerate(rows):
+        row = _reduce(row, basis)
+        if row:
+            basis[row & -row] = row
+            kept.append(i)
+    return basis, kept
+
+
+def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form. Returns (nonzero reduced rows, pivot columns).
 
-    Pivots are chosen leftmost-first, so the result is canonical for a given
-    row space.
+    Pivots are each row's leftmost entry, in ascending order, and every pivot
+    column is zero outside its own row, so the result is canonical for a
+    given row space.
     """
-    reduced: list[int] = []
-    pivots: list[int] = []
-    for row in rows:
-        for p, r in zip(pivots, reduced):
-            if (row >> p) & 1:
-                row ^= r
-        if row == 0:
-            continue
-        p = (row & -row).bit_length() - 1
-        # Back-substitute into earlier rows, keep rows sorted by pivot.
-        for k in range(len(reduced)):
-            if (reduced[k] >> p) & 1:
-                reduced[k] ^= row
-        idx = 0
-        while idx < len(pivots) and pivots[idx] < p:
-            idx += 1
-        pivots.insert(idx, p)
-        reduced.insert(idx, row)
-    return reduced, pivots
+    basis, _ = _echelon(rows)
+    pivot_bits = sorted(basis)
+    for b in reversed(pivot_bits):  # rows with a higher pivot are already reduced
+        basis[b] = _reduce(basis[b] ^ b, basis) | b
+    return [basis[b] for b in pivot_bits], [b.bit_length() - 1 for b in pivot_bits]
 
 
 def rank(m: BitMatrix) -> int:
     """Dimension of the row space of ``m``."""
-    _, pivots = _eliminate(m.rows, m.ncols)
-    return len(pivots)
+    return len(_echelon(m.rows)[0])
+
+
+def independent_rows(m: BitMatrix) -> list[int]:
+    """Indices of the rows of ``m`` that are independent of the rows before them."""
+    return _echelon(m.rows)[1]
 
 
 def nullspace(m: BitMatrix) -> list[int]:
@@ -141,7 +164,7 @@ def nullspace(m: BitMatrix) -> list[int]:
     filled from the reduced echelon form, so repeated calls enumerate the
     same vectors in the same order.
     """
-    reduced, pivots = _eliminate(m.rows, m.ncols)
+    reduced, pivots = _eliminate(m.rows)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.ncols):
@@ -155,41 +178,15 @@ def nullspace(m: BitMatrix) -> list[int]:
     return basis
 
 
-def solve_affine(m: BitMatrix, y: int) -> Optional[tuple[int, list[int]]]:
-    """Solve ``m x = y`` over GF(2).
+def in_row_span(m: BitMatrix, vecs: Iterable[int]) -> list[Optional[int]]:
+    """Express each of ``vecs`` as an XOR of rows of ``m``.
 
-    Returns ``(particular, nullspace_basis)`` where the full solution set is
-    ``particular ^ span(basis)``, or ``None`` if the system is inconsistent.
-    ``y`` is a packed bit vector with one bit per row of ``m``.
+    Returns, per goal, a packed combination word (bit ``i`` selects row
+    ``i``) or ``None`` when the goal is outside the row space.  One
+    elimination serves every goal: each row carries its own index bit above
+    column ``ncols``, so reducing a goal records the rows it used.
     """
-    aug_col = m.ncols
-    aug_rows = [r | (((y >> i) & 1) << aug_col) for i, r in enumerate(m.rows)]
-    reduced, pivots = _eliminate(aug_rows, aug_col + 1)
-    particular = 0
-    for p, r in zip(pivots, reduced):
-        if p == aug_col:
-            return None  # a row reduced to 0 = 1
-        if (r >> aug_col) & 1:
-            particular |= 1 << p
-    return particular, nullspace(m)
-
-
-def in_row_span(m: BitMatrix, vec: int) -> Optional[int]:
-    """Express ``vec`` as an XOR of rows of ``m``.
-
-    Returns a packed combination word (bit ``i`` selects row ``i``) or
-    ``None`` when ``vec`` is outside the row space.
-    """
-    solved = solve_affine(m.transpose(), vec)
-    if solved is None:
-        return None
-    return solved[0]
-
-
-def row_space_equal(m1: BitMatrix, m2: BitMatrix) -> bool:
-    """True iff the two matrices span the same row space."""
-    if m1.ncols != m2.ncols:
-        raise ValueError("column counts differ")
-    r1, p1 = _eliminate(m1.rows, m1.ncols)
-    r2, p2 = _eliminate(m2.rows, m2.ncols)
-    return p1 == p2 and r1 == r2
+    basis, _ = _echelon(r | (1 << (m.ncols + i)) for i, r in enumerate(m.rows))
+    residues = [_reduce(vec, basis) for vec in vecs]
+    low = (1 << m.ncols) - 1
+    return [None if r & low else r >> m.ncols for r in residues]

@@ -533,9 +533,11 @@ def graph_from_dict(data: dict) -> SimpleGraph:
     try:
         labels = [freeze(v) for v in data["vertices"]]
         edges = [(freeze(u), freeze(v)) for u, v in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        return SimpleGraph.from_edges(labels, edges)
+    except GraphError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # TypeError: an unhashable label
         raise GraphError(f"malformed graph data: {exc}") from exc
-    return SimpleGraph.from_edges(labels, edges)
 
 
 def to_dot(

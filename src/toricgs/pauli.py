@@ -97,9 +97,6 @@ class PauliString:
         """Packed (x | z) row for GF(2) rank work: z bits shifted above x bits."""
         return self.x | (self.z << self.n)
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PauliString)
@@ -176,34 +173,31 @@ def conjugate_by_pauli(t: Tableau, p: PauliString) -> Tableau:
     return Tableau(t.n_qubits, gens)
 
 
-def _expressible_with_signs(source: Tableau, target: Tableau) -> bool:
-    m = source.bit_matrix()
-    for goal in target.generators:
-        combo = gf2.in_row_span(m, goal.symplectic_row())
-        if combo is None:
-            return False
-        prod = PauliString(source.n_qubits, 0, 0, 0)
-        for i in range(source.rank):
-            if (combo >> i) & 1:
-                prod = prod * source.generators[i]
-        if prod.phase != goal.phase or prod.x != goal.x or prod.z != goal.z:
-            return False
-    return True
-
-
 def span_equal(t1: Tableau, t2: Tableau) -> bool:
     """True iff the two tableaux generate the same signed stabilizer group.
 
-    Bit parts are compared by row-space equality; signs by re-deriving each
-    generator of one tableau as an explicit product of the other's generators
-    and comparing the accumulated sign.  Generators commute (checked at
-    construction), so the product order cannot matter.
+    A tableau's generators are Hermitian, commuting and independent (checked
+    at construction), so its group has 2^rank elements and does not contain
+    -I.  Equal ranks plus every generator of ``t2`` being a product of
+    ``t1``'s generators with the same sign therefore means equal groups.  All
+    of ``t2``'s generators are expressed by one elimination; since the
+    generators commute, the product order cannot matter.
     """
     if t1.n_qubits != t2.n_qubits:
         raise ValueError("qubit counts differ")
-    if not gf2.row_space_equal(t1.bit_matrix(), t2.bit_matrix()):
+    if t1.rank != t2.rank:
         return False
-    return _expressible_with_signs(t1, t2) and _expressible_with_signs(t2, t1)
+    combos = gf2.in_row_span(t1.bit_matrix(), [g.symplectic_row() for g in t2.generators])
+    for goal, combo in zip(t2.generators, combos):
+        if combo is None:
+            return False
+        prod = PauliString(t1.n_qubits, 0, 0, 0)
+        for i, g in enumerate(t1.generators):
+            if (combo >> i) & 1:
+                prod = prod * g
+        if prod != goal:
+            return False
+    return True
 
 
 class StateVector:

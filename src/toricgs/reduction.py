@@ -197,16 +197,25 @@ class CertStore:
         return os.path.join(self.directory, f"{digest}.json")
 
     def save(self, cert: Certificate) -> None:
-        with open(self._path(cert.system), "w", encoding="utf-8") as fh:
+        """Write to a temporary file beside the target, then rename it in place."""
+        path = self._path(cert.system)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())  # the data is on disk before the rename can be
+        os.replace(tmp, path)
 
     def load(self, digest: str) -> Optional[Certificate]:
         path = self._path(digest)
         if not os.path.exists(path):
             return None
         with open(path, "r", encoding="utf-8") as fh:
-            return Certificate.from_dict(json.load(fh))
+            cert = Certificate.from_dict(json.load(fh))
+        if cert.system != digest:
+            raise CertificateError(f"{os.path.basename(path)} holds the certificate of {cert.system}")
+        return cert
 
 
 def exhaustive_certificate(
@@ -396,48 +405,54 @@ class ChainReport:
 
 
 def load_chain_spec(path) -> ChainSpec:
+    """Read a chain specification; bad data or an unknown system name raises ``ValueError``."""
     base_dir = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    systems = {}
-    for name, entry in data["systems"].items():
-        if "file" in entry:
-            with open(os.path.join(base_dir, entry["file"]), "r", encoding="utf-8") as fh:
-                systems[name] = setup_from_dict(json.load(fh))
-        else:
-            systems[name] = setup_from_dict(entry)
-    steps = []
-    for s in data.get("steps", []):
-        leaf_data = s["leaf"]
-        leaf_graph = SimpleGraph.from_edges(
-            [int(v) for v in leaf_data["vertices"]],
-            [(int(u), int(v)) for u, v in leaf_data["edges"]],
-        )
-        steps.append(
-            ChainStep(
-                system=s["system"],
-                a=int(s["a"]),
-                b=int(s["b"]),
-                reduced_a=s["reduced_a"],
-                reduced_b=s["reduced_b"],
-                leaf=LeafGraph(leaf_graph, int(leaf_data["outer"]), int(leaf_data["inner"])),
+    try:
+        systems = {}
+        for name, entry in data["systems"].items():
+            if "file" in entry:
+                with open(os.path.join(base_dir, entry["file"]), "r", encoding="utf-8") as fh:
+                    systems[name] = setup_from_dict(json.load(fh))
+            else:
+                systems[name] = setup_from_dict(entry)
+        steps = []
+        for s in data.get("steps", []):
+            leaf_data = s["leaf"]
+            leaf_graph = SimpleGraph.from_edges(
+                [int(v) for v in leaf_data["vertices"]],
+                [(int(u), int(v)) for u, v in leaf_data["edges"]],
             )
-        )
-    relabelings = [
-        Relabeling(
-            system=r["system"],
-            source=r["source"],
-            edge_map={int(k): int(v) for k, v in r["edge_map"]},
-            vertex_map={freeze(k): freeze(v) for k, v in r["vertex_map"]},
-        )
-        for r in data.get("relabel", [])
-    ]
-    return ChainSpec(
-        systems=systems,
-        steps=tuple(steps),
-        base=tuple(data.get("base", [])),
-        relabelings=tuple(relabelings),
-    )
+            steps.append(
+                ChainStep(
+                    system=s["system"],
+                    a=int(s["a"]),
+                    b=int(s["b"]),
+                    reduced_a=s["reduced_a"],
+                    reduced_b=s["reduced_b"],
+                    leaf=LeafGraph(leaf_graph, int(leaf_data["outer"]), int(leaf_data["inner"])),
+                )
+            )
+        relabelings = [
+            Relabeling(
+                system=r["system"],
+                source=r["source"],
+                edge_map={int(k): int(v) for k, v in r["edge_map"]},
+                vertex_map={freeze(k): freeze(v) for k, v in r["vertex_map"]},
+            )
+            for r in data.get("relabel", [])
+        ]
+        base = tuple(data.get("base", []))
+        named = list(base)
+        named += [n for s in steps for n in (s.system, s.reduced_a, s.reduced_b)]
+        named += [n for r in relabelings for n in (r.system, r.source)]
+        unknown = sorted({repr(n) for n in named if n not in systems})
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed chain specification: {type(exc).__name__}: {exc}") from exc
+    if unknown:
+        raise ValueError(f"chain specification names unknown systems: {', '.join(unknown)}")
+    return ChainSpec(systems, tuple(steps), base, tuple(relabelings))
 
 
 def reduction_chain(

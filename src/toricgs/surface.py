@@ -174,13 +174,7 @@ def homology_rank(e: Embedding, _validated: bool = False) -> int:
         validate_embedding(e)
     m = e.graph
     cycle_dim = m.n_edges - m.n_vertices + 1
-    face_rows = []
-    for w in e.faces:
-        mask = 0
-        for k in w:
-            mask ^= 1 << k
-        face_rows.append(mask)
-    return cycle_dim - gf2.rank(gf2.BitMatrix(face_rows, m.n_edges))
+    return cycle_dim - gf2.rank(gf2.BitMatrix(face_masks(e), m.n_edges))
 
 
 def star_masks(e: Embedding) -> list[int]:
@@ -216,16 +210,8 @@ def surface_stabilizer(e: Embedding) -> tuple[Tableau, int]:
     n = e.n_qubits
     candidates = [PauliString.from_sign(n, x=msk, z=0) for msk in star_masks(e)]
     candidates += [PauliString.from_sign(n, x=0, z=msk) for msk in face_masks(e)]
-    kept: list[PauliString] = []
-    rows: list[int] = []
-    for p in candidates:
-        if p.is_identity():
-            continue
-        trial = rows + [p.symplectic_row()]
-        if gf2.rank(gf2.BitMatrix(trial, 2 * n)) == len(trial):
-            kept.append(p)
-            rows = trial
-    tab = Tableau(n, kept)
+    rows = gf2.BitMatrix([p.symplectic_row() for p in candidates], 2 * n)
+    tab = Tableau(n, [candidates[i] for i in gf2.independent_rows(rows)])
     degeneracy = tab.degeneracy()
     if e.closed:
         assert degeneracy == 4 ** genus(e), "closed-surface degeneracy must be 4^g"
@@ -373,7 +359,6 @@ def sector_tableau(e: Embedding, tree: Optional[SpanningTree] = None) -> Tableau
     stab, _ = surface_stabilizer(e)
     n = e.n_qubits
     gens = list(stab.generators)
-    rows = [g.symplectic_row() for g in gens]
     if e.closed:
         if tree is None:
             tree = first_spanning_tree(e.graph)
@@ -382,11 +367,10 @@ def sector_tableau(e: Embedding, tree: Optional[SpanningTree] = None) -> Tableau
             mask = 1 << k
             for f in tree.path_edges(p, q):
                 mask |= 1 << f
-            cand = PauliString.from_sign(n, x=0, z=mask)
-            trial = rows + [cand.symplectic_row()]
-            if gf2.rank(gf2.BitMatrix(trial, 2 * n)) == len(trial):
-                gens.append(cand)
-                rows = trial
+            gens.append(PauliString.from_sign(n, x=0, z=mask))
+        # The stabilizer rows are independent, so they are all kept, first.
+        rows = gf2.BitMatrix([g.symplectic_row() for g in gens], 2 * n)
+        gens = [gens[i] for i in gf2.independent_rows(rows)]
     if len(gens) != n:
         raise DegeneracyError(
             f"residual degeneracy 2^{n - len(gens)}: the instance does not pin a "

@@ -329,3 +329,61 @@ def test_reduce_failing_chain_exits_nonzero(capsys, tmp_path):
     assert code == EXIT_ERROR
     assert report["result"]["ok"] is False
     assert report["result"]["verdicts"]["s0"] == "unverified"
+
+
+def test_budget_only_on_enumerating_subcommands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["phi", "--setup", fixture_path("plaquette4.json"), "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+def test_budget_below_one_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["locality", "--setup", fixture_path("plaquette4.json"), "--budget", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--budget" in err
+
+
+def _broken_chain(tmp_path, edit):
+    """A copy of the bundled chain specification, changed by ``edit``."""
+    import os
+    import shutil
+
+    src = fixture_path("chain/pentomino_chain.json")
+    spec = json.load(open(src))
+    for entry in spec["systems"].values():
+        shutil.copy(os.path.join(os.path.dirname(src), entry["file"]), tmp_path)
+    edit(spec)
+    chain = tmp_path / "broken_chain.json"
+    chain.write_text(json.dumps(spec))
+    return str(chain)
+
+
+def test_reduce_chain_without_systems_is_an_error_report(capsys, tmp_path):
+    chain = _broken_chain(tmp_path, lambda spec: spec.pop("systems"))
+    code, report = run_json(capsys, "reduce", "--chain", chain)
+    assert code == EXIT_ERROR
+    assert report == {"command": "reduce", "error": "malformed chain specification: KeyError: 'systems'"}
+
+
+def test_reduce_chain_naming_unknown_system_is_an_error_report(capsys, tmp_path):
+    def edit(spec):
+        spec["steps"][0]["reduced_a"] = "nowhere"
+
+    code, report = run_json(capsys, "reduce", "--chain", _broken_chain(tmp_path, edit))
+    assert code == EXIT_ERROR
+    assert report == {
+        "command": "reduce",
+        "error": "chain specification names unknown systems: 'nowhere'",
+    }
+
+
+def test_lc_orbit_object_vertex_is_an_error_report(capsys, tmp_path):
+    graph = tmp_path / "object_vertex.graph.json"
+    graph.write_text(json.dumps({"vertices": [0, {"id": 1}], "edges": []}))
+    code, report = run_json(capsys, "lc-orbit", "--graph", str(graph))
+    assert code == EXIT_ERROR
+    assert report["command"] == "lc-orbit"
+    assert report["error"].startswith("malformed graph data:")

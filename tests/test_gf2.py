@@ -1,6 +1,4 @@
-"""Exact GF(2) kernels: rank, affine solve, row-space comparison."""
-
-import itertools
+"""Exact GF(2) kernels: rank, independent rows, row-span membership, nullspace."""
 
 import numpy as np
 import pytest
@@ -21,37 +19,6 @@ def test_rank_dependent_row():
     assert gf2.rank(m) == 2
 
 
-def test_solve_identity():
-    out = gf2.solve_affine(gf2.BitMatrix.identity(3), 0b101)
-    assert out == (0b101, [])
-
-
-def test_solve_inconsistent():
-    assert gf2.solve_affine(gf2.BitMatrix([0], 1), 1) is None
-
-
-def test_solve_underdetermined():
-    particular, basis = gf2.solve_affine(gf2.BitMatrix([0b11], 2), 0)
-    assert particular == 0
-    assert basis == [0b11]
-
-
-def test_row_space_equal_permutation():
-    m1 = gf2.BitMatrix.from_entries([[1, 0, 1], [0, 1, 1]])
-    m2 = gf2.BitMatrix.from_entries([[0, 1, 1], [1, 0, 1]])
-    assert gf2.row_space_equal(m1, m2)
-
-
-def test_row_space_unequal_one_dimensional():
-    assert not gf2.row_space_equal(gf2.BitMatrix([0b01], 2), gf2.BitMatrix([0b11], 2))
-
-
-def test_row_space_equal_xor_combination():
-    m1 = gf2.BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-    m2 = gf2.BitMatrix.from_entries([[1, 0, 1], [0, 1, 1]])
-    assert gf2.row_space_equal(m1, m2)
-
-
 def test_bits_round_trip():
     word = gf2.from_bits([1, 0, 1, 1])
     assert word == 0b1101
@@ -62,71 +29,87 @@ def _random_matrix(rng, rows, cols):
     return gf2.BitMatrix([int(rng.integers(0, 1 << cols)) for _ in range(rows)], cols)
 
 
+def _span(rows):
+    """Every XOR of a subset of ``rows``, by brute force."""
+    out = {0}
+    for r in rows:
+        out |= {v ^ r for v in out}
+    return out
+
+
 def test_rank_equals_transpose_rank_random():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        m = _random_matrix(rng, int(rng.integers(1, 17)), int(rng.integers(1, 17)))
-        assert gf2.rank(m) == gf2.rank(m.transpose())
+        m = _random_matrix(rng, int(rng.integers(1, 13)), int(rng.integers(1, 17)))
+        assert 2 ** gf2.rank(m) == len(_span(m.rows))
+        transposed = gf2.BitMatrix.from_entries(np.array(m.to_entries()).T)
+        assert gf2.rank(m) == gf2.rank(transposed)
 
 
-def test_solve_affine_full_solution_set():
-    # Every basis combination solves the system, checked exhaustively while
-    # the nullspace stays small.
-    rng = np.random.default_rng(12)
-    checked = 0
-    while checked < 100:
-        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 9))
-        m = _random_matrix(rng, rows, cols)
-        y = int(rng.integers(0, 1 << rows))
-        out = gf2.solve_affine(m, y)
-        if out is None:
-            continue
-        particular, basis = out
-        assert len(basis) <= 12
-        mt = m.rows
-        for picks in itertools.product((0, 1), repeat=len(basis)):
-            x = particular
-            for take, vec in zip(picks, basis):
-                if take:
-                    x ^= vec
-            image = 0
-            for i, row in enumerate(mt):
-                image |= ((row & x).bit_count() & 1) << i
-            assert image == y
-        checked += 1
+def test_independent_rows_match_brute_force():
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        m = _random_matrix(rng, int(rng.integers(0, 10)), int(rng.integers(1, 7)))
+        expected = [i for i, r in enumerate(m.rows) if r not in _span(m.rows[:i])]
+        assert gf2.independent_rows(m) == expected
 
 
-def test_row_space_equal_is_equivalence_relation():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        cols = int(rng.integers(1, 9))
-        a = _random_matrix(rng, int(rng.integers(1, 6)), cols)
-        b = _random_matrix(rng, int(rng.integers(1, 6)), cols)
-        c = _random_matrix(rng, int(rng.integers(1, 6)), cols)
-        assert gf2.row_space_equal(a, a)
-        assert gf2.row_space_equal(a, b) == gf2.row_space_equal(b, a)
-        if gf2.row_space_equal(a, b) and gf2.row_space_equal(b, c):
-            assert gf2.row_space_equal(a, c)
+def test_eliminate_is_canonical_rref():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        m = _random_matrix(rng, int(rng.integers(1, 11)), int(rng.integers(1, 17)))
+        reduced, pivots = gf2._eliminate(m.rows)
+        assert pivots == sorted(set(pivots))
+        for k, (p, r) in enumerate(zip(pivots, reduced)):
+            assert r & -r == 1 << p  # the pivot is the row's leading entry
+            assert [(other >> p) & 1 for other in reduced] == [int(j == k) for j in range(len(reduced))]
+        assert _span(reduced) == _span(m.rows)
+        rows = list(m.rows)
+        rng.shuffle(rows)
+        for _ in range(10):
+            i, j = (int(v) for v in rng.integers(0, len(rows), size=2))
+            if i != j:
+                rows[i] ^= rows[j]
+        rows.append(rows[0] ^ rows[-1])
+        assert gf2._eliminate(rows) == (reduced, pivots)
 
 
 def test_nullspace_vectors_annihilate():
     rng = np.random.default_rng(14)
     for _ in range(200):
         m = _random_matrix(rng, int(rng.integers(1, 8)), int(rng.integers(1, 12)))
-        for vec in gf2.nullspace(m):
+        basis = gf2.nullspace(m)
+        assert len(basis) == m.ncols - gf2.rank(m)
+        for vec in basis:
             assert all((row & vec).bit_count() % 2 == 0 for row in m.rows)
 
 
 def test_in_row_span():
     m = gf2.BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
-    combo = gf2.in_row_span(m, 0b101)  # rows 0 xor 1 = 101
-    assert combo is not None
-    acc = 0
-    for i in range(m.nrows):
-        if (combo >> i) & 1:
-            acc ^= m.rows[i]
-    assert acc == 0b101
-    assert gf2.in_row_span(m, 0b100) is None
+    combo, outside = gf2.in_row_span(m, [0b101, 0b100])  # rows 0 xor 1 = 101
+    assert combo == 0b11
+    assert outside is None
+
+
+def test_in_row_span_many_goals_match_brute_force():
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        cols = int(rng.integers(1, 9))
+        m = _random_matrix(rng, int(rng.integers(0, 8)), cols)
+        goals = [int(rng.integers(0, 1 << cols)) for _ in range(6)] + m.rows[:2]
+        span = _span(m.rows)
+        combos = gf2.in_row_span(m, goals)
+        assert len(combos) == len(goals)
+        for goal, combo in zip(goals, combos):
+            if goal not in span:
+                assert combo is None
+                continue
+            assert combo is not None and combo >> m.nrows == 0
+            acc = 0
+            for i, row in enumerate(m.rows):
+                if (combo >> i) & 1:
+                    acc ^= row
+            assert acc == goal
 
 
 def test_matmul_against_numpy():
@@ -140,7 +123,5 @@ def test_matmul_against_numpy():
 
 
 def test_column_count_mismatch_rejected():
-    with pytest.raises(ValueError):
-        gf2.row_space_equal(gf2.BitMatrix([1], 1), gf2.BitMatrix([1], 2))
     with pytest.raises(ValueError):
         gf2.BitMatrix([0b100], 2)

@@ -142,6 +142,50 @@ def test_conjugate_hadamard_preserves_span_verdicts():
         assert before == after
 
 
+def _signed_group(t: Tableau) -> set:
+    """Every product of a subset of the generators, as (x, z, phase)."""
+    members = {PauliString(t.n_qubits, 0, 0)}
+    for g in t.generators:
+        members |= {m * g for m in members}
+    return {(m.x, m.z, m.phase) for m in members}
+
+
+def _random_signed_tableau(rng, n: int) -> Tableau:
+    t = graph_stabilizer(random_simple_graph(rng, n))
+    t = conjugate_hadamard(t, [q for q in range(n) if rng.integers(0, 2)])
+    flips = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
+    return conjugate_by_pauli(t, flips)
+
+
+def test_span_equal_matches_brute_force_groups():
+    rng = np.random.default_rng(35)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        n = int(rng.integers(1, 6))
+        t1 = _random_signed_tableau(rng, n)
+        mode = int(rng.integers(0, 4))
+        if mode == 2:  # another graph, usually another group of the same size
+            gens = list(_random_signed_tableau(rng, n).generators)
+        else:  # a random basis change of the same group
+            gens = list(t1.generators)
+            for _ in range(3 * n):
+                i, j = (int(v) for v in rng.integers(0, n, size=2))
+                if i != j:
+                    gens[i] = gens[i] * gens[j]
+            rng.shuffle(gens)
+        if mode == 1:  # one sign flip
+            k = int(rng.integers(0, n))
+            gens[k] = PauliString(n, gens[k].x, gens[k].z, gens[k].phase + 2)
+        if mode == 3:  # a proper subgroup
+            gens = gens[: int(rng.integers(0, n))]
+        t2 = Tableau(n, gens)
+        same = _signed_group(t1) == _signed_group(t2)
+        assert span_equal(t1, t2) == same
+        assert span_equal(t2, t1) == same
+        verdicts[same] += 1
+    assert min(verdicts.values()) > 100
+
+
 def test_conjugate_by_pauli_flips_anticommuting_signs():
     t = Tableau(1, [PauliString.from_label("Z")])
     flipped = conjugate_by_pauli(t, PauliString.from_label("X"))

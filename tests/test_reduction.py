@@ -7,6 +7,7 @@ from toricgs.fixture_files import fixture_path
 from toricgs.graphs import GraphError, SimpleGraph
 from toricgs.reduction import (
     Certificate,
+    CertificateError,
     CertStore,
     ChainSpec,
     LeafGraph,
@@ -186,6 +187,15 @@ def test_cert_store_round_trip(tmp_path):
     store.save(cert)
     assert store.load("abc123") == cert
     assert store.load("missing") is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["abc123.json"]  # no temporary left
+
+
+def test_cert_store_rejects_renamed_certificate(tmp_path):
+    store = CertStore(tmp_path)
+    store.save(Certificate("abc123", "exhaustive", {"orbit_size": 5}))
+    (tmp_path / "abc123.json").rename(tmp_path / "def456.json")
+    with pytest.raises(CertificateError):
+        store.load("def456")
 
 
 # -- relabeling ---------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_face_boundary_z_cycle_is_in_stabilizer_span():
     for k in emb.faces[0]:
         face_mask ^= 1 << k
     boundary_row = face_mask << emb.n_qubits  # z block
-    assert gf2.in_row_span(rows, boundary_row) is not None
+    assert gf2.in_row_span(rows, [boundary_row]) != [None]
 
 
 def test_loop_z_commutes_with_every_star():
