@@ -46,7 +46,6 @@ from .surface import (
     phi_graph,
     surface_stabilizer,
     transform_to_graph_state,
-    validate_embedding,
 )
 from .graphs import first_spanning_tree
 
@@ -97,7 +96,7 @@ def _write_out(path: Optional[str], content: str) -> None:
 
 
 def cmd_phi(args) -> int:
-    emb = validate_embedding(load_setup(args.setup))
+    emb = load_setup(args.setup)
     tree = _parse_tree(emb, args.tree)
     graph = phi_graph(emb, tree)
     relation = adjacency_relation(emb)
@@ -118,7 +117,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_verify_thm1(args) -> int:
-    emb = validate_embedding(load_setup(args.setup))
+    emb = load_setup(args.setup)
     tree = _parse_tree(emb, args.tree)
     _, degeneracy = surface_stabilizer(emb)
     res = transform_to_graph_state(emb, tree)
@@ -200,7 +199,7 @@ def cmd_lc_equiv(args) -> int:
 
 
 def cmd_locality(args) -> int:
-    emb = validate_embedding(load_setup(args.setup))
+    emb = load_setup(args.setup)
     graph = phi_graph(emb)
     relation = adjacency_relation(emb)
     inputs = {"setup": _input_record(args.setup)}

@@ -112,7 +112,11 @@ class PauliString:
 
 
 class Tableau:
-    """An independent, pairwise commuting set of Pauli generators."""
+    """An independent, pairwise commuting set of Hermitian Pauli generators.
+
+    The constructor, where generators enter, checks all of this; operations
+    that keep it build their results with :meth:`_derived`, which does not.
+    """
 
     __slots__ = ("n_qubits", "generators")
 
@@ -130,6 +134,13 @@ class Tableau:
         if gf2.rank(self.bit_matrix()) != len(self.generators):
             raise ValueError("generators are not independent over GF(2)")
 
+    @classmethod
+    def _derived(cls, n_qubits: int, generators: Sequence[PauliString]) -> "Tableau":
+        """A tableau of generators valid by construction: nothing is checked."""
+        t = cls.__new__(cls)
+        t.n_qubits, t.generators = n_qubits, tuple(generators)
+        return t
+
     @property
     def rank(self) -> int:
         return len(self.generators)
@@ -146,42 +157,48 @@ class Tableau:
 
 
 def graph_stabilizer(g: SimpleGraph) -> Tableau:
-    """Generators X_v * prod_{w in N_v} Z_w, one per vertex, all signs +1."""
+    """Generators X_v * prod_{w in N_v} Z_w, one per vertex, all signs +1.
+
+    ``SimpleGraph`` checks that the adjacency is symmetric and loop-free, so
+    they commute; the identity X-block makes them independent.
+    """
     n = g.n
-    gens = [PauliString.from_sign(n, 1 << v, g.rows[v]) for v in range(n)]
-    return Tableau(n, gens)
+    return Tableau._derived(n, [PauliString.from_sign(n, 1 << v, g.rows[v]) for v in range(n)])
 
 
 def conjugate_hadamard(t: Tableau, qubits: Iterable[int]) -> Tableau:
-    """Conjugate every generator by Hadamards on the listed qubit indices."""
+    """Conjugate every generator by Hadamards on the listed qubit indices.
+
+    A symplectic map: commutation and independence carry over from ``t``.
+    """
     mask = 0
     for q in qubits:
         if not 0 <= q < t.n_qubits:
             raise ValueError(f"qubit index {q} out of range")
         mask |= 1 << q
-    return Tableau(t.n_qubits, [g.hadamard(mask) for g in t.generators])
+    return Tableau._derived(t.n_qubits, [g.hadamard(mask) for g in t.generators])
 
 
 def conjugate_by_pauli(t: Tableau, p: PauliString) -> Tableau:
-    """Conjugate by a Pauli: each anticommuting generator flips its sign."""
+    """Conjugate by a Pauli: each anticommuting generator flips its sign, nothing else."""
     gens = []
     for g in t.generators:
         if g.commutes_with(p):
             gens.append(g)
         else:
             gens.append(PauliString(g.n, g.x, g.z, (g.phase + 2) & 3))
-    return Tableau(t.n_qubits, gens)
+    return Tableau._derived(t.n_qubits, gens)
 
 
 def span_equal(t1: Tableau, t2: Tableau) -> bool:
     """True iff the two tableaux generate the same signed stabilizer group.
 
     A tableau's generators are Hermitian, commuting and independent (checked
-    at construction), so its group has 2^rank elements and does not contain
-    -I.  Equal ranks plus every generator of ``t2`` being a product of
-    ``t1``'s generators with the same sign therefore means equal groups.  All
-    of ``t2``'s generators are expressed by one elimination; since the
-    generators commute, the product order cannot matter.
+    where they enter, kept by every derivation), so its group has 2^rank
+    elements and does not contain -I.  Equal ranks plus every generator of
+    ``t2`` being a product of ``t1``'s generators with the same sign therefore
+    means equal groups.  All of ``t2``'s generators are expressed by one
+    elimination; since the generators commute, the product order cannot matter.
     """
     if t1.n_qubits != t2.n_qubits:
         raise ValueError("qubit counts differ")

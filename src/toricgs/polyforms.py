@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Multigraph
-from .surface import Embedding, validate_embedding
+from .surface import Embedding
 
 Cell = tuple
 Point = tuple[int, int]
@@ -179,7 +179,7 @@ def polyform_embedding(cells: Sequence[Cell], lattice: str) -> Embedding:
     vertices = sorted({p for seg in edge_list for p in seg})
     graph = Multigraph(vertices, edge_list)
     faces = tuple(tuple(edge_index[seg] for seg in walk) for walk in walks)
-    return validate_embedding(Embedding(graph, faces, closed=False))
+    return Embedding(graph, faces, closed=False)
 
 
 def polyform_enumerate(n: int, lattice: str) -> list[Embedding]:

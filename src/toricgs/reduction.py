@@ -47,7 +47,6 @@ from .surface import (
     adjacency_relation,
     phi_graph,
     setup_from_dict,
-    validate_embedding,
 )
 
 
@@ -248,8 +247,6 @@ def verify_relabeling(
     nonlocality verdicts: local graphs map to local graphs under any qubit
     bijection that preserves the embedding.
     """
-    validate_embedding(system)
-    validate_embedding(source)
     if system.closed != source.closed:
         return False
     if sorted(edge_map) != sorted(system.qubit_ids):
@@ -313,9 +310,6 @@ def verify_reduction_step(
     certificates for both reduced systems.  Each failed hypothesis is named
     in ``failures``.
     """
-    validate_embedding(big)
-    validate_embedding(reduced_a)
-    validate_embedding(reduced_b)
     failures = []
     big_ids = set(big.qubit_ids)
     if set(reduced_a.qubit_ids) != big_ids - {a}:

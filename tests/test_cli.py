@@ -387,3 +387,54 @@ def test_lc_orbit_object_vertex_is_an_error_report(capsys, tmp_path):
     assert code == EXIT_ERROR
     assert report["command"] == "lc-orbit"
     assert report["error"].startswith("malformed graph data:")
+
+
+def _square(**changes) -> dict:
+    setup = {
+        "vertices": [0, 1, 2, 3],
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+        "faces": [[0, 1, 2, 3]],
+        "closed": False,
+        "qubit_ids": [0, 1, 2, 3],
+    }
+    setup.update(changes)
+    return setup
+
+
+BAD_SETUPS = {
+    "nested_qubit_ids": _square(qubit_ids=[[0], [1], [2], [3]]),
+    "scalar_qubit_ids": _square(qubit_ids=5),
+    "null_qubit_ids": _square(qubit_ids=None),
+    "float_qubit_id": _square(qubit_ids=[0, 1, 2, 3.0]),
+    "boolean_qubit_id": _square(qubit_ids=[False, 1, 2, 3]),
+    "object_vertex": _square(vertices=[{"a": 1}, 1, 2, 3]),
+    "string_closed": _square(closed="no", faces=[[0, 1, 2, 3], [0, 1, 2, 3]]),  # a valid sphere if truthy
+    "numeric_closed": _square(closed=0),
+    "fractional_face_entry": _square(faces=[[0.5, 1, 2, 3]]),
+    "boolean_face_entry": _square(faces=[[0, True, 2, 3]]),
+    "edge_on_three_faces": {
+        "vertices": [0, 1, 2],
+        "edges": [[0, 1], [1, 2], [2, 0]],
+        "faces": [[0, 1, 2]] * 3,
+        "closed": True,
+    },
+    "disconnected_carrier": {
+        "vertices": [0, 1, 2, 3, 4, 5],
+        "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]],
+        "faces": [[0, 1, 2], [3, 4, 5]],
+        "closed": False,
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["phi", "verify-thm1", "locality"])
+@pytest.mark.parametrize("case", sorted(BAD_SETUPS))
+def test_bad_setup_gives_one_error_report(capsys, tmp_path, command, case):
+    setup = tmp_path / f"{case}.json"
+    setup.write_text(json.dumps(BAD_SETUPS[case]))
+    code = main([command, "--setup", str(setup)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == ""
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert sorted(report) == ["command", "error"] and report["command"] == command

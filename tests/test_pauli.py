@@ -96,6 +96,23 @@ def test_tableau_validation():
         Tableau(1, [PauliString.from_label("X"), PauliString.from_label("Z")])
     with pytest.raises(ValueError):
         Tableau(2, [PauliString.from_label("XX"), PauliString.from_label("XX")])
+    with pytest.raises(ValueError, match="qubit count"):
+        Tableau(2, [PauliString.from_label("X")])
+    with pytest.raises(ValueError, match="Hermitian"):
+        Tableau(1, [PauliString(1, 1, 1, 0)])  # X Z = -iY
+
+
+def test_derived_tableaux_pass_the_public_check():
+    # graph_stabilizer and both conjugations skip the constructor's checks;
+    # their generators must pass them anyway.
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        t = graph_stabilizer(random_simple_graph(rng, n))
+        rotated = conjugate_hadamard(t, [q for q in range(n) if rng.integers(0, 2)])
+        flips = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
+        for derived in (t, rotated, conjugate_by_pauli(rotated, flips)):
+            assert Tableau(n, derived.generators).rank == n
 
 
 # -- span comparison ----------------------------------------------------------

@@ -1,0 +1,59 @@
+"""Fuzzing the setup parser: any JSON-shaped input is an embedding or an EmbeddingError."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from toricgs.surface import Embedding, EmbeddingError, setup_from_dict  # noqa: E402
+
+scalars = st.none() | st.booleans() | st.integers(-1, 5) | st.floats(-1, 5) | st.text(max_size=1)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=1), inner, max_size=2),
+    max_leaves=4,
+)
+# Mostly small integers, so that many inputs get past the parser into validation.
+ints = st.integers(0, 5)
+setup_shaped = st.fixed_dictionaries(
+    {
+        "vertices": st.lists(ints, max_size=5) | st.lists(ints | json_values, max_size=4) | json_values,
+        "edges": st.lists(st.lists(ints, min_size=2, max_size=2), max_size=7)
+        | st.lists(st.lists(ints | json_values, max_size=3) | json_values, max_size=4)
+        | json_values,
+        "faces": st.lists(st.lists(ints, max_size=4), max_size=3)
+        | st.lists(st.lists(ints | json_values, max_size=3) | json_values, max_size=3)
+        | json_values,
+        "closed": st.booleans() | json_values,
+    },
+    optional={"qubit_ids": st.lists(ints, max_size=7) | json_values},
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(setup_shaped, json_values))
+def test_setup_from_dict_returns_an_embedding_or_raises_embedding_error(data):
+    try:
+        emb = setup_from_dict(data)
+    except EmbeddingError:
+        return
+    assert isinstance(emb, Embedding)
+
+
+def test_setup_from_dict_accepts_a_valid_square():
+    emb = setup_from_dict(
+        {
+            "vertices": [0, 1, 2, 3],
+            "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+            "faces": [[0, 1, 2, 3]],
+            "closed": False,
+        }
+    )
+    assert emb.n_qubits == 4 and emb.qubit_ids == (0, 1, 2, 3)

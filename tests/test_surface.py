@@ -6,7 +6,7 @@ import pytest
 
 from toricgs.fixture_files import fixture_path, list_fixtures
 from toricgs.graphs import Multigraph, enumerate_spanning_trees
-from toricgs.pauli import apply_hadamard, graph_state_vector, is_stabilized
+from toricgs.pauli import Tableau, apply_hadamard, graph_state_vector, is_stabilized
 from toricgs.polyforms import polyform_enumerate
 from toricgs.surface import (
     DegeneracyError,
@@ -46,29 +46,27 @@ def test_edge_on_three_faces_rejected():
     m = Multigraph(range(3), [(0, 1), (1, 2), (2, 0)])
     tri = (0, 1, 2)
     with pytest.raises(EmbeddingError):
-        validate_embedding(Embedding(m, (tri, tri, tri), closed=True))
+        Embedding(m, (tri, tri, tri), closed=True)
 
 
 def test_open_face_must_be_simple_cycle():
     m = Multigraph(range(3), [(0, 1), (1, 2)])
     with pytest.raises(EmbeddingError):
-        validate_embedding(Embedding(m, ((0, 1),), closed=False))
+        Embedding(m, ((0, 1),), closed=False)
 
 
 def test_closed_surface_needs_two_faces_per_edge():
     m = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(EmbeddingError):
-        validate_embedding(Embedding(m, ((0, 1, 2, 3),), closed=True))
+        Embedding(m, ((0, 1, 2, 3),), closed=True)
     # the same square with the face repeated is a valid sphere embedding
-    validate_embedding(
-        Embedding(m, ((0, 1, 2, 3), (0, 1, 2, 3)), closed=True)
-    )
+    Embedding(m, ((0, 1, 2, 3), (0, 1, 2, 3)), closed=True)
 
 
 def test_disconnected_carrier_rejected():
     m = Multigraph(range(4), [(0, 1), (2, 3)])
     with pytest.raises(EmbeddingError):
-        validate_embedding(Embedding(m, ((0,), (1,)), closed=False))
+        Embedding(m, ((0,), (1,)), closed=False)
 
 
 # -- stabilizers and degeneracy -----------------------------------------------
@@ -150,13 +148,17 @@ def test_adjacency_relation_is_irreflexive_and_symmetric():
 
 
 def test_loop_operator_algebra():
-    pairs = loop_operators(2)
-    assert len(pairs) == 2
-    z1, x1 = pairs[0].z_loop, pairs[0].x_loop
-    z2, x2 = pairs[1].z_loop, pairs[1].x_loop
-    assert not z1.commutes_with(x1) and not z2.commutes_with(x2)
-    assert z1.commutes_with(x2) and z2.commutes_with(x1)
-    assert x1.commutes_with(x2) and z1.commutes_with(z2)
+    for side in (2, 3):
+        pairs = loop_operators(side)
+        assert len(pairs) == 2
+        z1, x1 = pairs[0].z_loop, pairs[0].x_loop
+        z2, x2 = pairs[1].z_loop, pairs[1].x_loop
+        assert not z1.commutes_with(x1) and not z2.commutes_with(x2)
+        assert z1.commutes_with(x2) and z2.commutes_with(x1)
+        assert x1.commutes_with(x2) and z1.commutes_with(z2)
+        stab, _ = surface_stabilizer(square_torus(side))
+        for loop in (z1, x1, z2, x2):
+            assert all(loop.commutes_with(gen) for gen in stab.generators)
 
 
 def test_face_boundary_z_cycle_is_in_stabilizer_span():
@@ -225,6 +227,19 @@ def test_transform_exhaustive_small_polyforms():
             for emb in polyform_enumerate(n, lattice):
                 for tree in enumerate_spanning_trees(emb.graph):
                     assert transform_to_graph_state(emb, tree).verified
+
+
+def test_sector_and_rotated_tableaux_pass_the_public_check():
+    # sector_tableau builds the one checked tableau of a transform; the
+    # rotated tableau is derived without a check, so both are re-checked here.
+    shapes = [square_torus(2), square_torus(3)]
+    for lattice in ("square", "triangular"):
+        for n in range(1, 5):
+            shapes += polyform_enumerate(n, lattice)
+    for emb in shapes:
+        for tree in enumerate_spanning_trees(emb.graph)[:4]:
+            for tab in (sector_tableau(emb, tree), transform_to_graph_state(emb, tree).rotated_tableau):
+                assert Tableau(emb.n_qubits, tab.generators).rank == emb.n_qubits
 
 
 def test_degenerate_open_instance_raises():

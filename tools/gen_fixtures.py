@@ -29,7 +29,6 @@ def write_json(path: str, data: dict) -> None:
 
 
 def write_setup(name: str, emb: surface.Embedding, directory: str = OUT) -> None:
-    surface.validate_embedding(emb)
     write_json(os.path.join(directory, f"{name}.json"), emb.to_dict())
 
 
@@ -127,8 +126,6 @@ def build_chain():
 
         reduced_a = surface.contract_embedding(current, a_pos)
         reduced_b = surface.contract_embedding(current, b_pos)
-        surface.validate_embedding(reduced_a)
-        surface.validate_embedding(reduced_b)
 
         next_name = f"s{k + 1}"
         mirror_name = f"m{k + 1}"
