@@ -529,10 +529,17 @@ def freeze(value):
     return value
 
 
+def edge_from_json(item) -> tuple[Label, Label]:
+    """One edge read from a file: a JSON array of exactly two labels."""
+    if not isinstance(item, list) or len(item) != 2:
+        raise GraphError(f"an edge must be an array of two labels, got {item!r}")
+    return freeze(item[0]), freeze(item[1])
+
+
 def graph_from_dict(data: dict) -> SimpleGraph:
     try:
         labels = [freeze(v) for v in data["vertices"]]
-        edges = [(freeze(u), freeze(v)) for u, v in data["edges"]]
+        edges = [edge_from_json(e) for e in data["edges"]]
         return SimpleGraph.from_edges(labels, edges)
     except GraphError:
         raise

@@ -3,11 +3,18 @@
 A labeled graph on n vertices is identified by its canonical key: the
 upper-triangle bits of the adjacency matrix packed row-major into one
 integer.  Orbits under local complementation are closed breadth-first over
-those keys by one numpy engine, for every n.  It stores each key as
-big-endian uint64 words, processes whole generations in fixed-size chunks of
-the frontier, and records each member's parent and complemented vertex, so
-complementation paths come from the same run.  A locality search is the same
-closure with the allowed-edge mask as its stop test.
+those keys by one numpy engine that works on native machine words.  Each
+frontier member carries its key as uint64 words and its adjacency rows as
+n-bit masks; a child's key is its parent's words XOR the flip pattern of the
+complemented neighbourhood, laid out by a plan fixed per n (for n <= 12, a
+table of all 2^n patterns).  Keys are deduplicated and looked up through one
+uint64 fingerprint each, the key itself when it fits one word, and every
+fingerprint match is confirmed on the full words.  Whole generations are
+processed in fixed-size chunks of the frontier, and each member's parent and
+complemented vertex are recorded, so complementation paths come from the
+same run.  Adjacency rows are single words, so orbits are limited to 64
+vertices; a larger graph raises ``ValueError``.  A locality search is the
+same closure with the allowed-edge mask as its stop test.
 
 The pairwise equivalence test is algebraic: two adjacency matrices are
 LC-equivalent iff diagonal matrices A, B, C, D over GF(2) exist with
@@ -19,9 +26,10 @@ candidate differs from the previous one by a single basis vector.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +40,8 @@ from .graphs import GraphError, SimpleGraph
 DEFAULT_ORBIT_BUDGET = 10**8
 DEFAULT_WITNESS_BUDGET = 24  # max free dimensions, i.e. 2^24 candidates
 _CHUNK = 512  # frontier members complemented per numpy step
+MAX_ORBIT_VERTICES = 64  # adjacency rows are single machine words
+_TABLE_MAX_N = 12  # flips of every neighbourhood tabulated up to here: at most 64 KB
 
 
 class OrbitBudgetError(RuntimeError):
@@ -136,47 +146,194 @@ class LcOrbit:
         return h.hexdigest()
 
 
-def _complement_chunk(keys: np.ndarray, n: int, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    """Keys of the n complementations of each key, in (key, vertex) order.
+@dataclass(frozen=True)
+class _Plan:
+    """Where complementation flips land in the key words, fixed per vertex count.
 
-    Key bit (iu[k], ju[k]) is the k-th most significant.  Complementing at v
-    flips edge bit (i, j) iff (v, i) and (v, j) are both edges, so each child
-    is its parent's bits XOR one row-pair AND of the parent's adjacency matrix.
+    Row i of the upper triangle occupies key bits ``S_i .. S_i + n - 2 - i``
+    with ``S_i = i (n - 1) - i (i - 1) / 2``.  Its segment sits at shift
+    ``S_i mod 64`` of word ``S_i // 64`` (counting from the least significant
+    word) and spills into the next word when it crosses a word boundary.
     """
-    width = keys.dtype.itemsize
-    nbits = len(iu)
-    bits = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1)[:, 8 * width - nbits :]
-    adj = np.zeros((len(keys), n, n), dtype=np.uint8)
-    adj[:, iu, ju] = adj[:, ju, iu] = bits
-    adj = adj.reshape(len(keys) * n, n)  # row (key, v): the neighbourhood of v
-    flips = adj[:, iu]
-    flips &= adj[:, ju]
-    children = np.zeros((len(keys), n, 8 * width), dtype=np.uint8)
-    np.bitwise_xor(
-        flips.reshape(len(keys), n, nbits), bits[:, None, :],
-        out=children[:, :, 8 * width - nbits :],
-    )
-    return np.packbits(children, axis=2).reshape(-1, width).view(keys.dtype).ravel()
+
+    n: int
+    nwords: int
+    dtype: np.dtype  # narrowest unsigned type that holds one adjacency row
+    vertices: np.ndarray  # 0 .. n - 1 in ``dtype``
+    bits: np.ndarray  # 1 << vertex in ``dtype``
+    places: tuple  # per row segment: (word, left shift, spill) with spill (word, right shift) or None
+    table: Optional[np.ndarray] = None  # flip words of every neighbourhood, for small n
 
 
-def _key_ints(keys: np.ndarray) -> list[int]:
-    return [int.from_bytes(k, "big") for k in keys.tolist()]
+@functools.cache  # one entry per n <= MAX_ORBIT_VERTICES
+def _plan(n: int) -> _Plan:
+    nwords = max(1, -(-(n * (n - 1) // 2) // 64))
+    places, start = [], 0
+    for width in range(n - 1, 0, -1):
+        word, shift = divmod(start, 64)
+        spill = (nwords - 2 - word, 64 - shift) if shift + width > 64 else None
+        places.append((nwords - 1 - word, shift, spill))
+        start += width
+    dtype = np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= n))
+    vertices = np.arange(n, dtype=dtype)
+    plan = _Plan(n, nwords, dtype, vertices, np.left_shift(1, vertices, dtype=dtype), tuple(places))
+    if n <= _TABLE_MAX_N:
+        table = _flips(np.arange(1 << n, dtype=dtype), plan)
+        table.setflags(write=False)
+        plan = replace(plan, table=table)
+    return plan
 
 
-def _locate(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Insertion points of ``keys`` in the ascending ``sorted_keys``, and which occur."""
-    pos = np.searchsorted(sorted_keys, keys)
-    if len(sorted_keys) == 0:
-        return pos, np.zeros(len(keys), dtype=bool)
-    return pos, sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+def _flips(nbr: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Key words flipped by complementing at a vertex with each neighbourhood in ``nbr``.
+
+    Complementing at v flips edge bit (i, j) iff i and j are both neighbours
+    of v, so row segment i of the flips is ``N_v >> (i + 1)`` when bit i of
+    ``N_v`` is set, and zero otherwise.
+    """
+    pattern = nbr >> plan.vertices[:-1, None]  # one row per segment
+    segments = (pattern >> 1) * (pattern & 1)
+    flips = np.zeros((plan.nwords, len(nbr)), dtype=np.uint64)
+    for segment, (word, shift, spill) in zip(segments, plan.places):
+        flips[word] |= np.left_shift(segment, shift, dtype=np.uint64)
+        if spill is not None:
+            flips[spill[0]] |= segment.astype(np.uint64) >> spill[1]
+    return flips
 
 
-def _first_inside(keys: np.ndarray, outside: Optional[np.ndarray]) -> Optional[int]:
+def _children(words: np.ndarray, rows: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Keys of the n complementations of each member, in (member, vertex) order."""
+    nbr = rows.ravel()
+    children = plan.table.take(nbr, axis=1) if plan.table is not None else _flips(nbr, plan)
+    children ^= words.repeat(plan.n, axis=1)
+    return children
+
+
+def _complemented_rows(rows: np.ndarray, origins: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Adjacency rows after complementing member ``origin // n`` of ``rows`` at ``origin % n``."""
+    parent, vertex = np.divmod(origins, plan.n)
+    nbr = rows[parent, vertex][:, None]
+    return rows[parent] ^ (nbr ^ plan.bits) * (nbr >> plan.vertices & 1)
+
+
+def _fingerprint(words: np.ndarray) -> np.ndarray:
+    """One uint64 per key: the key itself when it fits one word, else a multiply-xorshift mix.
+
+    Only speed depends on how well it spreads keys: every match is confirmed
+    on the full words.
+    """
+    if len(words) == 1:
+        return words[0]
+    h = words[0] * _MIX
+    for w in words[1:]:
+        h ^= h >> np.uint64(29)
+        h ^= w
+        h *= _MIX
+    return h ^ (h >> np.uint64(32))
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which keys (columns) of two word arrays differ; one pass per word."""
+    out = a[0] != b[0]
+    for wa, wb in zip(a[1:], b[1:]):
+        out |= wa != wb
+    return out
+
+
+def _distinct(fp: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct key, in ascending fingerprint order."""
+    order = fp.argsort()
+    sfp = fp[order]
+    starts = np.empty(len(fp), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sfp[1:], sfp[:-1], out=starts[1:])
+    repeats = (~starts).nonzero()[0]
+    if len(repeats) and _differ(words.take(order[repeats], axis=1), words.take(order[repeats - 1], axis=1)).any():
+        # distinct keys share a fingerprint: dedupe on the full words instead
+        full = np.ascontiguousarray(words.T).view(np.dtype((np.void, 8 * len(words)))).ravel()
+        _, first = np.unique(full, return_index=True)
+        return first[np.argsort(fp[first], kind="stable")]
+    return np.minimum.reduceat(order, starts.nonzero()[0]) if len(fp) else order
+
+
+class _KeySet:
+    """Keys as sorted runs of fingerprints with their words, merged like a binary counter.
+
+    Runs are kept in decreasing size, so a set of G keys has at most
+    log2(G) + 1 runs and each key is merged O(log G) times.
+    """
+
+    def __init__(self, fp: np.ndarray, words: np.ndarray):
+        self.runs = [(fp, words)]
+        self.size = len(fp)
+
+    def add(self, fp: np.ndarray, words: np.ndarray) -> None:
+        """Add keys not yet in the set, given in ascending fingerprint order."""
+        if len(fp) == 0:
+            return
+        self.size += len(fp)
+        while self.runs and len(self.runs[-1][0]) <= len(fp):
+            fp, words = _merge(*self.runs.pop(), fp, words)
+        self.runs.append((fp, words))
+
+    def contains(self, fp: np.ndarray, words: np.ndarray) -> np.ndarray:
+        found = np.zeros(len(fp), dtype=bool)
+        for run_fp, run_words in self.runs:
+            at = run_fp.searchsorted(fp)
+            np.minimum(at, len(run_fp) - 1, out=at)
+            match = (run_fp[at] == fp).nonzero()[0]
+            differ = _differ(run_words.take(at[match], axis=1), words.take(match, axis=1))
+            found[match[~differ]] = True
+            pending, step = match[differ], 1
+            while len(pending):  # fingerprint shared with another key: walk on through its run
+                at_next = at[pending] + step
+                pending, at_next = pending[at_next < len(run_fp)], at_next[at_next < len(run_fp)]
+                same_fp = run_fp[at_next] == fp[pending]
+                pending, at_next = pending[same_fp], at_next[same_fp]
+                differ = _differ(run_words.take(at_next, axis=1), words.take(pending, axis=1))
+                found[pending[~differ]] = True
+                pending, step = pending[differ], step + 1
+        return found
+
+    def words(self) -> np.ndarray:
+        return np.concatenate([w for _, w in self.runs], axis=1)
+
+
+def _merge(fp: np.ndarray, words: np.ndarray, new_fp: np.ndarray, new_words: np.ndarray) -> tuple:
+    """Merge two runs sorted by fingerprint by scattering each into its merged positions."""
+    at = fp.searchsorted(new_fp, side="right") + np.arange(len(new_fp))
+    old = np.ones(len(fp) + len(new_fp), dtype=bool)
+    old[at] = False
+    merged_fp = np.empty(len(old), dtype=fp.dtype)
+    merged_fp[at] = new_fp
+    merged_fp[old] = fp
+    merged_words = np.empty((len(words), len(old)), dtype=words.dtype)
+    for merged, w, new_w in zip(merged_words, words, new_words):
+        merged[at] = new_w
+        merged[old] = w
+    return merged_fp, merged_words
+
+
+def _key_ints(words: np.ndarray) -> list[int]:
+    if len(words) == 1:
+        return words[0].tolist()
+    size = 8 * len(words)
+    keys = memoryview(np.ascontiguousarray(words.T, dtype=">u8").tobytes())
+    return [int.from_bytes(keys[i : i + size], "big") for i in range(0, len(keys), size)]
+
+
+def _key_words(key: int, nwords: int) -> np.ndarray:
+    return np.frombuffer(key.to_bytes(8 * nwords, "big"), ">u8").astype(np.uint64).reshape(nwords, 1)
+
+
+def _first_inside(words: np.ndarray, outside: Optional[np.ndarray]) -> Optional[int]:
     """Position of the first key with no bit in ``outside``, if any."""
     if outside is None:
         return None
-    width = len(outside)
-    hits = np.flatnonzero(~(keys.view(np.uint8).reshape(-1, width) & outside).any(axis=1))
+    hits = (~_differ(words & outside, np.zeros_like(outside))).nonzero()[0]
     return int(hits[0]) if len(hits) else None
 
 
@@ -186,16 +343,21 @@ def _orbit_vector(
     local_mask: Optional[int] = None,
     track_paths: bool = False,
 ) -> LcOrbit:
-    """Breadth-first closure over whole generations of numpy key arrays.
+    """Breadth-first closure over whole generations of native-word key arrays.
 
-    Keys are stored as big-endian words, most significant first, so a void
-    view of their bytes sorts, dedupes and binary-searches in numeric key
-    order.  Each generation lists its new members in path order: by the
-    position of the parent in the previous generation, then by the
-    complemented vertex.  The ``parent * n + vertex`` origin of a member
-    therefore spells its shortest, lexicographically least path.  The
-    frontier is complemented in chunks of ``_CHUNK`` members, and the budget
-    is checked after each chunk against the distinct keys found so far.
+    Each frontier member carries its key as W uint64 words, most significant
+    first (stored word-major: one row of the array per word), and its
+    adjacency rows in the narrowest unsigned type that holds n bits.  A
+    child's key is its parent's words XOR the flip pattern of the
+    complemented neighbourhood; a new member's rows come from its parent's
+    rows.  Keys are deduplicated and looked up by one uint64 fingerprint per
+    key, every match confirmed on the full words.  Each generation lists its
+    new members in path order: by the position of the parent in the previous
+    generation, then by the complemented vertex.  The ``parent * n + vertex``
+    origin of a member therefore spells its shortest, lexicographically
+    least path.  The frontier is complemented in chunks of ``_CHUNK``
+    members, and the budget is checked after each chunk against the distinct
+    keys found so far.
 
     With ``local_mask``, enumeration stops after the first generation that
     holds a key with no edge outside the mask; the hit is the first such key
@@ -204,48 +366,51 @@ def _orbit_vector(
     if budget < 1:
         raise ValueError("budget must be at least 1")
     n = g.n
-    nbits = n * (n - 1) // 2
-    width = 8 * max(1, -(-nbits // 64))  # bytes of W uint64 words
-    key_type = np.dtype((np.void, width))
-    iu, ju = (ix[::-1] for ix in np.triu_indices(n, 1))
+    if n > MAX_ORBIT_VERTICES:
+        raise ValueError(f"orbit enumeration is limited to {MAX_ORBIT_VERTICES} vertices, got {n}")
+    plan = _plan(n)
     outside = None
     if local_mask is not None:
-        outside_bits = ((1 << nbits) - 1) & ~local_mask
-        outside = np.frombuffer(outside_bits.to_bytes(width, "big"), np.uint8)
+        outside = _key_words(((1 << (n * (n - 1) // 2)) - 1) & ~local_mask, plan.nwords)
 
     seed_key = _pack_rows(g.rows, n)
-    frontier = np.frombuffer(seed_key.to_bytes(width, "big"), dtype=key_type)
-    visited = frontier
+    frontier = _key_words(seed_key, plan.nwords)
+    frontier_rows = np.array([g.rows], dtype=plan.dtype)
+    seen = _KeySet(_fingerprint(frontier), frontier)
     origins = []  # per generation: parent * n + vertex of each member
     paths = [()]
     witness_paths = {seed_key: ()} if track_paths else None
     hit = _first_inside(frontier, outside)
-    while hit is None and len(frontier):
-        fresh = visited[:0]  # this generation's keys so far, ascending
-        new_keys, new_origins = [], []
-        for start in range(0, len(frontier), _CHUNK):
-            cand = _complement_chunk(frontier[start : start + _CHUNK], n, iu, ju)
-            cand, where = np.unique(cand, return_index=True)
-            _, seen = _locate(visited, cand)
-            cand, where = cand[~seen], where[~seen]
-            pos, seen = _locate(fresh, cand)
-            cand, where = cand[~seen], where[~seen]
-            fresh = np.insert(fresh, pos[~seen], cand)
-            if len(visited) + len(fresh) > budget:
-                raise OrbitBudgetError(budget, len(visited) + len(fresh))
-            order = np.argsort(where)
-            new_keys.append(cand[order])
-            new_origins.append(where[order] + start * n)
-        frontier = np.concatenate(new_keys)
+    while hit is None and frontier.shape[1]:
+        if origins:  # the frontier's rows, from its parents' rows, chunk by chunk
+            frontier_rows = np.concatenate([
+                _complemented_rows(frontier_rows, origins[-1][start : start + _CHUNK], plan)
+                for start in range(0, frontier.shape[1], _CHUNK)
+            ])
+        new_words, new_origins = [], []
+        for start in range(0, frontier.shape[1], _CHUNK):
+            cand = _children(frontier[:, start : start + _CHUNK], frontier_rows[start : start + _CHUNK], plan)
+            fp = _fingerprint(cand)
+            first = _distinct(fp, cand)
+            fp, words = fp[first], cand.take(first, axis=1)
+            new = ~seen.contains(fp, words)
+            first = first[new]
+            seen.add(fp[new], words[:, new])
+            if seen.size > budget:
+                raise OrbitBudgetError(budget, seen.size)
+            first.sort()
+            new_words.append(cand.take(first, axis=1))
+            new_origins.append(first + start * n)
+        frontier = np.concatenate(new_words, axis=1)
         origins.append(np.concatenate(new_origins))
-        visited = np.sort(np.concatenate([visited, fresh]), kind="stable")
         if track_paths:
             parent, vertex = np.divmod(origins[-1], n)
             paths = [paths[p] + (v,) for p, v in zip(parent.tolist(), vertex.tolist())]
             witness_paths.update(zip(_key_ints(frontier), paths))
         hit = _first_inside(frontier, outside)
 
-    members = _key_ints(visited)
+    members = seen.words()
+    members = _key_ints(members.take(np.lexsort(members[::-1]), axis=1))
     if hit is None:
         return LcOrbit(g.labels, seed_key, members, True, len(origins), witness_paths)
     path, i = [], hit
@@ -254,7 +419,7 @@ def _orbit_vector(
         path.append(v)
     return LcOrbit(
         g.labels, seed_key, members, False, len(origins), witness_paths,
-        _key_ints(frontier[hit : hit + 1])[0], tuple(reversed(path)),
+        _key_ints(frontier[:, hit : hit + 1])[0], tuple(reversed(path)),
     )
 
 

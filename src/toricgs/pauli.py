@@ -181,6 +181,8 @@ def conjugate_hadamard(t: Tableau, qubits: Iterable[int]) -> Tableau:
 
 def conjugate_by_pauli(t: Tableau, p: PauliString) -> Tableau:
     """Conjugate by a Pauli: each anticommuting generator flips its sign, nothing else."""
+    if p.n != t.n_qubits:
+        raise ValueError(f"a {p.n}-qubit Pauli cannot conjugate a {t.n_qubits}-qubit tableau")
     gens = []
     for g in t.generators:
         if g.commutes_with(p):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gf2
@@ -23,6 +23,7 @@ from .graphs import (
     Multigraph,
     SimpleGraph,
     SpanningTree,
+    edge_from_json,
     first_spanning_tree,
     freeze,
     phi,
@@ -49,10 +50,10 @@ class Embedding:
     graph: Multigraph
     faces: tuple[tuple[int, ...], ...]
     closed: bool
-    qubit_ids: tuple[int, ...] = field(default=())
+    qubit_ids: Optional[tuple[int, ...]] = None  # None: 0 .. n_edges - 1
 
     def __post_init__(self):
-        if not self.qubit_ids:
+        if self.qubit_ids is None:
             object.__setattr__(self, "qubit_ids", tuple(range(self.graph.n_edges)))
         if len(self.qubit_ids) != self.graph.n_edges:
             raise EmbeddingError("one qubit id per edge required")
@@ -439,12 +440,12 @@ def setup_from_dict(data: dict) -> Embedding:
     """Parse setup data; anything malformed or invalid raises :class:`EmbeddingError`."""
     try:
         vertices = [freeze(v) for v in data["vertices"]]
-        edges = [(freeze(u), freeze(v)) for u, v in data["edges"]]
+        edges = [edge_from_json(e) for e in data["edges"]]
         faces = tuple(_integers(w) for w in data["faces"])
         closed = data["closed"]
         if not isinstance(closed, bool):
             raise EmbeddingError(f"closed must be true or false, got {closed!r}")
-        qubit_ids = _integers(data.get("qubit_ids", list(range(len(edges)))))
+        qubit_ids = _integers(data["qubit_ids"]) if "qubit_ids" in data else None
         return Embedding(Multigraph(vertices, edges), faces, closed, qubit_ids)
     except EmbeddingError:
         raise

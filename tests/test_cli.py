@@ -389,6 +389,14 @@ def test_lc_orbit_object_vertex_is_an_error_report(capsys, tmp_path):
     assert report["error"].startswith("malformed graph data:")
 
 
+def test_lc_orbit_beyond_64_vertices_is_an_error_report(capsys, tmp_path):
+    graph = tmp_path / "path65.graph.json"
+    graph.write_text(json.dumps({"vertices": list(range(65)), "edges": [[i, i + 1] for i in range(64)]}))
+    code, report = run_json(capsys, "lc-orbit", "--graph", str(graph))
+    assert code == EXIT_ERROR
+    assert report == {"command": "lc-orbit", "error": "orbit enumeration is limited to 64 vertices, got 65"}
+
+
 def _square(**changes) -> dict:
     setup = {
         "vertices": [0, 1, 2, 3],
@@ -418,6 +426,13 @@ BAD_SETUPS = {
         "faces": [[0, 1, 2]] * 3,
         "closed": True,
     },
+    "string_edges": {  # a triangle if each two-letter string were an edge
+        "vertices": ["a", "b", "c"],
+        "edges": ["ab", "bc", "ca"],
+        "faces": [[0, 1, 2]],
+        "closed": False,
+    },
+    "empty_qubit_ids": _square(qubit_ids=[]),  # absent means default ids, empty does not
     "disconnected_carrier": {
         "vertices": [0, 1, 2, 3, 4, 5],
         "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]],

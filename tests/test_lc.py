@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from toricgs import lc
 from toricgs.graphs import SimpleGraph, local_complement
 from toricgs.lc import (
     OrbitBudgetError,
@@ -54,6 +55,7 @@ def assert_matches_reference(g):
     assert orbit.complete
     assert orbit.members == sorted(expected)
     assert list(orbit.witness_paths.items()) == list(expected.items())
+    return expected
 
 
 # -- canonical keys -----------------------------------------------------------
@@ -122,6 +124,42 @@ def test_orbit_with_multi_word_keys_matches_reference_closure():
     g = SimpleGraph.from_edges(range(14), edges)
     assert_matches_reference(g)
     assert lc_orbit(g).size == 330
+
+
+def first_local_in_path_order(paths, allowed):
+    """The first member of a reference closure with every edge in ``allowed``, and its path."""
+    outside = ~canonical_key(allowed)
+    return next(((k, p) for k, p in paths.items() if not k & outside), (None, None))
+
+
+def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
+    # A two-bit fingerprint makes most distinct keys collide, within a chunk
+    # and against the keys already found; every match must still be resolved
+    # on the full words, never merged and never raised.
+    monkeypatch.setattr(lc, "_fingerprint", lambda words: words[-1] & np.uint64(3))
+    rng = np.random.default_rng(48)
+    cases = [random_simple_graph(rng, int(rng.integers(2, 8))) for _ in range(12)]
+    cases += [  # keys of two words: 66 and 91 bits
+        SimpleGraph.from_edges(range(12), [(0, 11), (11, 1), (1, 10), (10, 0), (2, 9), (9, 3)]),
+        SimpleGraph.from_edges(range(14), [(0, 13), (13, 12), (12, 1), (1, 11), (2, 10), (10, 3), (3, 9), (9, 2)]),
+    ]
+    hits = 0
+    for g in cases:
+        paths = assert_matches_reference(g)
+        for _ in range(3):
+            allowed = random_simple_graph(rng, g.n)
+            is_nonlocal, orbit = certify_nonlocal(g, allowed)
+            assert (orbit.hit_key, orbit.hit_path) == first_local_in_path_order(paths, allowed)
+            assert is_nonlocal == (orbit.hit_key is None)
+            hits += orbit.hit_key is not None and len(orbit.hit_path) > 1
+    assert hits >= 5
+
+
+def test_orbit_limited_to_64_vertices():
+    with pytest.raises(OrbitBudgetError):  # 64 vertices enumerate, until the budget runs out
+        lc_orbit(path(64), budget=1)
+    with pytest.raises(ValueError, match="limited to 64 vertices, got 65"):
+        lc_orbit(path(65))
 
 
 def test_orbit_budget_exceeded():

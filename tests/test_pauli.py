@@ -115,6 +115,13 @@ def test_derived_tableaux_pass_the_public_check():
             assert Tableau(n, derived.generators).rank == n
 
 
+def test_conjugate_by_pauli_checks_qubit_count():
+    t = Tableau(1, [PauliString.from_label("X")])
+    assert labels(conjugate_by_pauli(t, PauliString.from_label("Z"))) == ["-X"]
+    with pytest.raises(ValueError, match="2-qubit Pauli cannot conjugate a 1-qubit tableau"):
+        conjugate_by_pauli(t, PauliString.from_label("ZZ"))
+
+
 # -- span comparison ----------------------------------------------------------
 
 

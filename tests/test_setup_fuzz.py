@@ -3,7 +3,7 @@
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from toricgs.surface import Embedding, EmbeddingError, setup_from_dict  # noqa: E402
@@ -21,6 +21,7 @@ setup_shaped = st.fixed_dictionaries(
         "vertices": st.lists(ints, max_size=5) | st.lists(ints | json_values, max_size=4) | json_values,
         "edges": st.lists(st.lists(ints, min_size=2, max_size=2), max_size=7)
         | st.lists(st.lists(ints | json_values, max_size=3) | json_values, max_size=4)
+        | st.lists(st.text("ab01", min_size=2, max_size=2), max_size=4)  # two-character strings
         | json_values,
         "faces": st.lists(st.lists(ints, max_size=4), max_size=3)
         | st.lists(st.lists(ints | json_values, max_size=3) | json_values, max_size=3)
@@ -29,6 +30,7 @@ setup_shaped = st.fixed_dictionaries(
     },
     optional={"qubit_ids": st.lists(ints, max_size=7) | json_values},
 )
+TRIANGLE = {"vertices": ["a", "b", "c"], "faces": [[0, 1, 2]], "closed": False}
 
 
 @settings(
@@ -39,12 +41,17 @@ setup_shaped = st.fixed_dictionaries(
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(st.one_of(setup_shaped, json_values))
+@example(dict(TRIANGLE, edges=["ab", "bc", "ca"]))
+@example(dict(TRIANGLE, edges=[["a", "b"], ["b", "c"], ["c", "a"]], qubit_ids=[]))
 def test_setup_from_dict_returns_an_embedding_or_raises_embedding_error(data):
     try:
         emb = setup_from_dict(data)
     except EmbeddingError:
         return
     assert isinstance(emb, Embedding)
+    # what loads is what the file says: two-label arrays as edges, the ids as given
+    assert all(type(e) is list and len(e) == 2 for e in data["edges"])
+    assert emb.qubit_ids == tuple(data.get("qubit_ids", range(len(data["edges"]))))
 
 
 def test_setup_from_dict_accepts_a_valid_square():
