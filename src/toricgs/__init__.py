@@ -15,7 +15,6 @@ from .graphs import (
     SpanningTree,
     enumerate_spanning_trees,
     first_spanning_tree,
-    fundamental_basis,
     graph_from_dict,
     graph_to_dict,
     local_complement,
@@ -57,7 +56,6 @@ from .reduction import (
     leaf_delete_commute_check,
     load_chain_spec,
     reduction_chain,
-    scan_leaf_graphs,
     verify_reduction_step,
 )
 from .surface import (

@@ -476,10 +476,10 @@ CRITERIA: list[Callable[[], CriterionResult]] = [
 
 
 def run_all(numbers: Optional[Iterable[int]] = None) -> list[CriterionResult]:
-    wanted = set(numbers) if numbers is not None else None
-    results = []
-    for i, func in enumerate(CRITERIA, start=1):
-        if wanted is not None and i not in wanted:
-            continue
-        results.append(func())
-    return results
+    """Run the criteria numbered ``numbers`` (all by default); an unknown number raises ``ValueError``."""
+    known = range(1, len(CRITERIA) + 1)
+    wanted = set(known if numbers is None else numbers)
+    unknown = sorted(wanted.difference(known))
+    if unknown:
+        raise ValueError(f"unknown criterion numbers {unknown}; criteria are numbered 1 to {len(CRITERIA)}")
+    return [func() for i, func in enumerate(CRITERIA, start=1) if i in wanted]

@@ -7,6 +7,8 @@ analysis completed (whatever the verdict), 1 on bad input or internal errors,
 and 2 when an enumeration budget was exhausted (verdict unknown).  A
 reduction chain that fails one of its hypotheses aborts and exits 1, since
 an unverified chain is an error of the chain specification, not a verdict.
+``lc-equiv`` and ``locality`` re-check the certificate they print, by code
+independent of the code that found it; a failed check is an internal error.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     SpanningTree,
+    first_spanning_tree,
     graph_from_dict,
     graph_to_dict,
+    local_complement_sequence,
     to_dot,
 )
 from .lc import (
@@ -34,12 +38,12 @@ from .lc import (
     certify_nonlocal,
     lc_equivalent,
     lc_orbit,
+    verify_witness,
 )
 from .polyforms import enumerate_polyforms, polyform_embedding
-from .reduction import CertStore, load_chain_spec, reduction_chain
+from .reduction import CertificateError, CertStore, load_chain_spec, reduction_chain
 from .surface import (
     AdjacencyRelation,
-    EmbeddingError,
     adjacency_relation,
     dump_setup,
     load_setup,
@@ -47,7 +51,6 @@ from .surface import (
     surface_stabilizer,
     transform_to_graph_state,
 )
-from .graphs import first_spanning_tree
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -187,6 +190,8 @@ def cmd_lc_equiv(args) -> int:
         return EXIT_BUDGET
     result: dict = {"status": "complete", "equivalent": witness is not None}
     if witness is not None:
+        if not verify_witness(g, h, witness):
+            raise CertificateError("internal error: the LC witness fails the matrix identity")
         result["witness"] = witness.diagonals()
     _emit(
         {
@@ -222,6 +227,10 @@ def cmd_locality(args) -> int:
         }
     else:
         local = orbit.member_graph(orbit.hit_key)
+        by_position = SimpleGraph(range(graph.n), graph.rows)  # the path lists vertex positions
+        replayed = SimpleGraph(graph.labels, local_complement_sequence(by_position, orbit.hit_path).rows)
+        if replayed != local or not replayed.is_subgraph_of(relation.graph):
+            raise CertificateError("internal error: the complementations do not replay to a local graph")
         result = {
             "verdict": "local",
             "local_graph": graph_to_dict(local),
@@ -364,7 +373,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, EmbeddingError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # GraphError, EmbeddingError, JSONDecodeError among them
         _emit({"command": args.command, "error": str(exc)})
         return EXIT_ERROR
 

@@ -7,8 +7,8 @@ package has at most a few hundred rows and at most 64 columns (4N unknowns at
 N <= 16 qubits), which keeps the dense representation both simple and fast.
 
 Bit vectors passed in and out of this module use the same convention: an
-``int`` whose bit ``j`` is component ``j``.  Use :func:`bits` / :func:`from_bits`
-to convert to and from explicit 0/1 lists.
+``int`` whose bit ``j`` is component ``j``.  Use :func:`bits` to unpack one
+into an explicit 0/1 list.
 
 Every function below rests on one reduction of a row against a pivot map
 (``_reduce`` / ``_echelon``).  :func:`in_row_span` answers all its goals from
@@ -19,16 +19,7 @@ one back-substitution pass to reach the canonical reduced echelon form.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
-
-
-def from_bits(entries: Sequence[int]) -> int:
-    """Pack a 0/1 sequence (index 0 first) into an integer bit vector."""
-    word = 0
-    for j, e in enumerate(entries):
-        if e & 1:
-            word |= 1 << j
-    return word
+from typing import Iterable, Optional
 
 
 def bits(word: int, width: int) -> list[int]:
@@ -49,28 +40,9 @@ class BitMatrix:
             if r & ~mask:
                 raise ValueError("row has bits beyond the declared column count")
 
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "BitMatrix":
-        """Build from a list of 0/1 rows (e.g. nested lists or a numpy array)."""
-        rows = [from_bits(row) for row in entries]
-        if ncols is None:
-            ncols = len(entries[0]) if len(entries) else 0
-        return cls(rows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls([1 << i for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls([0] * nrows, ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def to_entries(self) -> list[list[int]]:
-        return [bits(r, self.ncols) for r in self.rows]
 
     def matmul(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.nrows:

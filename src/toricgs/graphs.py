@@ -102,9 +102,6 @@ class SimpleGraph:
                 out.append((self.labels[i], self.labels[i + 1 + dj]))
         return out
 
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
     def delete_vertex(self, v: Label) -> "SimpleGraph":
         """Remove ``v`` together with all incident edges."""
         i = self.position(v)
@@ -321,6 +318,8 @@ class SpanningTree:
 
     def __post_init__(self):
         host = self.host
+        if self.tree_edges and not (0 <= min(self.tree_edges) and max(self.tree_edges) < host.n_edges):
+            raise GraphError(f"tree edge indices must lie in 0..{host.n_edges - 1}")
         if len(self.tree_edges) != host.n_vertices - 1:
             raise GraphError("a spanning tree has |V| - 1 edges")
         parent = [-1] * host.n_vertices  # parent vertex index
@@ -454,11 +453,6 @@ def first_spanning_tree(m: Multigraph) -> SpanningTree:
     return SpanningTree(m, frozenset(chosen))
 
 
-def _check_tree_of(m: Multigraph, t: SpanningTree) -> None:
-    if t.host is not m and t.host != m:
-        raise GraphError("spanning tree belongs to a different multigraph")
-
-
 def phi(m: Multigraph, t: SpanningTree) -> SimpleGraph:
     """Map a multigraph plus spanning tree to a simple graph on its edges.
 
@@ -467,7 +461,8 @@ def phi(m: Multigraph, t: SpanningTree) -> SimpleGraph:
     ``p`` to ``q``; there are no other edges.  The result is bipartite between
     non-tree and tree vertices by construction.
     """
-    _check_tree_of(m, t)
+    if t.host is not m and t.host != m:
+        raise GraphError("spanning tree belongs to a different multigraph")
     labels = list(range(m.n_edges))
     rows = [0] * m.n_edges
     for e in t.deleted_edges:
@@ -476,46 +471,6 @@ def phi(m: Multigraph, t: SpanningTree) -> SimpleGraph:
             rows[e] |= 1 << f
             rows[f] |= 1 << e
     return SimpleGraph(labels, rows)
-
-
-def fundamental_basis(
-    m: Multigraph, t: SpanningTree
-) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
-    """Fundamental cycles and cuts of ``m`` with respect to ``t``.
-
-    Returns ``(cycles, cuts)``: one cycle per non-tree edge (the edge plus its
-    tree path) and one cut per tree edge (the edges joining the two components
-    of the tree after removing it).  Cuts are computed from the component
-    split, independently of the cycles.
-    """
-    _check_tree_of(m, t)
-    cycles = {}
-    for e in t.deleted_edges:
-        p, q = m.endpoints(e)
-        cycles[e] = frozenset(t.path_edges(p, q)) | {e}
-
-    cuts = {}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(m.n_vertices)]
-    for k in t.tree_edges:
-        a, b = m.edges[k]
-        adj[a].append((b, k))
-        adj[b].append((a, k))
-    for f in sorted(t.tree_edges):
-        side = set()
-        start = m.edges[f][0]
-        side.add(start)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j, k in adj[i]:
-                if k != f and j not in side:
-                    side.add(j)
-                    stack.append(j)
-        cut = frozenset(
-            k for k, (a, b) in enumerate(m.edges) if (a in side) != (b in side)
-        )
-        cuts[f] = cut
-    return cycles, cuts
 
 
 def graph_to_dict(g: SimpleGraph) -> dict:
@@ -527,6 +482,20 @@ def freeze(value):
     if isinstance(value, list):
         return tuple(freeze(v) for v in value)
     return value
+
+
+def integer(value) -> int:
+    """A JSON integer read from a file; floats, booleans and strings are not integers."""
+    if type(value) is not int:
+        raise GraphError(f"expected an integer, got {value!r}")
+    return value
+
+
+def integers(values) -> tuple[int, ...]:
+    """A JSON array of integers read from a file, as a tuple."""
+    if not isinstance(values, list):
+        raise GraphError(f"expected an array of integers, got {values!r}")
+    return tuple(integer(v) for v in values)
 
 
 def edge_from_json(item) -> tuple[Label, Label]:

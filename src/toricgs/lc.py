@@ -111,7 +111,10 @@ def _edge_mask(g: SimpleGraph, labels: Sequence) -> int:
 
 @dataclass
 class LcOrbit:
-    """An enumerated (or partially enumerated) local-complementation class."""
+    """An enumerated (or partially enumerated) local-complementation class.
+
+    Complementation paths list vertex positions in ``labels``, not labels.
+    """
 
     labels: tuple
     seed_key: int

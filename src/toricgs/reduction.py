@@ -30,6 +30,8 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     freeze,
+    integer,
+    integers,
     local_complement,
     local_complement_sequence,
 )
@@ -39,7 +41,6 @@ from .lc import (
     LcOrbit,
     certify_nonlocal,
     lc_equivalent,
-    lc_orbit,
 )
 from .surface import (
     AdjacencyRelation,
@@ -51,7 +52,7 @@ from .surface import (
 
 
 class CertificateError(ValueError):
-    """A required nonlocality certificate is missing or does not verify."""
+    """A required certificate (nonlocality, LC witness or local path) is missing or does not verify."""
 
 
 @dataclass(frozen=True)
@@ -140,29 +141,6 @@ def is_stricter(
         if u in sub and v in sub and not rel2.related(u, v):
             violations.append((u, v))
     return StrictnessReport(not violations, tuple(violations))
-
-
-def scan_leaf_graphs(
-    g: SimpleGraph, outer, inner=None, budget: int = 10**6
-) -> list[tuple[LeafGraph, tuple]]:
-    """All orbit members with a leaf at ``outer`` (optionally pinned inner).
-
-    Members come back in breadth-first path order together with their
-    complementation paths, so the first entry is the one an early-exit search
-    would report.  Intended as the audit/discovery helper for reduction
-    steps; the verifier itself takes the leaf graph as explicit input.
-    """
-    orbit = lc_orbit(g, budget=budget, track_paths=True)
-    found = []
-    for key, path in orbit.witness_paths.items():
-        member = orbit.member_graph(key)
-        if member.degree(outer) != 1:
-            continue
-        nb = member.neighbors(outer)[0]
-        if inner is not None and nb != inner:
-            continue
-        found.append((LeafGraph(member, outer, nb), path))
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -413,26 +391,25 @@ def load_chain_spec(path) -> ChainSpec:
                 systems[name] = setup_from_dict(entry)
         steps = []
         for s in data.get("steps", []):
-            leaf_data = s["leaf"]
+            leaf = s["leaf"]
             leaf_graph = SimpleGraph.from_edges(
-                [int(v) for v in leaf_data["vertices"]],
-                [(int(u), int(v)) for u, v in leaf_data["edges"]],
+                integers(leaf["vertices"]), [integers(e) for e in leaf["edges"]]
             )
             steps.append(
                 ChainStep(
                     system=s["system"],
-                    a=int(s["a"]),
-                    b=int(s["b"]),
+                    a=integer(s["a"]),
+                    b=integer(s["b"]),
                     reduced_a=s["reduced_a"],
                     reduced_b=s["reduced_b"],
-                    leaf=LeafGraph(leaf_graph, int(leaf_data["outer"]), int(leaf_data["inner"])),
+                    leaf=LeafGraph(leaf_graph, integer(leaf["outer"]), integer(leaf["inner"])),
                 )
             )
         relabelings = [
             Relabeling(
                 system=r["system"],
                 source=r["source"],
-                edge_map={int(k): int(v) for k, v in r["edge_map"]},
+                edge_map=dict(integers(pair) for pair in r["edge_map"]),
                 vertex_map={freeze(k): freeze(v) for k, v in r["vertex_map"]},
             )
             for r in data.get("relabel", [])

@@ -26,6 +26,7 @@ from .graphs import (
     edge_from_json,
     first_spanning_tree,
     freeze,
+    integers,
     phi,
 )
 from .pauli import PauliString, Tableau, conjugate_hadamard, graph_stabilizer, span_equal
@@ -429,23 +430,16 @@ def contract_embedding(e: Embedding, edge_index: int) -> Embedding:
 # Setup files
 
 
-def _integers(values) -> tuple[int, ...]:
-    """A JSON array of integers as a tuple; floats and booleans are not integers."""
-    if not isinstance(values, list) or not all(type(v) is int for v in values):
-        raise EmbeddingError(f"expected an array of integers, got {values!r}")
-    return tuple(values)
-
-
 def setup_from_dict(data: dict) -> Embedding:
     """Parse setup data; anything malformed or invalid raises :class:`EmbeddingError`."""
     try:
         vertices = [freeze(v) for v in data["vertices"]]
         edges = [edge_from_json(e) for e in data["edges"]]
-        faces = tuple(_integers(w) for w in data["faces"])
+        faces = tuple(integers(w) for w in data["faces"])
         closed = data["closed"]
         if not isinstance(closed, bool):
             raise EmbeddingError(f"closed must be true or false, got {closed!r}")
-        qubit_ids = _integers(data["qubit_ids"]) if "qubit_ids" in data else None
+        qubit_ids = integers(data["qubit_ids"]) if "qubit_ids" in data else None
         return Embedding(Multigraph(vertices, edges), faces, closed, qubit_ids)
     except EmbeddingError:
         raise

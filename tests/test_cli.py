@@ -1,9 +1,11 @@
 """Command-line interface: reports, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from toricgs import cli
 from toricgs.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main
 from toricgs.fixture_files import fixture_path
 
@@ -17,6 +19,17 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_error(capsys, *argv):
+    """Run a command that must fail: one JSON error report on stdout, exit 1, nothing on stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == ""
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert sorted(report) == ["command", "error"] and report["command"] == argv[0]
+    return report["error"]
 
 
 def test_phi_star_dot(capsys):
@@ -63,6 +76,13 @@ def test_phi_explicit_tree(capsys):
     )
     assert code == EXIT_OK
     assert report["result"]["hadamard_qubits"] == [0]
+
+
+@pytest.mark.parametrize("command", ["phi", "verify-thm1"])
+@pytest.mark.parametrize("tree", ["0,1,99", "0,1,-1"])
+def test_tree_index_outside_the_host_is_an_error_report(capsys, command, tree):
+    error = run_error(capsys, command, "--setup", fixture_path("plaquette4.json"), "--tree", tree)
+    assert error == "tree edge indices must lie in 0..3"
 
 
 def test_verify_thm1(capsys):
@@ -142,6 +162,55 @@ def test_lc_equiv_negative(capsys):
     assert code == EXIT_OK
     assert report["result"]["equivalent"] is False
     assert "witness" not in report["result"]
+
+
+@pytest.mark.parametrize("diagonal", "abcd")
+def test_lc_equiv_rejects_a_witness_that_fails_the_identity(capsys, monkeypatch, diagonal):
+    real = cli.lc_equivalent
+
+    def flipped(g, h):
+        witness = real(g, h)
+        return dataclasses.replace(witness, **{diagonal: getattr(witness, diagonal) ^ 1})
+
+    monkeypatch.setattr(cli, "lc_equivalent", flipped)
+    error = run_error(
+        capsys, "lc-equiv", "--g", fixture_path("star5.graph.json"), "--h", fixture_path("complete5.graph.json")
+    )
+    assert error == "internal error: the LC witness fails the matrix identity"
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ((0, 4), "internal error: the complementations do not replay to a local graph"),
+        ((0, 99), "unknown vertex 99"),
+    ],
+)
+def test_locality_rejects_complementations_that_do_not_replay(capsys, monkeypatch, tmp_path, path, message):
+    run_cli(capsys, "enumerate", "--lattice", "square", "--n", "3", "--out", str(tmp_path))
+    real = cli.certify_nonlocal
+
+    def moved(graph, relation, budget):
+        is_nonlocal, orbit = real(graph, relation, budget=budget)
+        assert orbit.hit_path == (0, 5)  # LOCAL_PATHS[("square", 3, 1)]
+        orbit.hit_path = path
+        return is_nonlocal, orbit
+
+    monkeypatch.setattr(cli, "certify_nonlocal", moved)
+    assert run_error(capsys, "locality", "--setup", str(tmp_path / "square_3_1.json")) == message
+
+
+def test_locality_path_lists_positions_when_qubit_ids_are_not_positions(capsys, tmp_path):
+    # The replay check must read the path as positions, or this verdict would be an internal error.
+    run_cli(capsys, "enumerate", "--lattice", "square", "--n", "3", "--out", str(tmp_path))
+    setup = tmp_path / "square_3_1.json"
+    data = json.loads(setup.read_text())
+    data["qubit_ids"] = data["qubit_ids"][::-1]
+    setup.write_text(json.dumps(data))
+    code, report = run_json(capsys, "locality", "--setup", str(setup))
+    assert code == EXIT_OK
+    assert report["result"]["verdict"] == "local"
+    assert report["result"]["complementations"] == [0, 5]
 
 
 def test_locality_local_instance(capsys):
@@ -297,6 +366,11 @@ def test_selftest_subset(capsys):
     assert "4/4 criteria passed" in out
 
 
+def test_selftest_unknown_criterion_is_an_error_report(capsys):
+    error = run_error(capsys, "selftest", "--only", "1,99")
+    assert error == "unknown criterion numbers [99]; criteria are numbered 1 to 11"
+
+
 def test_console_script_entry_point(tmp_path):
     import subprocess, sys
 
@@ -447,9 +521,4 @@ BAD_SETUPS = {
 def test_bad_setup_gives_one_error_report(capsys, tmp_path, command, case):
     setup = tmp_path / f"{case}.json"
     setup.write_text(json.dumps(BAD_SETUPS[case]))
-    code = main([command, "--setup", str(setup)])
-    captured = capsys.readouterr()
-    assert code == EXIT_ERROR
-    assert captured.err == ""
-    report = json.loads(captured.out)  # exactly one JSON document
-    assert sorted(report) == ["command", "error"] and report["command"] == command
+    run_error(capsys, command, "--setup", str(setup))

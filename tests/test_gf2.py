@@ -6,23 +6,27 @@ import pytest
 from toricgs import gf2
 
 
+def _word(entries) -> int:
+    """A 0/1 row (index 0 first, e.g. a numpy row) as an integer bit vector."""
+    return sum(int(e) << j for j, e in enumerate(entries))
+
+
 def test_rank_identity():
-    assert gf2.rank(gf2.BitMatrix.identity(3)) == 3
+    assert gf2.rank(gf2.BitMatrix([1, 2, 4], 3)) == 3
 
 
 def test_rank_zero_matrix():
-    assert gf2.rank(gf2.BitMatrix.zeros(2, 4)) == 0
+    assert gf2.rank(gf2.BitMatrix([0, 0], 4)) == 0
 
 
 def test_rank_dependent_row():
-    m = gf2.BitMatrix.from_entries([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    m = gf2.BitMatrix([0b011, 0b110, 0b101], 3)
     assert gf2.rank(m) == 2
 
 
 def test_bits_round_trip():
-    word = gf2.from_bits([1, 0, 1, 1])
-    assert word == 0b1101
-    assert gf2.bits(word, 4) == [1, 0, 1, 1]
+    assert gf2.bits(0b1101, 4) == [1, 0, 1, 1]
+    assert _word(gf2.bits(0b1101, 4)) == 0b1101
 
 
 def _random_matrix(rng, rows, cols):
@@ -42,7 +46,8 @@ def test_rank_equals_transpose_rank_random():
     for _ in range(300):
         m = _random_matrix(rng, int(rng.integers(1, 13)), int(rng.integers(1, 17)))
         assert 2 ** gf2.rank(m) == len(_span(m.rows))
-        transposed = gf2.BitMatrix.from_entries(np.array(m.to_entries()).T)
+        entries = np.array([gf2.bits(r, m.ncols) for r in m.rows])
+        transposed = gf2.BitMatrix([_word(col) for col in entries.T], m.nrows)
         assert gf2.rank(m) == gf2.rank(transposed)
 
 
@@ -85,7 +90,7 @@ def test_nullspace_vectors_annihilate():
 
 
 def test_in_row_span():
-    m = gf2.BitMatrix.from_entries([[1, 1, 0], [0, 1, 1]])
+    m = gf2.BitMatrix([0b011, 0b110], 3)
     combo, outside = gf2.in_row_span(m, [0b101, 0b100])  # rows 0 xor 1 = 101
     assert combo == 0b11
     assert outside is None
@@ -117,9 +122,9 @@ def test_matmul_against_numpy():
     for _ in range(50):
         a = rng.integers(0, 2, size=(4, 5))
         b = rng.integers(0, 2, size=(5, 3))
-        lhs = gf2.BitMatrix.from_entries(a).matmul(gf2.BitMatrix.from_entries(b))
+        lhs = gf2.BitMatrix([_word(r) for r in a], 5).matmul(gf2.BitMatrix([_word(r) for r in b], 3))
         expected = (a @ b) % 2
-        assert lhs.to_entries() == expected.tolist()
+        assert [gf2.bits(r, 3) for r in lhs.rows] == expected.tolist()
 
 
 def test_column_count_mismatch_rejected():

@@ -11,7 +11,6 @@ from toricgs.graphs import (
     SpanningTree,
     enumerate_spanning_trees,
     first_spanning_tree,
-    fundamental_basis,
     local_complement,
     phi,
     to_dot,
@@ -193,7 +192,7 @@ def test_phi_hexagon_is_star_on_six():
 def test_phi_of_tree_is_edgeless():
     m = Multigraph(range(4), [(0, 1), (1, 2), (1, 3)])
     g = phi(m, enumerate_spanning_trees(m)[0])
-    assert g.n == 3 and g.edge_count() == 0
+    assert g.n == 3 and g.edges() == []
 
 
 def test_phi_parallel_edge_pair_single_edge():
@@ -255,45 +254,17 @@ def _independent_cut(m, tree, f):
     return frozenset(out)
 
 
-def test_fundamental_basis_four_cycle():
-    m = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    tree = SpanningTree(m, frozenset([0, 1, 2]))
-    cycles, cuts = fundamental_basis(m, tree)
-    assert cycles == {3: frozenset([0, 1, 2, 3])}
-    assert cuts == {0: frozenset([0, 3]), 1: frozenset([1, 3]), 2: frozenset([2, 3])}
-
-
-def test_fundamental_cut_of_path_graph_is_itself():
-    m = Multigraph(range(3), [(0, 1), (1, 2)])
-    _, cuts = fundamental_basis(m, enumerate_spanning_trees(m)[0])
-    assert cuts == {0: frozenset([0]), 1: frozenset([1])}
-
-
 def test_phi_encodes_cycles_and_cuts():
-    # Independent recomputation of every fundamental cycle and cut.
+    # Each non-tree edge sees its fundamental cycle, each tree edge its cut.
     rng = np.random.default_rng(25)
     for _ in range(120):
         m = random_connected_multigraph(rng)
         tree = first_spanning_tree(m)
         g = phi(m, tree)
-        cycles, cuts = fundamental_basis(m, tree)
         for e in tree.deleted_edges:
-            assert cycles[e] == _independent_cycle(m, tree, e)
-            assert frozenset(g.neighbors(e)) | {e} == cycles[e]
+            assert frozenset(g.neighbors(e)) | {e} == _independent_cycle(m, tree, e)
         for f in tree.tree_edges:
-            assert cuts[f] == _independent_cut(m, tree, f)
-            assert frozenset(g.neighbors(f)) | {f} == cuts[f]
-
-
-def test_cycle_cut_duality():
-    rng = np.random.default_rng(26)
-    for _ in range(120):
-        m = random_connected_multigraph(rng)
-        tree = first_spanning_tree(m)
-        cycles, cuts = fundamental_basis(m, tree)
-        for e in tree.deleted_edges:
-            for f in tree.tree_edges:
-                assert (f in cycles[e]) == (e in cuts[f])
+            assert frozenset(g.neighbors(f)) | {f} == _independent_cut(m, tree, f)
 
 
 # -- multigraph contraction ---------------------------------------------------

@@ -85,6 +85,10 @@ def test_graph_loader_fails_closed(data):
 
 
 names = st.sampled_from(["s", "t"])
+# Numbers that int() would take but JSON does not write as integers.
+integer_like = st.floats(0, 5) | st.booleans() | st.text("012", min_size=1, max_size=1)
+numbers = ints | integer_like | json_values
+number_pairs = st.lists(st.lists(ints | integer_like, min_size=2, max_size=2), max_size=4)
 system_entry = (
     st.just(SQUARE)
     | st.fixed_dictionaries({"file": st.sampled_from(["square.json", "missing.json", ""])})
@@ -93,17 +97,17 @@ system_entry = (
 )
 leaf_shaped = st.fixed_dictionaries(
     {
-        "vertices": st.lists(ints, max_size=4) | json_values,
-        "edges": st.lists(st.lists(ints, min_size=2, max_size=2), max_size=3) | json_values,
-        "outer": ints | json_values,
-        "inner": ints | json_values,
+        "vertices": st.lists(ints, max_size=4) | st.lists(ints | integer_like, max_size=4) | json_values,
+        "edges": st.lists(st.lists(ints, min_size=2, max_size=2), max_size=3) | number_pairs | json_values,
+        "outer": numbers,
+        "inner": numbers,
     }
 )
 step_shaped = st.fixed_dictionaries(
     {
         "system": names | json_values,
-        "a": ints | json_values,
-        "b": ints | json_values,
+        "a": numbers,
+        "b": numbers,
         "reduced_a": names | json_values,
         "reduced_b": names | json_values,
         "leaf": leaf_shaped | json_values,
@@ -113,7 +117,7 @@ relabel_shaped = st.fixed_dictionaries(
     {
         "system": names | json_values,
         "source": names | json_values,
-        "edge_map": st.lists(st.lists(ints, min_size=2, max_size=2), max_size=4) | json_values,
+        "edge_map": st.lists(st.lists(ints, min_size=2, max_size=2), max_size=4) | number_pairs | json_values,
         "vertex_map": st.lists(st.lists(ints, min_size=2, max_size=2), max_size=4) | json_values,
     }
 )
@@ -127,10 +131,37 @@ chain_shaped = st.fixed_dictionaries(
 )
 
 
+def chain(step=None, leaf=None, relabel=None) -> dict:
+    """A chain specification that loads, with the given fields of its step, leaf and relabeling changed."""
+    leaf = dict({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]], "outer": 0, "inner": 1}, **(leaf or {}))
+    return {
+        "systems": {"s": SQUARE, "t": {"file": "square.json"}},
+        "steps": [dict({"system": "s", "a": 0, "b": 1, "reduced_a": "t", "reduced_b": "t", "leaf": leaf}, **(step or {}))],
+        "relabel": [dict({"system": "t", "source": "s", "edge_map": [[0, 1]], "vertex_map": [[0, 1]]}, **(relabel or {}))],
+    }
+
+
+def integers_read(data):
+    """Every number of a chain specification that the loader must read as a JSON integer."""
+    for step in data.get("steps", []):
+        leaf = step["leaf"]
+        yield from (step["a"], step["b"], leaf["outer"], leaf["inner"], *leaf["vertices"])
+        yield from (v for edge in leaf["edges"] for v in edge)
+    yield from (v for r in data.get("relabel", []) for pair in r["edge_map"] for v in pair)
+
+
 @FUZZ
 @given(st.one_of(chain_shaped, json_values))
 @example({"systems": {"s": SQUARE}, "base": ["s"]})
 @example({"systems": {"s": {"file": "missing.json"}}})
+@example(chain())
+@example(chain(step={"a": 0.7}))
+@example(chain(step={"b": 1.0}))
+@example(chain(leaf={"vertices": ["0", "1", "2"]}))
+@example(chain(leaf={"outer": "0"}))
+@example(chain(leaf={"edges": [[0, 1], [1, 2.0]]}))
+@example(chain(leaf={"inner": True}))
+@example(chain(relabel={"edge_map": [["0", "1"]]}))
 def test_chain_loader_fails_closed(data):
     with input_file(data) as path:
         try:
@@ -139,4 +170,5 @@ def test_chain_loader_fails_closed(data):
             rejected = True
         else:
             rejected = False
+            assert all(type(v) is int for v in integers_read(data))
         check_cli(["reduce", "--chain", path, "--budget", "1000"], rejected)

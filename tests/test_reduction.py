@@ -17,7 +17,6 @@ from toricgs.reduction import (
     leaf_delete_commute_check,
     load_chain_spec,
     reduction_chain,
-    scan_leaf_graphs,
     verify_reduction_step,
     verify_relabeling,
 )
@@ -163,19 +162,6 @@ def test_strictness_qubit_set_mismatch():
     rel2 = _relation([0, 2], [])
     with pytest.raises(GraphError):
         is_stricter(rel1, rel2, [0, 1])
-
-
-# -- leaf scanning ------------------------------------------------------------
-
-
-def test_scan_leaf_graphs_orders_by_path():
-    g = SimpleGraph.complete(range(4))  # orbit contains stars at every vertex
-    found = scan_leaf_graphs(g, outer=3)
-    assert found
-    leaf, path = found[0]
-    assert leaf.graph.degree(3) == 1
-    paths = [p for _, p in found]
-    assert paths == sorted(paths, key=lambda p: (len(p), p))
 
 
 # -- certificates -------------------------------------------------------------
@@ -409,12 +395,10 @@ def test_locality_agrees_with_certification_on_small_setups():
 
 
 def test_scan_finds_the_declared_chain_leaf(chain_spec):
-    from toricgs.lc import canonical_key
-    from toricgs.reduction import scan_leaf_graphs
+    from toricgs.lc import canonical_key, lc_orbit
     from toricgs.surface import phi_graph
 
     step = chain_spec.steps[-1]  # 9-qubit system: small class, cheap scan
     big = chain_spec.systems[step.system]
-    found = scan_leaf_graphs(phi_graph(big), outer=step.a, inner=step.b)
-    keys = {canonical_key(leaf.graph) for leaf, _ in found}
-    assert canonical_key(step.leaf.graph) in keys
+    assert (step.leaf.outer, step.leaf.inner) == (step.a, step.b)
+    assert lc_orbit(phi_graph(big)).contains(canonical_key(step.leaf.graph))

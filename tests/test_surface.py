@@ -120,7 +120,7 @@ def test_interior_qubit_has_eight_neighbours():
 
 def test_single_plaquette_relation_is_complete():
     rel = adjacency_relation(single_plaquette(4))
-    assert rel.graph.edge_count() == 6  # K4
+    assert len(rel.graph.edges()) == 6  # K4
 
 
 def test_one_point_connection_relates_only_through_shared_star():

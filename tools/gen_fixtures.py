@@ -28,8 +28,9 @@ def write_json(path: str, data: dict) -> None:
         fh.write("\n")
 
 
-def write_setup(name: str, emb: surface.Embedding, directory: str = OUT) -> None:
-    write_json(os.path.join(directory, f"{name}.json"), emb.to_dict())
+def write_setup(name: str, emb: surface.Embedding, directory: str = "") -> None:
+    """Write a setup file into ``directory``, by default the current ``OUT``."""
+    write_json(os.path.join(directory or OUT, f"{name}.json"), emb.to_dict())
 
 
 def tree_including_excluding(
