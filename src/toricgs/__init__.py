@@ -22,13 +22,13 @@ from .graphs import (
     to_dot,
 )
 from .lc import (
+    CertificateError,
     LcOrbit,
     LcWitness,
     OrbitBudgetError,
     WitnessBudgetError,
     canonical_key,
     certify_nonlocal,
-    find_local_representative,
     lc_equivalent,
     lc_orbit,
     verify_witness,
@@ -59,7 +59,6 @@ from .reduction import (
     verify_reduction_step,
 )
 from .surface import (
-    AdjacencyRelation,
     DegeneracyError,
     Embedding,
     EmbeddingError,

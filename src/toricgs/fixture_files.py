@@ -13,12 +13,3 @@ def fixture_path(relative: str) -> str:
     if not os.path.exists(path):
         raise FileNotFoundError(f"no bundled fixture {relative!r}")
     return path
-
-
-def list_fixtures() -> list[str]:
-    out = []
-    for root, _dirs, names in os.walk(_FIXTURE_DIR):
-        for name in sorted(names):
-            if name.endswith(".json"):
-                out.append(os.path.relpath(os.path.join(root, name), _FIXTURE_DIR))
-    return sorted(out)

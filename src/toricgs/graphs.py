@@ -43,9 +43,9 @@ class SimpleGraph:
                 raise GraphError("adjacency bits beyond vertex count")
             if (r >> i) & 1:
                 raise GraphError("loops are not allowed")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if ((self.rows[i] >> j) & 1) != ((self.rows[j] >> i) & 1):
+        for i, r in enumerate(self.rows):
+            for j in _bit_positions(r):
+                if not (self.rows[j] >> i) & 1:
                     raise GraphError("adjacency must be symmetric")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 

@@ -13,8 +13,10 @@ fingerprint match is confirmed on the full words.  Whole generations are
 processed in fixed-size chunks of the frontier, and each member's parent and
 complemented vertex are recorded, so complementation paths come from the
 same run.  Adjacency rows are single words, so orbits are limited to 64
-vertices; a larger graph raises ``ValueError``.  A locality search is the
-same closure with the allowed-edge mask as its stop test.
+vertices; a larger graph raises ``ValueError``.  A locality search,
+:func:`certify_nonlocal`, is the same closure with the allowed-edge mask as
+its stop test; it replays every local hit it finds from the seed graph with
+the pure-Python complementation of :mod:`toricgs.graphs` before returning it.
 
 The pairwise equivalence test is algebraic: two adjacency matrices are
 LC-equivalent iff diagonal matrices A, B, C, D over GF(2) exist with
@@ -35,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gf2
-from .graphs import GraphError, SimpleGraph
+from .graphs import GraphError, SimpleGraph, local_complement_sequence
 
 DEFAULT_ORBIT_BUDGET = 10**8
 DEFAULT_WITNESS_BUDGET = 24  # max free dimensions, i.e. 2^24 candidates
@@ -51,6 +53,10 @@ class OrbitBudgetError(RuntimeError):
         super().__init__(f"orbit budget of {budget} keys exceeded (reached {reached})")
         self.budget = budget
         self.reached = reached
+
+
+class CertificateError(ValueError):
+    """A required certificate (nonlocality, LC witness or local path) is missing or does not verify."""
 
 
 class WitnessBudgetError(RuntimeError):
@@ -567,42 +573,25 @@ def verify_witness(g: SimpleGraph, h: SimpleGraph, w: LcWitness) -> bool:
     return all(r == 0 for r in residual)
 
 
-@dataclass(frozen=True)
-class LocalRepresentative:
-    """A local orbit member together with its complementation path."""
-
-    graph: SimpleGraph
-    path: tuple
-
-
-def find_local_representative(
-    g: SimpleGraph, adjacency, budget: int = DEFAULT_ORBIT_BUDGET
-) -> Optional[LocalRepresentative]:
-    """Search the orbit of ``g`` for a member whose edges all lie in ``adjacency``.
-
-    ``adjacency`` is the allowed-edge graph (an ``AdjacencyRelation`` or a
-    plain :class:`SimpleGraph` over the same vertices).  Returns the first
-    local member in breadth-first path order with its shortest,
-    lexicographically least complementation path, or ``None`` after
-    exhausting the orbit.  Budget exhaustion raises :class:`OrbitBudgetError`
-    (unknown, not nonlocal).
-    """
-    _, orbit = certify_nonlocal(g, adjacency, budget)
-    if orbit.hit_key is None:
-        return None
-    return LocalRepresentative(orbit.member_graph(orbit.hit_key), orbit.hit_path)
-
-
 def certify_nonlocal(
-    g: SimpleGraph, adjacency, budget: int = DEFAULT_ORBIT_BUDGET
+    g: SimpleGraph, allowed: SimpleGraph, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> tuple[bool, LcOrbit]:
-    """Enumerate the orbit until a member is a subgraph of the adjacency graph.
+    """Enumerate the orbit of ``g`` until a member is a subgraph of ``allowed``.
 
     Returns ``(nonlocal, orbit)``.  A nonlocal orbit is complete; otherwise
     the orbit records the first local member in ``hit_key`` and its path in
-    ``hit_path``.  Raises :class:`OrbitBudgetError` when the orbit exceeds
-    the budget.
+    ``hit_path``.  A local hit is replayed before it is returned, by the
+    pure-Python ``local_complement_sequence`` on ``g`` labelled by position,
+    so independently of the engine's key words and masks; a replay that
+    misses the hit's graph or leaves ``allowed`` raises
+    :class:`CertificateError`.  Raises :class:`OrbitBudgetError` when the
+    orbit exceeds the budget.
     """
-    adj_graph: SimpleGraph = getattr(adjacency, "graph", adjacency)
-    orbit = _orbit_vector(g, budget, _edge_mask(adj_graph, g.labels))
-    return orbit.hit_key is None, orbit
+    orbit = _orbit_vector(g, budget, _edge_mask(allowed, g.labels))
+    if orbit.hit_key is None:
+        return True, orbit
+    by_position = SimpleGraph(range(g.n), g.rows)  # the path lists vertex positions
+    replayed = SimpleGraph(g.labels, local_complement_sequence(by_position, orbit.hit_path).rows)
+    if replayed != orbit.member_graph(orbit.hit_key) or not replayed.is_subgraph_of(allowed):
+        raise CertificateError("internal error: the complementations do not replay to a local graph")
+    return False, orbit

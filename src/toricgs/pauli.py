@@ -242,11 +242,6 @@ class StateVector:
         return f"StateVector(n={self.n_qubits})"
 
 
-def plus_state(n: int) -> StateVector:
-    amp = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=np.complex128)
-    return StateVector(n, amp)
-
-
 def graph_state_vector(g: SimpleGraph) -> StateVector:
     """Start from all qubits in |+> and apply one controlled-Z per edge."""
     n = g.n

@@ -38,21 +38,12 @@ from .graphs import (
 from .lc import (
     DEFAULT_ORBIT_BUDGET,
     DEFAULT_WITNESS_BUDGET,
+    CertificateError,
     LcOrbit,
     certify_nonlocal,
     lc_equivalent,
 )
-from .surface import (
-    AdjacencyRelation,
-    Embedding,
-    adjacency_relation,
-    phi_graph,
-    setup_from_dict,
-)
-
-
-class CertificateError(ValueError):
-    """A required certificate (nonlocality, LC witness or local path) is missing or does not verify."""
+from .surface import Embedding, adjacency_relation, phi_graph, setup_from_dict
 
 
 @dataclass(frozen=True)
@@ -127,18 +118,16 @@ class StrictnessReport:
     violating_edges: tuple[tuple, ...]
 
 
-def is_stricter(
-    rel1: AdjacencyRelation, rel2: AdjacencyRelation, sub_qubits: Iterable
-) -> StrictnessReport:
-    """Check that rel1, restricted to ``sub_qubits``, is contained in rel2."""
+def is_stricter(rel1: SimpleGraph, rel2: SimpleGraph, sub_qubits: Iterable) -> StrictnessReport:
+    """Check that vicinity graph rel1, restricted to ``sub_qubits``, is contained in rel2."""
     sub = set(sub_qubits)
-    if not sub <= set(rel1.qubits):
+    if not sub <= set(rel1.labels):
         raise GraphError("sub_qubits must be qubits of the first relation")
-    if set(rel2.qubits) != sub:
+    if set(rel2.labels) != sub:
         raise GraphError("the second relation must live exactly on sub_qubits")
     violations = []
-    for u, v in rel1.graph.edges():
-        if u in sub and v in sub and not rel2.related(u, v):
+    for u, v in rel1.edges():
+        if u in sub and v in sub and not rel2.has_edge(u, v):
             violations.append((u, v))
     return StrictnessReport(not violations, tuple(violations))
 
@@ -199,9 +188,7 @@ def exhaustive_certificate(
     e: Embedding, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> tuple[bool, Certificate, LcOrbit]:
     """Fully enumerate the orbit of the instance and scan for local members."""
-    g = phi_graph(e)
-    rel = adjacency_relation(e)
-    is_nonlocal, orbit = certify_nonlocal(g, rel, budget=budget)
+    is_nonlocal, orbit = certify_nonlocal(phi_graph(e), adjacency_relation(e), budget=budget)
     cert = Certificate(
         e.digest(),
         "exhaustive",
@@ -443,6 +430,11 @@ def reduction_chain(
     report = ChainReport({}, [], {}, certificates, ok=True, failures=[])
     digests = {name: emb.digest() for name, emb in spec.systems.items()}
 
+    def record(cert: Certificate) -> None:
+        certificates[cert.system] = cert
+        if store:
+            store.save(cert)
+
     for name in spec.base:
         emb = spec.systems[name]
         is_nonlocal, cert, orbit = exhaustive_certificate(emb, budget=budget)
@@ -455,18 +447,12 @@ def reduction_chain(
             report.ok = False
             report.failures.append(f"base system {name} has a local representative")
             break
-        certificates[digests[name]] = cert
-        if store:
-            store.save(cert)
+        record(cert)
 
-    done_steps: set[int] = set()
-    done_relabels: set[int] = set()
     while report.ok:
         progressed = False
-        for i, r in enumerate(spec.relabelings):
-            if i in done_relabels or digests[r.system] in certificates:
-                continue
-            if digests[r.source] not in certificates:
+        for r in spec.relabelings:
+            if digests[r.system] in certificates or digests[r.source] not in certificates:
                 continue
             if not verify_relabeling(
                 spec.systems[r.system], spec.systems[r.source], r.edge_map, r.vertex_map
@@ -476,20 +462,16 @@ def reduction_chain(
                     f"relabeling of {r.system} onto {r.source} does not verify"
                 )
                 break
-            cert = Certificate(
+            record(Certificate(
                 digests[r.system],
                 "relabel",
                 {"source": digests[r.source], "edge_map": {str(k): v for k, v in r.edge_map.items()}},
-            )
-            certificates[digests[r.system]] = cert
-            if store:
-                store.save(cert)
-            done_relabels.add(i)
+            ))
             progressed = True
         if not report.ok:
             break
-        for i, s in enumerate(spec.steps):
-            if i in done_steps or digests[s.system] in certificates:
+        for s in spec.steps:
+            if digests[s.system] in certificates:
                 continue
             if (
                 digests[s.reduced_a] not in certificates
@@ -513,7 +495,7 @@ def reduction_chain(
                     f"step for {s.system}: {msg}" for msg in step_report.failures
                 )
                 break
-            cert = Certificate(
+            record(Certificate(
                 digests[s.system],
                 "step",
                 {
@@ -522,11 +504,7 @@ def reduction_chain(
                     "reduced_a": digests[s.reduced_a],
                     "reduced_b": digests[s.reduced_b],
                 },
-            )
-            certificates[digests[s.system]] = cert
-            if store:
-                store.save(cert)
-            done_steps.add(i)
+            ))
             progressed = True
         if not progressed:
             break

@@ -222,22 +222,8 @@ def surface_stabilizer(e: Embedding) -> tuple[Tableau, int]:
     return tab, tab.degeneracy()
 
 
-@dataclass(frozen=True)
-class AdjacencyRelation:
-    """Irreflexive symmetric vicinity relation between qubits, as a graph."""
-
-    graph: SimpleGraph
-
-    @property
-    def qubits(self) -> tuple:
-        return self.graph.labels
-
-    def related(self, p, q) -> bool:
-        return self.graph.has_edge(p, q)
-
-
-def adjacency_relation(e: Embedding) -> AdjacencyRelation:
-    """Two qubits are vicinal iff they share a star vertex or a face."""
+def adjacency_relation(e: Embedding) -> SimpleGraph:
+    """The vicinity graph on qubit ids: two qubits are joined iff they share a star vertex or a face."""
     n = e.n_qubits
     rows = [0] * n
     for mask in star_masks(e) + face_masks(e):
@@ -247,8 +233,7 @@ def adjacency_relation(e: Embedding) -> AdjacencyRelation:
             i = low.bit_length() - 1
             rows[i] |= mask & ~low
             mm ^= low
-    positions = SimpleGraph(list(range(n)), rows)
-    return AdjacencyRelation(positions.relabel({i: e.qubit_ids[i] for i in range(n)}))
+    return SimpleGraph(e.qubit_ids, rows)
 
 
 def square_torus(side: int) -> Embedding:

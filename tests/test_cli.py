@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from toricgs import cli
+from toricgs import cli, lc
 from toricgs.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main
 from toricgs.fixture_files import fixture_path
 
@@ -78,11 +78,18 @@ def test_phi_explicit_tree(capsys):
     assert report["result"]["hadamard_qubits"] == [0]
 
 
+TREE_ERRORS = {
+    "0,1,99": "tree edge indices must lie in 0..3",
+    "0,1,-1": "tree edge indices must lie in 0..3",
+    "0,1,1,2": "--tree repeats edge indices [1]",
+}
+
+
 @pytest.mark.parametrize("command", ["phi", "verify-thm1"])
-@pytest.mark.parametrize("tree", ["0,1,99", "0,1,-1"])
+@pytest.mark.parametrize("tree", sorted(TREE_ERRORS))
 def test_tree_index_outside_the_host_is_an_error_report(capsys, command, tree):
     error = run_error(capsys, command, "--setup", fixture_path("plaquette4.json"), "--tree", tree)
-    assert error == "tree edge indices must lie in 0..3"
+    assert error == TREE_ERRORS[tree]
 
 
 def test_verify_thm1(capsys):
@@ -188,15 +195,15 @@ def test_lc_equiv_rejects_a_witness_that_fails_the_identity(capsys, monkeypatch,
 )
 def test_locality_rejects_complementations_that_do_not_replay(capsys, monkeypatch, tmp_path, path, message):
     run_cli(capsys, "enumerate", "--lattice", "square", "--n", "3", "--out", str(tmp_path))
-    real = cli.certify_nonlocal
+    real = lc._orbit_vector
 
-    def moved(graph, relation, budget):
-        is_nonlocal, orbit = real(graph, relation, budget=budget)
+    def moved(*args, **kwargs):
+        orbit = real(*args, **kwargs)
         assert orbit.hit_path == (0, 5)  # LOCAL_PATHS[("square", 3, 1)]
         orbit.hit_path = path
-        return is_nonlocal, orbit
+        return orbit
 
-    monkeypatch.setattr(cli, "certify_nonlocal", moved)
+    monkeypatch.setattr(lc, "_orbit_vector", moved)
     assert run_error(capsys, "locality", "--setup", str(tmp_path / "square_3_1.json")) == message
 
 

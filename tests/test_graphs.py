@@ -84,10 +84,13 @@ def test_local_complement_unknown_vertex():
 
 
 def test_simple_graph_rejects_loops_and_asymmetry():
-    with pytest.raises(GraphError):
-        SimpleGraph([0, 1], [0b01, 0b00])  # asymmetric
+    with pytest.raises(GraphError, match="loops are not allowed"):
+        SimpleGraph([0, 1], [0b01, 0b00])  # bit 0 of row 0: a loop
     with pytest.raises(GraphError):
         SimpleGraph.from_edges([0, 1], [(0, 0)])
+    for rows in ([0b10, 0b00], [0b00, 0b01]):  # the edge is in one row only
+        with pytest.raises(GraphError, match="adjacency must be symmetric"):
+            SimpleGraph([0, 1], rows)
 
 
 def test_delete_vertex():

@@ -10,7 +10,6 @@ from toricgs.lc import (
     WitnessBudgetError,
     canonical_key,
     certify_nonlocal,
-    find_local_representative,
     graph_from_key,
     lc_equivalent,
     lc_orbit,
@@ -269,17 +268,16 @@ def test_witness_budget():
 def test_local_representative_found_for_star_seed():
     # allowed edges: the star itself; seed: the complete graph
     allowed = star(4)
-    rep = find_local_representative(SimpleGraph.complete(range(4)), allowed)
-    assert rep is not None
-    assert rep.graph.is_subgraph_of(allowed)
-    assert rep.path == (0,)
+    is_nonlocal, orbit = certify_nonlocal(SimpleGraph.complete(range(4)), allowed)
+    assert not is_nonlocal
+    assert orbit.member_graph(orbit.hit_key).is_subgraph_of(allowed)
+    assert orbit.hit_path == (0,)
 
 
 def test_local_representative_none_when_orbit_avoids_mask():
     allowed = SimpleGraph.empty(list(range(4)))  # no edges allowed
-    assert find_local_representative(path(4), allowed) is None
     is_nonlocal, orbit = certify_nonlocal(path(4), allowed)
-    assert is_nonlocal and orbit.complete
+    assert is_nonlocal and orbit.complete and orbit.hit_key is None
 
 
 def test_certify_budget_error():
@@ -337,7 +335,7 @@ def test_local_search_beyond_one_key_word():
     n = 12
     complete = SimpleGraph.complete(range(n))
     allowed = star(n)
-    rep = find_local_representative(complete, allowed)
-    assert rep is not None
-    assert rep.path == (0,)
-    assert rep.graph.is_subgraph_of(allowed)
+    is_nonlocal, orbit = certify_nonlocal(complete, allowed)
+    assert not is_nonlocal
+    assert orbit.hit_path == (0,)
+    assert orbit.member_graph(orbit.hit_key).is_subgraph_of(allowed)

@@ -15,7 +15,6 @@ from toricgs.pauli import (
     graph_stabilizer,
     graph_state_vector,
     is_stabilized,
-    plus_state,
     span_equal,
 )
 from tests.test_graphs import random_simple_graph
@@ -240,7 +239,7 @@ def test_random_graph_states_are_stabilized():
 
 
 def test_is_stabilized_examples():
-    plus = plus_state(1)
+    plus = graph_state_vector(SimpleGraph.empty([0]))
     x = Tableau(1, [PauliString.from_label("X")])
     assert is_stabilized(plus, x)
     zero = StateVector(1, np.array([1.0, 0.0]))

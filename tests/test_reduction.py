@@ -13,6 +13,7 @@ from toricgs.reduction import (
     LeafGraph,
     classify,
     epsilon_swap,
+    exhaustive_certificate,
     is_stricter,
     leaf_delete_commute_check,
     load_chain_spec,
@@ -20,7 +21,7 @@ from toricgs.reduction import (
     verify_reduction_step,
     verify_relabeling,
 )
-from toricgs.surface import AdjacencyRelation, load_setup
+from toricgs.surface import load_setup
 from tests.test_graphs import random_simple_graph
 
 
@@ -121,45 +122,41 @@ def test_leaf_delete_commute_random():
 # -- strictness ---------------------------------------------------------------
 
 
-def _relation(labels, edges):
-    return AdjacencyRelation(SimpleGraph.from_edges(labels, edges))
-
-
 def test_strictness_identity_holds():
-    rel = _relation([0, 1, 2], [(0, 1), (1, 2)])
+    rel = SimpleGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
     report = is_stricter(rel, rel, [0, 1, 2])
     assert report.holds and report.violating_edges == ()
 
 
 def test_strictness_complete_target_holds():
-    rel1 = _relation([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
-    rel2 = _relation([0, 1], [(0, 1)])
+    rel1 = SimpleGraph.from_edges([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
+    rel2 = SimpleGraph.from_edges([0, 1], [(0, 1)])
     assert is_stricter(rel1, rel2, [0, 1]).holds
 
 
 def test_strictness_violation_reported():
-    rel1 = _relation([0, 1, 2], [(0, 1), (1, 2)])
-    rel2 = _relation([0, 1], [])
+    rel1 = SimpleGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
+    rel2 = SimpleGraph.from_edges([0, 1], [])
     report = is_stricter(rel1, rel2, [0, 1])
     assert not report.holds and report.violating_edges == ((0, 1),)
 
 
 def test_strictness_monotone_under_extra_edges():
     # adding edges to the big relation can break but never repair strictness
-    rel2 = _relation([0, 1, 2], [(0, 1)])
-    base = _relation([0, 1, 2, 3], [(0, 1), (2, 3)])
-    more = _relation([0, 1, 2, 3], [(0, 1), (2, 3), (0, 2), (1, 2)])
+    rel2 = SimpleGraph.from_edges([0, 1, 2], [(0, 1)])
+    base = SimpleGraph.from_edges([0, 1, 2, 3], [(0, 1), (2, 3)])
+    more = SimpleGraph.from_edges([0, 1, 2, 3], [(0, 1), (2, 3), (0, 2), (1, 2)])
     ok_base = is_stricter(base, rel2, [0, 1, 2]).holds
     ok_more = is_stricter(more, rel2, [0, 1, 2]).holds
     assert ok_base and not ok_more
     # and once broken it stays broken when more edges arrive
-    even_more = _relation([0, 1, 2, 3], [(0, 1), (2, 3), (0, 2), (1, 2), (0, 3)])
+    even_more = SimpleGraph.from_edges([0, 1, 2, 3], [(0, 1), (2, 3), (0, 2), (1, 2), (0, 3)])
     assert not is_stricter(even_more, rel2, [0, 1, 2]).holds
 
 
 def test_strictness_qubit_set_mismatch():
-    rel1 = _relation([0, 1], [(0, 1)])
-    rel2 = _relation([0, 2], [])
+    rel1 = SimpleGraph.from_edges([0, 1], [(0, 1)])
+    rel2 = SimpleGraph.from_edges([0, 2], [])
     with pytest.raises(GraphError):
         is_stricter(rel1, rel2, [0, 1])
 
@@ -378,7 +375,8 @@ def test_chain_with_tampered_relabeling_fails(chain_spec):
 
 
 def test_locality_agrees_with_certification_on_small_setups():
-    from toricgs.lc import certify_nonlocal, find_local_representative
+    # the verdict and the hit against a scan of the whole orbit, member by member
+    from toricgs.lc import certify_nonlocal, lc_orbit
     from toricgs.polyforms import polyform_enumerate
     from toricgs.surface import adjacency_relation, phi_graph
 
@@ -386,12 +384,34 @@ def test_locality_agrees_with_certification_on_small_setups():
         for n in (1, 2, 3):
             for emb in polyform_enumerate(n, lattice):
                 g = phi_graph(emb)
-                rel = adjacency_relation(emb)
-                rep = find_local_representative(g, rel)
-                is_nonlocal, _ = certify_nonlocal(g, rel)
-                assert (rep is None) == is_nonlocal
-                if rep is not None:
-                    assert rep.graph.is_subgraph_of(rel.graph)
+                allowed = adjacency_relation(emb)
+                orbit = lc_orbit(g)
+                local = [k for k in orbit.members if orbit.member_graph(k).is_subgraph_of(allowed)]
+                is_nonlocal, found = certify_nonlocal(g, allowed)
+                assert is_nonlocal == (not local)
+                assert is_nonlocal or found.hit_key in local
+
+
+def test_moved_hit_path_fails_closed(monkeypatch):
+    from toricgs import lc
+    from toricgs.lc import certify_nonlocal
+    from toricgs.polyforms import polyform_enumerate
+    from toricgs.surface import adjacency_relation, phi_graph
+
+    real = lc._orbit_vector
+
+    def moved(*args, **kwargs):
+        orbit = real(*args, **kwargs)
+        assert orbit.hit_path == (0, 5)
+        orbit.hit_path = (0, 4)
+        return orbit
+
+    emb = polyform_enumerate(3, "square")[1]  # local through complementations (0, 5)
+    monkeypatch.setattr(lc, "_orbit_vector", moved)
+    with pytest.raises(CertificateError, match="do not replay to a local graph"):
+        certify_nonlocal(phi_graph(emb), adjacency_relation(emb))
+    with pytest.raises(CertificateError, match="do not replay to a local graph"):
+        exhaustive_certificate(emb)
 
 
 def test_scan_finds_the_declared_chain_leaf(chain_spec):

@@ -1,10 +1,11 @@
 """Embeddings, stabilizers, vicinity, loop operators and the transform."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from toricgs.fixture_files import fixture_path, list_fixtures
+from toricgs.fixture_files import fixture_path
 from toricgs.graphs import Multigraph, enumerate_spanning_trees
 from toricgs.pauli import Tableau, apply_hadamard, graph_state_vector, is_stabilized
 from toricgs.polyforms import polyform_enumerate
@@ -27,6 +28,8 @@ from toricgs.surface import (
     transform_to_graph_state,
     validate_embedding,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "toricgs" / "fixtures"
 
 
 # -- validation ---------------------------------------------------------------
@@ -114,13 +117,13 @@ def test_homology_rank_requires_closed():
 
 def test_interior_qubit_has_eight_neighbours():
     rel = adjacency_relation(square_torus(3))
-    for q in range(rel.graph.n):
-        assert rel.graph.degree(q) == 8
+    for q in range(rel.n):
+        assert rel.degree(q) == 8
 
 
 def test_single_plaquette_relation_is_complete():
     rel = adjacency_relation(single_plaquette(4))
-    assert len(rel.graph.edges()) == 6  # K4
+    assert len(rel.edges()) == 6  # K4
 
 
 def test_one_point_connection_relates_only_through_shared_star():
@@ -128,7 +131,7 @@ def test_one_point_connection_relates_only_through_shared_star():
     rel = adjacency_relation(emb)
     # edges 0..3 belong to the first square, 4..7 to the second; only the
     # edges meeting the shared vertex see across
-    cross = [(u, v) for u, v in rel.graph.edges() if (u < 4) != (v < 4)]
+    cross = [(u, v) for u, v in rel.edges() if (u < 4) != (v < 4)]
     shared_vertex_edges = {0, 3, 4, 7}
     assert cross and all(
         u in shared_vertex_edges and v in shared_vertex_edges for u, v in cross
@@ -138,10 +141,10 @@ def test_one_point_connection_relates_only_through_shared_star():
 def test_adjacency_relation_is_irreflexive_and_symmetric():
     for emb in polyform_enumerate(3, "square") + [square_torus(2)]:
         rel = adjacency_relation(emb)
-        for i, row in enumerate(rel.graph.rows):
+        for i, row in enumerate(rel.rows):
             assert not (row >> i) & 1
-        for u, v in rel.graph.edges():
-            assert rel.related(v, u)
+        for u, v in rel.edges():
+            assert rel.has_edge(v, u)
 
 
 # -- loop operators -----------------------------------------------------------
@@ -283,10 +286,10 @@ def test_malformed_setup_rejected(tmp_path):
 
 
 def test_bundled_fixtures_all_validate():
-    for rel in list_fixtures():
-        if rel.endswith(".graph.json") or rel.endswith("pentomino_chain.json"):
+    for path in FIXTURES.rglob("*.json"):
+        if path.name.endswith(".graph.json") or path.name == "pentomino_chain.json":
             continue
-        validate_embedding(load_setup(fixture_path(rel)))
+        validate_embedding(load_setup(path))
 
 
 def test_sphere_embedding_genus_zero():
