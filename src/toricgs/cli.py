@@ -105,7 +105,6 @@ def cmd_phi(args) -> int:
     emb = load_setup(args.setup)
     tree = _parse_tree(emb, args.tree)
     graph = phi_graph(emb, tree)
-    dot = _locality_dot(graph, adjacency_relation(emb))
     result = {
         "qubits": emb.n_qubits,
         "tree_edges": sorted(tree.tree_edges),
@@ -113,10 +112,10 @@ def cmd_phi(args) -> int:
         "graph": graph_to_dict(graph),
     }
     if args.format == "dot":
-        result["dot"] = dot
-        _write_out(args.out, dot)
+        result["dot"] = _locality_dot(graph, adjacency_relation(emb))
+        _write_out(args.out, result["dot"])
     else:
-        _write_out(args.out, json.dumps(graph_to_dict(graph), indent=2, sort_keys=True))
+        _write_out(args.out, json.dumps(result["graph"], indent=2, sort_keys=True))
     _emit({"command": "phi", "inputs": {"setup": _input_record(args.setup)}, "result": result})
     return EXIT_OK
 
@@ -243,16 +242,27 @@ def cmd_locality(args) -> int:
 def cmd_reduce(args) -> int:
     spec = load_chain_spec(args.chain)
     store = CertStore(args.certs) if args.certs else None
-    report = reduction_chain(spec, budget=args.budget, store=store)
+    inputs = {"chain": _input_record(args.chain)}
+    try:
+        report = reduction_chain(spec, budget=args.budget, store=store)
+    except OrbitBudgetError as exc:
+        _emit(
+            {
+                "command": "reduce",
+                "inputs": inputs,
+                "result": {"status": "budget-exceeded", "budget": exc.budget},
+            }
+        )
+        return EXIT_BUDGET
     _emit(
         {
             "command": "reduce",
-            "inputs": {"chain": _input_record(args.chain)},
+            "inputs": inputs,
             "result": {
                 "ok": report.ok,
                 "verdicts": dict(sorted(report.verdicts.items())),
                 "base_orbits": report.base_orbits,
-                "steps_verified": len(report.step_reports),
+                "steps_verified": report.steps_verified,
                 "failures": report.failures,
             },
         }

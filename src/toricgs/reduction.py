@@ -13,18 +13,22 @@ systems with qubits E - {a} and E - {b}, provided
    whose two leaf deletions are LC-equivalent to the reduced systems, and
 3. both reduced systems are certified nonlocal.
 
-Certificates are content-addressed records keyed by the system digest:
-an exhaustive orbit scan, an earlier verified reduction step, or a verified
+:func:`verify_reduction_step` returns one message per failed check of these
+hypotheses, an empty tuple when the step holds.  :func:`reduction_chain` stops at the
+first failed check and reports its messages.  A system counts as certified
+once an exhaustive orbit scan, a verified reduction step, or a verified
 relabeling of an already certified system (an explicit embedding
-isomorphism, so the verdict transports along the qubit bijection).
+isomorphism, so the verdict transports along the qubit bijection) vouches
+for its digest; a :class:`CertStore` writes each such record to a file
+named by that digest.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Collection, Iterable, Optional, Sequence
 
 from .graphs import (
     GraphError,
@@ -38,8 +42,6 @@ from .graphs import (
 from .lc import (
     DEFAULT_ORBIT_BUDGET,
     DEFAULT_WITNESS_BUDGET,
-    CertificateError,
-    LcOrbit,
     certify_nonlocal,
     lc_equivalent,
 )
@@ -144,13 +146,6 @@ class Certificate:
     kind: str  # "exhaustive" | "step" | "relabel"
     payload: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"system": self.system, "kind": self.kind, "payload": self.payload}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Certificate":
-        return cls(data["system"], data["kind"], dict(data.get("payload", {})))
-
 
 class CertStore:
     """Flat-file certificate store, one JSON file per system digest."""
@@ -159,34 +154,21 @@ class CertStore:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
 
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.directory, f"{digest}.json")
-
     def save(self, cert: Certificate) -> None:
         """Write to a temporary file beside the target, then rename it in place."""
-        path = self._path(cert.system)
+        path = os.path.join(self.directory, f"{cert.system}.json")
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(cert), fh, indent=2, sort_keys=True)
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())  # the data is on disk before the rename can be
         os.replace(tmp, path)
 
-    def load(self, digest: str) -> Optional[Certificate]:
-        path = self._path(digest)
-        if not os.path.exists(path):
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            cert = Certificate.from_dict(json.load(fh))
-        if cert.system != digest:
-            raise CertificateError(f"{os.path.basename(path)} holds the certificate of {cert.system}")
-        return cert
-
 
 def exhaustive_certificate(
     e: Embedding, budget: int = DEFAULT_ORBIT_BUDGET
-) -> tuple[bool, Certificate, LcOrbit]:
+) -> tuple[bool, Certificate]:
     """Fully enumerate the orbit of the instance and scan for local members."""
     is_nonlocal, orbit = certify_nonlocal(phi_graph(e), adjacency_relation(e), budget=budget)
     cert = Certificate(
@@ -198,7 +180,7 @@ def exhaustive_certificate(
             "orbit_digest": orbit.digest(),
         },
     )
-    return is_nonlocal, cert, orbit
+    return is_nonlocal, cert
 
 
 def verify_relabeling(
@@ -241,20 +223,6 @@ def verify_relabeling(
 # Reduction steps and chains
 
 
-@dataclass(frozen=True)
-class StepReport:
-    system_digest: str
-    ok: bool
-    strictness_a: StrictnessReport
-    strictness_b: StrictnessReport
-    leaf_in_class: bool
-    reduced_a_match: bool
-    reduced_b_match: bool
-    cert_a_ok: bool
-    cert_b_ok: bool
-    failures: tuple[str, ...]
-
-
 def verify_reduction_step(
     big: Embedding,
     a: int,
@@ -262,20 +230,19 @@ def verify_reduction_step(
     reduced_a: Embedding,
     reduced_b: Embedding,
     leaf: LeafGraph,
-    certificates: dict[str, Certificate],
+    certified: Collection[str],
     max_free: int = DEFAULT_WITNESS_BUDGET,
-) -> StepReport:
+) -> tuple[str, ...]:
     """Check the three reduction hypotheses for one system.
 
     Hypothesis 1 is the strictness containment for both reduced relations.
     Hypothesis 2 asks that ``leaf`` belongs to the LC class of the big
     system's tree graph (decided by the pairwise algebraic test, so no orbit
     enumeration happens here) and that its two leaf deletions match the
-    reduced systems' tree graphs.  Hypothesis 3 requires nonlocality
-    certificates for both reduced systems.  Each failed hypothesis is named
-    in ``failures``.
+    reduced systems' tree graphs.  Hypothesis 3 asks that both reduced
+    systems' digests are in ``certified``.  Returns one message per failed
+    check, in that order; an empty tuple means the step holds.
     """
-    failures = []
     big_ids = set(big.qubit_ids)
     if set(reduced_a.qubit_ids) != big_ids - {a}:
         raise GraphError("reduced_a must keep exactly the qubits of big minus a")
@@ -286,45 +253,27 @@ def verify_reduction_step(
     if tuple(leaf.graph.labels) != tuple(big.qubit_ids):
         raise GraphError("leaf graph must be labeled by the big system's qubits")
 
+    failures = []
+    reduced = {"reduced_a": reduced_a, "reduced_b": reduced_b}
     rel_big = adjacency_relation(big)
-    s_a = is_stricter(rel_big, adjacency_relation(reduced_a), reduced_a.qubit_ids)
-    s_b = is_stricter(rel_big, adjacency_relation(reduced_b), reduced_b.qubit_ids)
-    if not s_a.holds:
-        failures.append(f"strictness violated towards reduced_a: {s_a.violating_edges}")
-    if not s_b.holds:
-        failures.append(f"strictness violated towards reduced_b: {s_b.violating_edges}")
+    for name, emb in reduced.items():
+        strict = is_stricter(rel_big, adjacency_relation(emb), emb.qubit_ids)
+        if not strict.holds:
+            failures.append(f"strictness violated towards {name}: {strict.violating_edges}")
 
-    member = lc_equivalent(phi_graph(big), leaf.graph, max_free=max_free) is not None
-    if not member:
+    if lc_equivalent(phi_graph(big), leaf.graph, max_free=max_free) is None:
         failures.append("leaf graph is not LC-equivalent to the big system")
     drop_a = leaf.graph.delete_vertex(a)
-    red_a_ok = lc_equivalent(drop_a, phi_graph(reduced_a), max_free=max_free) is not None
-    if not red_a_ok:
+    if lc_equivalent(drop_a, phi_graph(reduced_a), max_free=max_free) is None:
         failures.append("leaf minus outer does not match reduced_a")
     drop_b = epsilon_swap(leaf).graph.delete_vertex(b)
-    red_b_ok = lc_equivalent(drop_b, phi_graph(reduced_b), max_free=max_free) is not None
-    if not red_b_ok:
+    if lc_equivalent(drop_b, phi_graph(reduced_b), max_free=max_free) is None:
         failures.append("swapped leaf minus outer does not match reduced_b")
 
-    cert_a = certificates.get(reduced_a.digest())
-    cert_b = certificates.get(reduced_b.digest())
-    if cert_a is None:
-        failures.append("missing nonlocality certificate for reduced_a")
-    if cert_b is None:
-        failures.append("missing nonlocality certificate for reduced_b")
-
-    return StepReport(
-        system_digest=big.digest(),
-        ok=not failures,
-        strictness_a=s_a,
-        strictness_b=s_b,
-        leaf_in_class=member,
-        reduced_a_match=red_a_ok,
-        reduced_b_match=red_b_ok,
-        cert_a_ok=cert_a is not None,
-        cert_b_ok=cert_b is not None,
-        failures=tuple(failures),
-    )
+    for name, emb in reduced.items():
+        if emb.digest() not in certified:
+            failures.append(f"missing nonlocality certificate for {name}")
+    return tuple(failures)
 
 
 @dataclass(frozen=True)
@@ -353,14 +302,16 @@ class ChainSpec:
     relabelings: tuple[Relabeling, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainReport:
     verdicts: dict[str, str]  # system name -> "nonlocal" | "unverified"
-    step_reports: list[StepReport]
     base_orbits: dict[str, dict]
-    certificates: dict[str, Certificate]
-    ok: bool
+    steps_verified: int  # steps checked, a failing one included
     failures: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def load_chain_spec(path) -> ChainSpec:
@@ -421,80 +372,77 @@ def reduction_chain(
 ) -> ChainReport:
     """Verify a whole reduction chain from its exhaustive base upward.
 
-    Base systems are certified by full orbit enumeration.  Relabelings and
-    steps are then resolved until a fixed point: a relabeling fires once its
-    source is certified, a step once both its reduced systems are.  Any
-    hypothesis failure aborts the chain with that failure named.
+    Base systems are certified by full orbit enumeration.  Then each round
+    fires the ready relabelings and the ready steps, in spec order, until a
+    round certifies nothing new: a relabeling is ready once its source is
+    certified, a step once both its reduced systems are.  The first failed
+    check ends the chain, and the report's ``failures`` are its messages; a
+    failed step names each hypothesis that failed.  A chain that stops with
+    systems left uncertified fails with their names.
     """
-    certificates: dict[str, Certificate] = {}
-    report = ChainReport({}, [], {}, certificates, ok=True, failures=[])
     digests = {name: emb.digest() for name, emb in spec.systems.items()}
+    certified: set[str] = set()
+    base_orbits: dict[str, dict] = {}
+    steps_verified = 0
 
     def record(cert: Certificate) -> None:
-        certificates[cert.system] = cert
+        certified.add(cert.system)
         if store:
             store.save(cert)
 
+    def finish(*failures: str) -> ChainReport:
+        verdicts = {
+            name: "nonlocal" if digest in certified else "unverified"
+            for name, digest in digests.items()
+        }
+        missing = [name for name, verdict in verdicts.items() if verdict != "nonlocal"]
+        if missing and not failures:
+            failures = (f"systems left unverified: {missing}",)
+        return ChainReport(verdicts, base_orbits, steps_verified, list(failures))
+
     for name in spec.base:
-        emb = spec.systems[name]
-        is_nonlocal, cert, orbit = exhaustive_certificate(emb, budget=budget)
-        report.base_orbits[name] = {
-            "orbit_size": orbit.size,
-            "orbit_digest": orbit.digest(),
+        is_nonlocal, cert = exhaustive_certificate(spec.systems[name], budget=budget)
+        base_orbits[name] = {
+            "orbit_size": cert.payload["orbit_size"],
+            "orbit_digest": cert.payload["orbit_digest"],
             "nonlocal": is_nonlocal,
         }
         if not is_nonlocal:
-            report.ok = False
-            report.failures.append(f"base system {name} has a local representative")
-            break
+            return finish(f"base system {name} has a local representative")
         record(cert)
 
-    while report.ok:
-        progressed = False
+    while True:
+        n_certified = len(certified)
         for r in spec.relabelings:
-            if digests[r.system] in certificates or digests[r.source] not in certificates:
+            if digests[r.system] in certified or digests[r.source] not in certified:
                 continue
             if not verify_relabeling(
                 spec.systems[r.system], spec.systems[r.source], r.edge_map, r.vertex_map
             ):
-                report.ok = False
-                report.failures.append(
-                    f"relabeling of {r.system} onto {r.source} does not verify"
-                )
-                break
+                return finish(f"relabeling of {r.system} onto {r.source} does not verify")
             record(Certificate(
                 digests[r.system],
                 "relabel",
                 {"source": digests[r.source], "edge_map": {str(k): v for k, v in r.edge_map.items()}},
             ))
-            progressed = True
-        if not report.ok:
-            break
         for s in spec.steps:
-            if digests[s.system] in certificates:
+            if digests[s.system] in certified:
                 continue
-            if (
-                digests[s.reduced_a] not in certificates
-                or digests[s.reduced_b] not in certificates
-            ):
+            if digests[s.reduced_a] not in certified or digests[s.reduced_b] not in certified:
                 continue
-            step_report = verify_reduction_step(
+            failures = verify_reduction_step(
                 spec.systems[s.system],
                 s.a,
                 s.b,
                 spec.systems[s.reduced_a],
                 spec.systems[s.reduced_b],
                 s.leaf,
-                certificates,
+                certified,
                 max_free=max_free,
             )
-            report.step_reports.append(step_report)
-            if not step_report.ok:
-                report.ok = False
-                report.failures.extend(
-                    f"step for {s.system}: {msg}" for msg in step_report.failures
-                )
-                break
+            steps_verified += 1
+            if failures:
+                return finish(*(f"step for {s.system}: {msg}" for msg in failures))
             record(Certificate(
                 digests[s.system],
                 "step",
@@ -505,14 +453,5 @@ def reduction_chain(
                     "reduced_b": digests[s.reduced_b],
                 },
             ))
-            progressed = True
-        if not progressed:
-            break
-
-    for name, digest in digests.items():
-        report.verdicts[name] = "nonlocal" if digest in certificates else "unverified"
-    if report.ok and any(v != "nonlocal" for v in report.verdicts.values()):
-        report.ok = False
-        missing = [n for n, v in report.verdicts.items() if v != "nonlocal"]
-        report.failures.append(f"systems left unverified: {missing}")
-    return report
+        if len(certified) == n_certified:
+            return finish()

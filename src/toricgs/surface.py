@@ -285,8 +285,6 @@ class LoopOperatorPair:
 
     z_loop: PauliString
     x_loop: PauliString
-    cycle_edges: frozenset[int]
-    cocycle_edges: frozenset[int]
 
 
 def loop_operators(side: int) -> list[LoopOperatorPair]:
@@ -317,8 +315,8 @@ def loop_operators(side: int) -> list[LoopOperatorPair]:
         return PauliString.from_sign(n, x=sum(1 << k for k in cyc), z=0)
 
     return [
-        LoopOperatorPair(z_op(z1), x_op(x1), z1, x1),
-        LoopOperatorPair(z_op(z2), x_op(x2), z2, x2),
+        LoopOperatorPair(z_op(z1), x_op(x1)),
+        LoopOperatorPair(z_op(z2), x_op(x2)),
     ]
 
 

@@ -339,7 +339,8 @@ def test_reduce_chain(capsys, tmp_path):
     assert code == EXIT_OK
     assert report["result"]["ok"] is True
     assert report["result"]["verdicts"]["s0"] == "nonlocal"
-    assert (tmp_path / "certs").iterdir()
+    # one certificate file per system, named by its digest
+    assert len(list((tmp_path / "certs").iterdir())) == len(report["result"]["verdicts"]) == 17
 
 
 def test_enumerate_writes_fixtures(capsys, tmp_path):
@@ -391,25 +392,70 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_reduce_failing_chain_exits_nonzero(capsys, tmp_path):
-    import json as _json
+    def edit(spec):
+        spec["base"] = []  # no exhaustive base: nothing can be certified
 
-    src = fixture_path("chain/pentomino_chain.json")
-    spec = _json.load(open(src))
-    spec["base"] = []  # no exhaustive base: nothing can be certified
-    chain = tmp_path / "broken_chain.json"
-    # keep file references resolvable
-    import os, shutil
+    result = _failed_reduce(capsys, tmp_path, edit)
+    names = sorted(result["verdicts"])
+    assert result["failures"] == [f"systems left unverified: {names}"]
+    assert result["steps_verified"] == 0
+    assert result["base_orbits"] == {}
+    assert set(result["verdicts"].values()) == {"unverified"}
 
-    for name in spec["systems"]:
-        shutil.copy(
-            os.path.join(os.path.dirname(src), spec["systems"][name]["file"]),
-            tmp_path,
-        )
-    chain.write_text(_json.dumps(spec))
-    code, report = run_json(capsys, "reduce", "--chain", str(chain))
-    assert code == EXIT_ERROR
-    assert report["result"]["ok"] is False
-    assert report["result"]["verdicts"]["s0"] == "unverified"
+
+def test_reduce_chain_with_a_wrong_relabeling_stops_there(capsys, tmp_path):
+    def edit(spec):
+        vertex_map = spec["relabel"][0]["vertex_map"]
+        vertex_map[0][1], vertex_map[1][1] = vertex_map[1][1], vertex_map[0][1]
+
+    result = _failed_reduce(capsys, tmp_path, edit)
+    assert result["failures"] == ["relabeling of m1 onto s1 does not verify"]
+    # each round fires the ready relabelings, then the ready steps: s7 down to s1
+    assert result["steps_verified"] == 7
+    unverified = sorted(n for n, v in result["verdicts"].items() if v == "unverified")
+    assert unverified == ["m1", "s0"]
+
+
+def test_reduce_chain_with_a_path_leaf_names_each_failed_hypothesis(capsys, tmp_path):
+    def edit(spec):
+        leaf = spec["steps"][-1]["leaf"]
+        order = [leaf["outer"], leaf["inner"]]
+        order += [v for v in leaf["vertices"] if v not in order]
+        leaf["edges"] = [[u, v] for u, v in zip(order, order[1:])]
+
+    result = _failed_reduce(capsys, tmp_path, edit)
+    assert result["failures"] == [
+        "step for s7: leaf graph is not LC-equivalent to the big system",
+        "step for s7: leaf minus outer does not match reduced_a",
+        "step for s7: swapped leaf minus outer does not match reduced_b",
+    ]
+    assert result["steps_verified"] == 1  # the failing step counts as checked
+    nonlocal_ = sorted(n for n, v in result["verdicts"].items() if v == "nonlocal")
+    assert nonlocal_ == ["m8", "s8"]
+
+
+def test_reduce_chain_with_a_local_base_stops_at_that_base(capsys, tmp_path):
+    def edit(spec):
+        spec["systems"]["p"] = {"file": fixture_path("plaquette4.json")}
+        spec["base"] = ["p"] + spec["base"]
+
+    result = _failed_reduce(capsys, tmp_path, edit)
+    assert result["failures"] == ["base system p has a local representative"]
+    assert result["steps_verified"] == 0
+    assert list(result["base_orbits"]) == ["p"]  # the later base s8 is never enumerated
+    assert result["base_orbits"]["p"]["nonlocal"] is False
+    assert set(result["verdicts"].values()) == {"unverified"}
+
+
+def test_reduce_budget_exhausted_is_one_report(capsys):
+    chain = fixture_path("chain/pentomino_chain.json")
+    code = main(["reduce", "--chain", chain, "--budget", "10"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["command"] == "reduce"
+    assert report["result"] == {"status": "budget-exceeded", "budget": 10}
 
 
 def test_budget_only_on_enumerating_subcommands(capsys):
@@ -440,6 +486,14 @@ def _broken_chain(tmp_path, edit):
     chain = tmp_path / "broken_chain.json"
     chain.write_text(json.dumps(spec))
     return str(chain)
+
+
+def _failed_reduce(capsys, tmp_path, edit):
+    """The result of ``reduce`` on a changed copy of the bundled chain, which must fail."""
+    code, report = run_json(capsys, "reduce", "--chain", _broken_chain(tmp_path, edit))
+    assert code == EXIT_ERROR
+    assert report["result"]["ok"] is False
+    return report["result"]
 
 
 def test_reduce_chain_without_systems_is_an_error_report(capsys, tmp_path):
