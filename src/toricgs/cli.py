@@ -9,12 +9,16 @@ reduction chain that fails one of its hypotheses aborts and exits 1, since
 an unverified chain is an error of the chain specification, not a verdict.
 ``lc-equiv`` re-checks the witness it prints, and ``certify_nonlocal``
 replays the local path that ``locality`` prints, each by code independent of
-the code that found it; a failed check is an internal error.
+the code that found it; a failed check is an internal error.  The argument
+parser is built on the first call of :func:`main` and reused by every later
+call in the process; each subcommand looks up the functions it calls when it
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -315,6 +319,7 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built on the first call, then reused by every call of ``main``
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricgs",
@@ -377,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # GraphError, EmbeddingError, JSONDecodeError among them

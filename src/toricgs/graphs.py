@@ -498,6 +498,14 @@ def integers(values) -> tuple[int, ...]:
     return tuple(integer(v) for v in values)
 
 
+def only_keys(data, keys: Sequence[str]) -> None:
+    """Reject a JSON object with a key outside ``keys``: a misspelt or foreign field is never read as absent."""
+    if isinstance(data, dict):
+        unknown = sorted(map(str, set(data) - set(keys)))
+        if unknown:
+            raise GraphError(f"unknown keys {unknown}; expected only {sorted(keys)}")
+
+
 def edge_from_json(item) -> tuple[Label, Label]:
     """One edge read from a file: a JSON array of exactly two labels."""
     if not isinstance(item, list) or len(item) != 2:
@@ -507,6 +515,7 @@ def edge_from_json(item) -> tuple[Label, Label]:
 
 def graph_from_dict(data: dict) -> SimpleGraph:
     try:
+        only_keys(data, ("vertices", "edges"))
         labels = [freeze(v) for v in data["vertices"]]
         edges = [edge_from_json(e) for e in data["edges"]]
         return SimpleGraph.from_edges(labels, edges)

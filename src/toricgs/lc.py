@@ -15,8 +15,11 @@ complemented vertex are recorded, so complementation paths come from the
 same run.  Adjacency rows are single words, so orbits are limited to 64
 vertices; a larger graph raises ``ValueError``.  A locality search,
 :func:`certify_nonlocal`, is the same closure with the allowed-edge mask as
-its stop test; it replays every local hit it finds from the seed graph with
-the pure-Python complementation of :mod:`toricgs.graphs` before returning it.
+its stop test: it tests each chunk's children before deduplicating them and
+stops at the first local one, so a stopped orbit's members are the keys
+found before the hit.  It replays every local hit it finds from the seed
+graph with the pure-Python complementation of :mod:`toricgs.graphs` before
+returning it.
 
 The pairwise equivalence test is algebraic: two adjacency matrices are
 LC-equivalent iff diagonal matrices A, B, C, D over GF(2) exist with
@@ -44,6 +47,7 @@ DEFAULT_WITNESS_BUDGET = 24  # max free dimensions, i.e. 2^24 candidates
 _CHUNK = 512  # frontier members complemented per numpy step
 MAX_ORBIT_VERTICES = 64  # adjacency rows are single machine words
 _TABLE_MAX_N = 12  # flips of every neighbourhood tabulated up to here: at most 64 KB
+_BLOCK = 1024  # keys converted to integers or hashed at a time, so no whole-orbit copy is made
 
 
 class OrbitBudgetError(RuntimeError):
@@ -119,7 +123,12 @@ def _edge_mask(g: SimpleGraph, labels: Sequence) -> int:
 class LcOrbit:
     """An enumerated (or partially enumerated) local-complementation class.
 
-    Complementation paths list vertex positions in ``labels``, not labels.
+    A complete orbit's ``members`` are the whole class.  An orbit stopped at
+    a local hit holds the keys found before the hit: the seed, every
+    generation before the hit's, and the new keys of the hit's generation
+    from the frontier chunks before the hit's chunk; the hit itself is among
+    them only when it is the seed.  Complementation paths list vertex
+    positions in ``labels``, not labels.
     """
 
     labels: tuple
@@ -147,11 +156,10 @@ class LcOrbit:
         return graph_from_key(key, self.labels)
 
     def digest(self) -> str:
-        """Fingerprint of the full member set."""
+        """Fingerprint of the member set: SHA-256 of the hex keys, each followed by a comma."""
         h = hashlib.sha256()
-        for k in self.members:
-            h.update(format(k, "x").encode())
-            h.update(b",")
+        for start in range(0, len(self.members), _BLOCK):
+            h.update("".join(map("{:x},".format, self.members[start : start + _BLOCK])).encode())
         return h.hexdigest()
 
 
@@ -327,11 +335,15 @@ def _merge(fp: np.ndarray, words: np.ndarray, new_fp: np.ndarray, new_words: np.
 
 
 def _key_ints(words: np.ndarray) -> list[int]:
-    if len(words) == 1:
-        return words[0].tolist()
-    size = 8 * len(words)
-    keys = memoryview(np.ascontiguousarray(words.T, dtype=">u8").tobytes())
-    return [int.from_bytes(keys[i : i + size], "big") for i in range(0, len(keys), size)]
+    """Python integers of the keys in a word array, most significant word first."""
+    keys = []
+    for start in range(0, words.shape[1], _BLOCK):
+        block = words[:, start : start + _BLOCK]
+        ints = block[0].tolist()
+        for row in block[1:]:
+            ints = [k << 64 | w for k, w in zip(ints, row.tolist())]
+        keys += ints
+    return keys
 
 
 def _key_words(key: int, nwords: int) -> np.ndarray:
@@ -368,9 +380,10 @@ def _orbit_vector(
     members, and the budget is checked after each chunk against the distinct
     keys found so far.
 
-    With ``local_mask``, enumeration stops after the first generation that
-    holds a key with no edge outside the mask; the hit is the first such key
-    in path order.
+    With ``local_mask``, each chunk's children are tested before they are
+    deduplicated, and the search stops at the first child with no edge
+    outside the mask.  That child is the first local member in path order,
+    and its chunk is not stored, so it counts against no budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -399,6 +412,14 @@ def _orbit_vector(
         new_words, new_origins = [], []
         for start in range(0, frontier.shape[1], _CHUNK):
             cand = _children(frontier[:, start : start + _CHUNK], frontier_rows[start : start + _CHUNK], plan)
+            hit = _first_inside(cand, outside)
+            if hit is not None:
+                # The first local child in path order ends the search, and the
+                # generation is cut to it.  It is new: a generation that found
+                # a local key would have stopped there.
+                new_words, new_origins = [cand[:, hit : hit + 1]], [np.array([start * n + hit])]
+                hit = 0  # its position in the cut generation
+                break
             fp = _fingerprint(cand)
             first = _distinct(fp, cand)
             fp, words = fp[first], cand.take(first, axis=1)
@@ -416,7 +437,6 @@ def _orbit_vector(
             parent, vertex = np.divmod(origins[-1], n)
             paths = [paths[p] + (v,) for p, v in zip(parent.tolist(), vertex.tolist())]
             witness_paths.update(zip(_key_ints(frontier), paths))
-        hit = _first_inside(frontier, outside)
 
     members = seen.words()
     members = _key_ints(members.take(np.lexsort(members[::-1]), axis=1))
@@ -578,14 +598,15 @@ def certify_nonlocal(
 ) -> tuple[bool, LcOrbit]:
     """Enumerate the orbit of ``g`` until a member is a subgraph of ``allowed``.
 
-    Returns ``(nonlocal, orbit)``.  A nonlocal orbit is complete; otherwise
-    the orbit records the first local member in ``hit_key`` and its path in
-    ``hit_path``.  A local hit is replayed before it is returned, by the
-    pure-Python ``local_complement_sequence`` on ``g`` labelled by position,
-    so independently of the engine's key words and masks; a replay that
-    misses the hit's graph or leaves ``allowed`` raises
-    :class:`CertificateError`.  Raises :class:`OrbitBudgetError` when the
-    orbit exceeds the budget.
+    Returns ``(nonlocal, orbit)``.  A nonlocal orbit is complete.  Otherwise
+    the orbit records the first local member in path order in ``hit_key``
+    and its path in ``hit_path``, and its ``members`` are only the keys found
+    before the hit (see :class:`LcOrbit`).  A local hit is replayed before
+    it is returned, by the pure-Python ``local_complement_sequence`` on
+    ``g`` labelled by position, so independently of the engine's key words
+    and masks; a replay that misses the hit's graph or leaves ``allowed``
+    raises :class:`CertificateError`.  Raises :class:`OrbitBudgetError`
+    when the keys found before a hit exceed the budget.
     """
     orbit = _orbit_vector(g, budget, _edge_mask(allowed, g.labels))
     if orbit.hit_key is None:

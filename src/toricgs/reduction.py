@@ -169,7 +169,13 @@ class CertStore:
 def exhaustive_certificate(
     e: Embedding, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> tuple[bool, Certificate]:
-    """Fully enumerate the orbit of the instance and scan for local members."""
+    """Search the orbit of the instance for a local member.
+
+    A nonlocal instance's orbit is enumerated in full, and the certificate
+    records its size and digest.  A local instance's search stops at its
+    first local member, so its size and digest are those of the keys found
+    before the hit.
+    """
     is_nonlocal, orbit = certify_nonlocal(phi_graph(e), adjacency_relation(e), budget=budget)
     cert = Certificate(
         e.digest(),

@@ -27,6 +27,7 @@ from .graphs import (
     first_spanning_tree,
     freeze,
     integers,
+    only_keys,
     phi,
 )
 from .pauli import PauliString, Tableau, conjugate_hadamard, graph_stabilizer, span_equal
@@ -416,6 +417,7 @@ def contract_embedding(e: Embedding, edge_index: int) -> Embedding:
 def setup_from_dict(data: dict) -> Embedding:
     """Parse setup data; anything malformed or invalid raises :class:`EmbeddingError`."""
     try:
+        only_keys(data, ("vertices", "edges", "faces", "closed", "qubit_ids"))
         vertices = [freeze(v) for v in data["vertices"]]
         edges = [edge_from_json(e) for e in data["edges"]]
         faces = tuple(integers(w) for w in data["faces"])

@@ -1,0 +1,31 @@
+"""``tools/check_reports.py`` fingerprints exactly what the command prints."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+from toricgs import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_report_fingerprints_on_a_subset(capsys):
+    spec = importlib.util.spec_from_file_location("check_reports", ROOT / "tools" / "check_reports.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.main(["--max-cells", "2", "--setups", "plaquette4,tetriamond"])
+    lines = capsys.readouterr().out.splitlines()
+    *calls, total = lines
+    assert total == hashlib.sha256("\n".join(calls).encode()).hexdigest() + "  total"
+    commands = [line.split()[1] for line in calls]
+    # 4 enumerate calls; 2 fixtures and 4 polyforms, 5 calls each; 8 lc-orbit; 16 lc-equiv; reduce
+    assert [commands.count(c) for c in ("enumerate", "locality", "phi", "verify-thm1", "lc-orbit", "lc-equiv", "reduce")] == [
+        4, 12, 12, 6, 8, 16, 1,
+    ]
+    assert len(set(calls)) == len(calls)
+    # a line's fingerprint is that of the call's exit status and output
+    setup = tool.FIXTURES / "tetriamond.json"
+    code = cli.main(["locality", "--setup", str(setup), "--format", "json"])
+    out = capsys.readouterr().out
+    fingerprint = hashlib.sha256(f"{code}\n{out}\n\n".encode()).hexdigest()
+    assert f"{fingerprint}  locality --setup tetriamond.json --format json" in calls

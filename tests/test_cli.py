@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -568,6 +569,7 @@ BAD_SETUPS = {
         "closed": False,
     },
     "empty_qubit_ids": _square(qubit_ids=[]),  # absent means default ids, empty does not
+    "misspelt_qubit_ids": {"qubit_id" if k == "qubit_ids" else k: v for k, v in _square(qubit_ids=[3, 2, 1, 0]).items()},
     "disconnected_carrier": {
         "vertices": [0, 1, 2, 3, 4, 5],
         "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]],
@@ -583,3 +585,76 @@ def test_bad_setup_gives_one_error_report(capsys, tmp_path, command, case):
     setup = tmp_path / f"{case}.json"
     setup.write_text(json.dumps(BAD_SETUPS[case]))
     run_error(capsys, command, "--setup", str(setup))
+
+
+def test_unknown_keys_are_named_in_one_error_report(capsys, tmp_path):
+    # Read silently, a misspelt key would give the default qubit ids, and a
+    # setup read as a graph would enumerate the class of its lattice graph.
+    setup = tmp_path / "misspelt.json"
+    setup.write_text(json.dumps(BAD_SETUPS["misspelt_qubit_ids"]))
+    assert run_error(capsys, "locality", "--setup", str(setup)) == (
+        "malformed setup data: unknown keys ['qubit_id']; "
+        "expected only ['closed', 'edges', 'faces', 'qubit_ids', 'vertices']"
+    )
+    assert run_error(capsys, "lc-orbit", "--graph", fixture_path("pentomino_plus.json")) == (
+        "unknown keys ['closed', 'faces', 'qubit_ids']; expected only ['edges', 'vertices']"
+    )
+
+
+def test_local_hit_within_the_budget_is_a_verdict(capsys, tmp_path):
+    # The search stores 6 keys before the chunk that holds the hit of
+    # square_3_1, and never stores that chunk: budget 6 gives the replayed
+    # local verdict, budget 5 runs out before the hit's generation.
+    run_cli(capsys, "enumerate", "--lattice", "square", "--n", "3", "--out", str(tmp_path))
+    setup = str(tmp_path / "square_3_1.json")
+    code, report = run_json(capsys, "locality", "--setup", setup, "--budget", "6")
+    assert code == EXIT_OK
+    assert report["result"]["verdict"] == "local"
+    assert report["result"]["complementations"] == LOCAL_PATHS[("square", 3, 1)]
+    code, report = run_json(capsys, "locality", "--setup", setup, "--budget", "5")
+    assert code == EXIT_BUDGET
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    """Calls in one process print what lone calls print, from one parser."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text is wrapped to the terminal width
+    equiv = ("lc-equiv", "--g", fixture_path("star5.graph.json"), "--h", fixture_path("complete5.graph.json"))
+    calls = [
+        ("locality", "--setup", fixture_path("plaquette4.json"), "--format", "dot"),
+        equiv,
+        ("locality", "--setup", fixture_path("plaquette4.json"), "--budget", "0"),
+        ("--help",),
+        ("reduce", "--help"),
+        ("phi", "--setup", fixture_path("tetriamond.json")),
+        ("locality", "--setup", fixture_path("tetriamond.json"), "--budget", "5"),
+    ]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # usage errors and --help
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def lone(argv):
+        cli.build_parser.cache_clear()
+        return call(argv)
+
+    expected = [lone(argv) for argv in calls]
+    assert expected[2][0] == "SystemExit(2)" and expected[3][0] == "SystemExit(0)"
+    cli.build_parser.cache_clear()
+    assert [call(argv) for argv in calls * 2] == expected * 2
+    # the subcommands look up the module's names when they run, not when the parser is built
+    monkeypatch.setattr(cli, "lc_equivalent", lambda g, h: None)
+    assert json.loads(call(equiv)[1])["result"] == {"equivalent": False, "status": "complete"}
+    monkeypatch.undo()
+    assert call(equiv) == expected[1]
+    assert cli.build_parser.cache_info().misses == 1
+    # a lone process prints the same help
+    import subprocess, sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricgs.cli", "--help"], capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected[3][1], "")

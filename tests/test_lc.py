@@ -154,6 +154,86 @@ def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
     assert hits >= 5
 
 
+def random_graph(rng, n, p):
+    """A graph on 0..n-1 with each edge present with probability ``p``."""
+    return SimpleGraph.from_edges(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def reference_search(g, paths, allowed, chunk):
+    """The stopped locality search, read off the reference closure ``paths`` of ``g``.
+
+    ``allowed`` must hold a member of the class.  Returns the first local
+    member in path order, its path, the generation that holds it, and the
+    keys stored before the search stopped: those of the earlier generations,
+    and the new keys of the hit's generation whose parents lie in chunks of
+    ``chunk`` parents before the hit parent's chunk.  Then the hit parent's
+    position in its generation, and how often the hit occurs among the
+    children of that generation.
+    """
+    hit_key, hit_path = first_local_in_path_order(paths, allowed)
+    depth = len(hit_path)
+    if depth == 0:
+        return hit_key, (), 0, [hit_key], None, 1
+    parents = [p for p in paths.values() if len(p) == depth - 1]
+    at = parents.index(hit_path[:-1])
+    stored = [
+        k for k, p in paths.items()
+        if len(p) < depth or len(p) == depth and parents.index(p[:-1]) < at // chunk * chunk
+    ]
+    by_path = {p: k for k, p in paths.items()}
+    children = [
+        canonical_key(local_complement(graph_from_key(by_path[p], g.labels), v)) for p in parents for v in g.labels
+    ]
+    return hit_key, hit_path, depth, sorted(stored), at, children.count(hit_key)
+
+
+def test_local_search_stops_at_its_first_local_child(monkeypatch):
+    # Chunks of two parents give many frontiers of several chunks.  Each
+    # allowed graph holds a random member of the class, so most searches
+    # stop deep in the class.  The hit is the first local child in (parent,
+    # vertex) order, and nothing from the hit's chunk on is stored.
+    monkeypatch.setattr(lc, "_CHUNK", 2)
+    rng = np.random.default_rng(49)
+    past_first_chunk = twice = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 8))
+        g = random_graph(rng, n, 0.5)
+        paths = reference_closure(g)
+        member = graph_from_key(list(paths)[int(rng.integers(len(paths)))], g.labels)
+        allowed = SimpleGraph(g.labels, [a | b for a, b in zip(member.rows, random_graph(rng, n, 0.2).rows)])
+        hit_key, hit_path, generations, stored, at, copies = reference_search(g, paths, allowed, 2)
+        is_nonlocal, orbit = certify_nonlocal(g, allowed)
+        assert not is_nonlocal and not orbit.complete
+        assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
+            hit_key, hit_path, generations, stored,
+        )
+        past_first_chunk += at is not None and at >= 2
+        twice += copies >= 2
+        # the budget counts the stored keys only: the hit's own chunk is never stored
+        assert certify_nonlocal(g, allowed, budget=len(stored))[1].hit_path == hit_path
+        if len(stored) > 1:
+            with pytest.raises(OrbitBudgetError):
+                certify_nonlocal(g, allowed, budget=len(stored) - 1)
+    assert past_first_chunk >= 10 and twice >= 5
+
+
+def test_local_search_past_the_first_full_chunk():
+    # A class of 5,008 members on 10 vertices: generation 4 has 582 members,
+    # and the hit's parent is the 535th, in the second chunk of 512.  The
+    # full orbit's paths, checked against the reference closure above, are
+    # the oracle here.
+    g = random_graph(np.random.default_rng(56), 10, 0.5)
+    paths = lc_orbit(g, track_paths=True).witness_paths
+    allowed = graph_from_key(next(k for k, p in paths.items() if p == (8, 2, 4, 6, 9)), g.labels)
+    hit_key, hit_path, generations, stored, at, copies = reference_search(g, paths, allowed, lc._CHUNK)
+    assert (hit_path, at, copies) == ((8, 2, 4, 6, 9), 534, 2)
+    is_nonlocal, orbit = certify_nonlocal(g, allowed)
+    assert not is_nonlocal
+    assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
+        hit_key, hit_path, generations, stored,
+    )
+
+
 def test_orbit_limited_to_64_vertices():
     with pytest.raises(OrbitBudgetError):  # 64 vertices enumerate, until the budget runs out
         lc_orbit(path(64), budget=1)

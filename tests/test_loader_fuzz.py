@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from toricgs.cli import EXIT_ERROR, main  # noqa: E402
+from toricgs.fixture_files import fixture_path  # noqa: E402
 from toricgs.graphs import GraphError, graph_from_dict  # noqa: E402
 from toricgs.reduction import load_chain_spec  # noqa: E402
 from tests.test_setup_fuzz import ints, json_values, setup_shaped  # noqa: E402
@@ -72,6 +74,7 @@ graph_shaped = st.fixed_dictionaries(
 @FUZZ
 @given(st.one_of(graph_shaped, json_values))
 @example({"vertices": ["a", "b", "c"], "edges": ["ab", "bc"]})
+@example(json.loads(Path(fixture_path("pentomino_plus.json")).read_text()))  # a setup is not a graph
 def test_graph_loader_fails_closed(data):
     try:
         graph_from_dict(data)
@@ -79,6 +82,7 @@ def test_graph_loader_fails_closed(data):
         rejected = True
     else:
         rejected = False
+        assert set(data) <= {"vertices", "edges"}
         assert all(type(e) is list and len(e) == 2 for e in data["edges"])
     with input_file(data) as path:
         check_cli(["lc-orbit", "--graph", path, "--budget", "100"], rejected)

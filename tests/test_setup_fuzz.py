@@ -31,6 +31,7 @@ setup_shaped = st.fixed_dictionaries(
     optional={"qubit_ids": st.lists(ints, max_size=7) | json_values},
 )
 TRIANGLE = {"vertices": ["a", "b", "c"], "faces": [[0, 1, 2]], "closed": False}
+SETUP_KEYS = {"vertices", "edges", "faces", "closed", "qubit_ids"}
 
 
 @settings(
@@ -43,13 +44,16 @@ TRIANGLE = {"vertices": ["a", "b", "c"], "faces": [[0, 1, 2]], "closed": False}
 @given(st.one_of(setup_shaped, json_values))
 @example(dict(TRIANGLE, edges=["ab", "bc", "ca"]))
 @example(dict(TRIANGLE, edges=[["a", "b"], ["b", "c"], ["c", "a"]], qubit_ids=[]))
+@example(dict(TRIANGLE, edges=[["a", "b"], ["b", "c"], ["c", "a"]], qubit_id=[2, 1, 0]))  # misspelt
 def test_setup_from_dict_returns_an_embedding_or_raises_embedding_error(data):
     try:
         emb = setup_from_dict(data)
     except EmbeddingError:
         return
     assert isinstance(emb, Embedding)
-    # what loads is what the file says: two-label arrays as edges, the ids as given
+    # what loads is what the file says: its five keys only, two-label arrays
+    # as edges, the ids as given
+    assert set(data) <= SETUP_KEYS
     assert all(type(e) is list and len(e) == 2 for e in data["edges"])
     assert emb.qubit_ids == tuple(data.get("qubit_ids", range(len(data["edges"]))))
 
