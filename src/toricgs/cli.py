@@ -1,18 +1,22 @@
 """Command-line front end.
 
-Every subcommand prints one JSON report to standard output.  Reports embed a
-SHA-256 digest of each input file and contain no timestamps, so identical
-configurations produce byte-identical output.  Exit status is 0 whenever the
-analysis completed (whatever the verdict), 1 on bad input or internal errors,
-and 2 when an enumeration budget was exhausted (verdict unknown).  A
-reduction chain that fails one of its hypotheses aborts and exits 1, since
-an unverified chain is an error of the chain specification, not a verdict.
-``lc-equiv`` re-checks the witness it prints, and ``certify_nonlocal``
-replays the local path that ``locality`` prints, each by code independent of
-the code that found it; a failed check is an internal error.  The argument
-parser is built on the first call of :func:`main` and reused by every later
-call in the process; each subcommand looks up the functions it calls when it
-runs.
+Every subcommand prints one JSON report to standard output, except that a
+``selftest`` that runs prints one line per criterion instead.  Each ``cmd_*`` function returns its exit status and its result, and
+:func:`main` alone builds the report around that result: the command, a
+SHA-256 digest of each input file that the subcommand's parser names in its
+``inputs`` default, and the result.  Reports contain no timestamps, so
+identical configurations produce byte-identical output.  Exit status is 0
+whenever the analysis completed (whatever the verdict), 1 on bad input or
+internal errors, and 2 when an enumeration budget was exhausted (verdict
+unknown); :func:`main` reports an exhausted orbit budget, except that
+``locality`` reports it as the verdict "unknown".  A reduction chain that
+fails one of its hypotheses aborts and exits 1, since an unverified chain is
+an error of the chain specification, not a verdict.  ``lc-equiv`` re-checks
+the witness it prints, and ``certify_nonlocal`` replays the local path that
+``locality`` prints, each by code independent of the code that found it; a
+failed check is an internal error.  The argument parser is built on the
+first call of :func:`main` and reused by every later call in the process;
+each subcommand looks up the functions it calls when it runs.
 """
 
 from __future__ import annotations
@@ -61,17 +65,13 @@ EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True, default=str))
 
 
 def _input_record(path: str) -> dict:
-    return {"path": os.path.basename(path), "sha256": _sha256(path)}
+    with open(path, "rb") as fh:
+        return {"path": os.path.basename(path), "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
 def _parse_tree(emb, tree_csv: Optional[str]) -> SpanningTree:
@@ -105,7 +105,7 @@ def _write_out(path: Optional[str], content: str) -> None:
             fh.write(content)
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args) -> tuple[int, dict]:
     emb = load_setup(args.setup)
     tree = _parse_tree(emb, args.tree)
     graph = phi_graph(emb, tree)
@@ -120,43 +120,25 @@ def cmd_phi(args) -> int:
         _write_out(args.out, result["dot"])
     else:
         _write_out(args.out, json.dumps(result["graph"], indent=2, sort_keys=True))
-    _emit({"command": "phi", "inputs": {"setup": _input_record(args.setup)}, "result": result})
-    return EXIT_OK
+    return EXIT_OK, result
 
 
-def cmd_verify_thm1(args) -> int:
+def cmd_verify_thm1(args) -> tuple[int, dict]:
     emb = load_setup(args.setup)
     tree = _parse_tree(emb, args.tree)
     _, degeneracy = surface_stabilizer(emb)
     res = transform_to_graph_state(emb, tree)
-    _emit(
-        {
-            "command": "verify-thm1",
-            "inputs": {"setup": _input_record(args.setup)},
-            "result": {
-                "degeneracy": degeneracy,
-                "hadamard_qubits": sorted(res.hadamard_qubits),
-                "graph": graph_to_dict(res.graph),
-                "verified": res.verified,
-            },
-        }
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "degeneracy": degeneracy,
+        "hadamard_qubits": sorted(res.hadamard_qubits),
+        "graph": graph_to_dict(res.graph),
+        "verified": res.verified,
+    }
 
 
-def cmd_lc_orbit(args) -> int:
+def cmd_lc_orbit(args) -> tuple[int, dict]:
     graph = _load_graph_file(args.graph)
-    try:
-        orbit = lc_orbit(graph, budget=args.budget, track_paths=args.paths)
-    except OrbitBudgetError as exc:
-        _emit(
-            {
-                "command": "lc-orbit",
-                "inputs": {"graph": _input_record(args.graph)},
-                "result": {"status": "budget-exceeded", "budget": exc.budget},
-            }
-        )
-        return EXIT_BUDGET
+    orbit = lc_orbit(graph, budget=args.budget, track_paths=args.paths)
     result = {
         "status": "complete",
         "vertices": orbit.n_vertices,
@@ -175,106 +157,59 @@ def cmd_lc_orbit(args) -> int:
                 lines.append(f"{key:x}")
         _write_out(args.out, "\n".join(lines) + "\n")
         result["dump"] = os.path.basename(args.out)
-    _emit({"command": "lc-orbit", "inputs": {"graph": _input_record(args.graph)}, "result": result})
-    return EXIT_OK
+    return EXIT_OK, result
 
 
-def cmd_lc_equiv(args) -> int:
+def cmd_lc_equiv(args) -> tuple[int, dict]:
     g = _load_graph_file(args.g)
     h = _load_graph_file(args.h)
     try:
         witness = lc_equivalent(g, h)
     except WitnessBudgetError as exc:
-        _emit(
-            {
-                "command": "lc-equiv",
-                "inputs": {"g": _input_record(args.g), "h": _input_record(args.h)},
-                "result": {"status": "budget-exceeded", "free_dimensions": exc.free_dim},
-            }
-        )
-        return EXIT_BUDGET
+        return EXIT_BUDGET, {"status": "budget-exceeded", "free_dimensions": exc.free_dim}
     result: dict = {"status": "complete", "equivalent": witness is not None}
     if witness is not None:
         if not verify_witness(g, h, witness):
             raise CertificateError("internal error: the LC witness fails the matrix identity")
         result["witness"] = witness.diagonals()
-    _emit(
-        {
-            "command": "lc-equiv",
-            "inputs": {"g": _input_record(args.g), "h": _input_record(args.h)},
-            "result": result,
-        }
-    )
-    return EXIT_OK
+    return EXIT_OK, result
 
 
-def cmd_locality(args) -> int:
+def cmd_locality(args) -> tuple[int, dict]:
     emb = load_setup(args.setup)
     graph = phi_graph(emb)
     allowed = adjacency_relation(emb)
-    inputs = {"setup": _input_record(args.setup)}
     try:
-        is_nonlocal, orbit = certify_nonlocal(graph, allowed, budget=args.budget)
+        orbit = certify_nonlocal(graph, allowed, budget=args.budget)
     except OrbitBudgetError as exc:
-        _emit(
-            {
-                "command": "locality",
-                "inputs": inputs,
-                "result": {"verdict": "unknown", "reason": "budget", "budget": exc.budget},
-            }
-        )
-        return EXIT_BUDGET
-    if is_nonlocal:
-        result = {
-            "verdict": "nonlocal",
-            "orbit_size": orbit.size,
-            "orbit_digest": orbit.digest(),
-        }
-    else:
-        local = orbit.member_graph(orbit.hit_key)
-        result = {
-            "verdict": "local",
-            "local_graph": graph_to_dict(local),
-            "complementations": list(orbit.hit_path),
-        }
-        if args.format == "dot":
-            result["dot"] = _locality_dot(local, allowed)
-    _emit({"command": "locality", "inputs": inputs, "result": result})
-    return EXIT_OK
+        return EXIT_BUDGET, {"verdict": "unknown", "reason": "budget", "budget": exc.budget}
+    if orbit.complete:
+        return EXIT_OK, {"verdict": "nonlocal", "orbit_size": orbit.size, "orbit_digest": orbit.digest()}
+    local = orbit.member_graph(orbit.hit_key)
+    result = {
+        "verdict": "local",
+        "local_graph": graph_to_dict(local),
+        "complementations": list(orbit.hit_path),
+    }
+    if args.format == "dot":
+        result["dot"] = _locality_dot(local, allowed)
+    return EXIT_OK, result
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[int, dict]:
     spec = load_chain_spec(args.chain)
     store = CertStore(args.certs) if args.certs else None
-    inputs = {"chain": _input_record(args.chain)}
-    try:
-        report = reduction_chain(spec, budget=args.budget, store=store)
-    except OrbitBudgetError as exc:
-        _emit(
-            {
-                "command": "reduce",
-                "inputs": inputs,
-                "result": {"status": "budget-exceeded", "budget": exc.budget},
-            }
-        )
-        return EXIT_BUDGET
-    _emit(
-        {
-            "command": "reduce",
-            "inputs": inputs,
-            "result": {
-                "ok": report.ok,
-                "verdicts": dict(sorted(report.verdicts.items())),
-                "base_orbits": report.base_orbits,
-                "steps_verified": report.steps_verified,
-                "failures": report.failures,
-            },
-        }
-    )
-    return EXIT_OK if report.ok else EXIT_ERROR
+    report = reduction_chain(spec, budget=args.budget, store=store)
+    return (EXIT_OK if report.ok else EXIT_ERROR), {
+        "ok": report.ok,
+        "verdicts": dict(sorted(report.verdicts.items())),
+        "base_orbits": report.base_orbits,
+        "steps_verified": report.steps_verified,
+        "failures": report.failures,
+    }
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[int, dict]:
     shapes = enumerate_polyforms(args.n, args.lattice)
     written = []
     if args.out:
@@ -284,23 +219,17 @@ def cmd_enumerate(args) -> int:
             path = os.path.join(args.out, f"{args.lattice}_{args.n}_{i}.json")
             dump_setup(emb, path)
             written.append(os.path.basename(path))
-    _emit(
-        {
-            "command": "enumerate",
-            "inputs": {},
-            "result": {
-                "lattice": args.lattice,
-                "cells": args.n,
-                "count": len(shapes),
-                "shapes": [[list(c) for c in shape] for shape in shapes],
-                "files": written,
-            },
-        }
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "lattice": args.lattice,
+        "cells": args.n,
+        "count": len(shapes),
+        "shapes": [[list(c) for c in shape] for shape in shapes],
+        "files": written,
+    }
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[int, None]:
+    """Print one line per criterion and a summary line; there is no JSON report."""
     numbers = None
     if args.only:
         numbers = [int(tok) for tok in args.only.split(",")]
@@ -309,7 +238,7 @@ def cmd_selftest(args) -> int:
         print(res.line())
     failed = [res.number for res in results if not res.passed]
     print(f"selftest: {len(results) - len(failed)}/{len(results)} criteria passed")
-    return EXIT_OK if not failed else EXIT_ERROR
+    return (EXIT_OK if not failed else EXIT_ERROR), None
 
 
 def _budget(text: str) -> int:
@@ -337,54 +266,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", help="CSV of spanning-tree edge indices")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--out", help="write the graph/DOT here as well")
-    p.set_defaults(func=cmd_phi)
+    p.set_defaults(func=cmd_phi, inputs=("setup",))
 
     p = sub.add_parser("verify-thm1", help="span check of the rotated stabilizer")
     p.add_argument("--setup", required=True, help="setup JSON file")
     p.add_argument("--tree", help="CSV of spanning-tree edge indices")
-    p.set_defaults(func=cmd_verify_thm1)
+    p.set_defaults(func=cmd_verify_thm1, inputs=("setup",))
 
     p = sub.add_parser("lc-orbit", help="enumerate a graph's complementation class")
     with_budget(p)
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--paths", action="store_true", help="track complementation paths")
     p.add_argument("--out", help="dump hex keys (and paths) to this file")
-    p.set_defaults(func=cmd_lc_orbit)
+    p.set_defaults(func=cmd_lc_orbit, inputs=("graph",))
 
     p = sub.add_parser("lc-equiv", help="pairwise equivalence witness")
     p.add_argument("--g", required=True, help="first graph JSON file")
     p.add_argument("--h", required=True, help="second graph JSON file")
-    p.set_defaults(func=cmd_lc_equiv)
+    p.set_defaults(func=cmd_lc_equiv, inputs=("g", "h"))
 
     p = sub.add_parser("locality", help="local / nonlocal / unknown verdict")
     with_budget(p)
     p.add_argument("--setup", required=True, help="setup JSON file")
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.set_defaults(func=cmd_locality)
+    p.set_defaults(func=cmd_locality, inputs=("setup",))
 
     p = sub.add_parser("reduce", help="verify a reduction chain")
     with_budget(p)
     p.add_argument("--chain", required=True, help="chain specification JSON")
     p.add_argument("--certs", help="certificate store directory")
-    p.set_defaults(func=cmd_reduce)
+    p.set_defaults(func=cmd_reduce, inputs=("chain",))
 
     p = sub.add_parser("enumerate", help="enumerate polyform setups")
     p.add_argument("--lattice", choices=("square", "triangular"), required=True)
     p.add_argument("--n", type=int, required=True, help="number of cells")
     p.add_argument("--out", help="directory for the setup files")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, inputs=())
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--only", help="CSV of criterion numbers to run")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, inputs=())
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand and print its report: the only place a report is built."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            code, result = args.func(args)
+        except OrbitBudgetError as exc:
+            code, result = EXIT_BUDGET, {"status": "budget-exceeded", "budget": exc.budget}
+        if result is not None:  # inputs are hashed after the run, so a bad input is the subcommand's error
+            inputs = {name: _input_record(getattr(args, name)) for name in args.inputs}
+            _emit({"command": args.command, "inputs": inputs, "result": result})
+        return code
     except (ValueError, OSError) as exc:  # GraphError, EmbeddingError, JSONDecodeError among them
         _emit({"command": args.command, "error": str(exc)})
         return EXIT_ERROR

@@ -506,18 +506,30 @@ def only_keys(data, keys: Sequence[str]) -> None:
             raise GraphError(f"unknown keys {unknown}; expected only {sorted(keys)}")
 
 
-def edge_from_json(item) -> tuple[Label, Label]:
-    """One edge read from a file: a JSON array of exactly two labels."""
+def array_at(data, key: str) -> list:
+    """The JSON array under ``key`` of an object read from a file.
+
+    A string or an object is rejected: iterated, it would give its characters
+    or its keys as entries.
+    """
+    value = data[key]
+    if not isinstance(value, list):
+        raise GraphError(f"{key} must be an array, got {value!r}")
+    return value
+
+
+def label_pair(item, what: str) -> tuple[Label, Label]:
+    """An edge or another pair read from a file, named ``what``: a JSON array of exactly two labels."""
     if not isinstance(item, list) or len(item) != 2:
-        raise GraphError(f"an edge must be an array of two labels, got {item!r}")
+        raise GraphError(f"{what} must be an array of two labels, got {item!r}")
     return freeze(item[0]), freeze(item[1])
 
 
 def graph_from_dict(data: dict) -> SimpleGraph:
     try:
         only_keys(data, ("vertices", "edges"))
-        labels = [freeze(v) for v in data["vertices"]]
-        edges = [edge_from_json(e) for e in data["edges"]]
+        labels = [freeze(v) for v in array_at(data, "vertices")]
+        edges = [label_pair(e, "an edge") for e in array_at(data, "edges")]
         return SimpleGraph.from_edges(labels, edges)
     except GraphError:
         raise

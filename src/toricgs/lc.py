@@ -17,8 +17,9 @@ vertices; a larger graph raises ``ValueError``.  A locality search,
 :func:`certify_nonlocal`, is the same closure with the allowed-edge mask as
 its stop test: it tests each chunk's children before deduplicating them and
 stops at the first local one, so a stopped orbit's members are the keys
-found before the hit.  It replays every local hit it finds from the seed
-graph with the pure-Python complementation of :mod:`toricgs.graphs` before
+found before the hit.  It returns the orbit alone, whose ``complete`` flag
+is the verdict, and it replays every local hit it finds from the seed graph
+with the pure-Python complementation of :mod:`toricgs.graphs` before
 returning it.
 
 The pairwise equivalence test is algebraic: two adjacency matrices are
@@ -123,22 +124,27 @@ def _edge_mask(g: SimpleGraph, labels: Sequence) -> int:
 class LcOrbit:
     """An enumerated (or partially enumerated) local-complementation class.
 
-    A complete orbit's ``members`` are the whole class.  An orbit stopped at
-    a local hit holds the keys found before the hit: the seed, every
-    generation before the hit's, and the new keys of the hit's generation
-    from the frontier chunks before the hit's chunk; the hit itself is among
-    them only when it is the seed.  Complementation paths list vertex
-    positions in ``labels``, not labels.
+    The outcome of a search is stored once, in ``hit_key``: the orbit is
+    complete, and its ``members`` are the whole class, exactly when no local
+    hit stopped it.  An orbit stopped at a local hit holds the keys found
+    before the hit: the seed, every generation before the hit's, and the new
+    keys of the hit's generation from the frontier chunks before the hit's
+    chunk; the hit itself is among them only when it is the seed.
+    Complementation paths list vertex positions in ``labels``, not labels.
     """
 
     labels: tuple
     seed_key: int
     members: list[int]  # ascending keys
-    complete: bool
     generations: int
     witness_paths: Optional[dict[int, tuple]] = None  # in breadth-first path order
     hit_key: Optional[int] = None
     hit_path: Optional[tuple] = None
+
+    @property
+    def complete(self) -> bool:
+        """No local hit stopped the search, so ``members`` are the whole class."""
+        return self.hit_key is None
 
     @property
     def n_vertices(self) -> int:
@@ -441,13 +447,13 @@ def _orbit_vector(
     members = seen.words()
     members = _key_ints(members.take(np.lexsort(members[::-1]), axis=1))
     if hit is None:
-        return LcOrbit(g.labels, seed_key, members, True, len(origins), witness_paths)
+        return LcOrbit(g.labels, seed_key, members, len(origins), witness_paths)
     path, i = [], hit
     for generation in reversed(origins):
         i, v = divmod(int(generation[i]), n)
         path.append(v)
     return LcOrbit(
-        g.labels, seed_key, members, False, len(origins), witness_paths,
+        g.labels, seed_key, members, len(origins), witness_paths,
         _key_ints(frontier[:, hit : hit + 1])[0], tuple(reversed(path)),
     )
 
@@ -595,24 +601,25 @@ def verify_witness(g: SimpleGraph, h: SimpleGraph, w: LcWitness) -> bool:
 
 def certify_nonlocal(
     g: SimpleGraph, allowed: SimpleGraph, budget: int = DEFAULT_ORBIT_BUDGET
-) -> tuple[bool, LcOrbit]:
+) -> LcOrbit:
     """Enumerate the orbit of ``g`` until a member is a subgraph of ``allowed``.
 
-    Returns ``(nonlocal, orbit)``.  A nonlocal orbit is complete.  Otherwise
-    the orbit records the first local member in path order in ``hit_key``
-    and its path in ``hit_path``, and its ``members`` are only the keys found
-    before the hit (see :class:`LcOrbit`).  A local hit is replayed before
-    it is returned, by the pure-Python ``local_complement_sequence`` on
-    ``g`` labelled by position, so independently of the engine's key words
-    and masks; a replay that misses the hit's graph or leaves ``allowed``
-    raises :class:`CertificateError`.  Raises :class:`OrbitBudgetError`
-    when the keys found before a hit exceed the budget.
+    Returns the orbit, which carries the verdict: ``g`` is nonlocal exactly
+    when the orbit is ``complete``.  Otherwise the orbit records the first
+    local member in path order in ``hit_key`` and its path in ``hit_path``,
+    and its ``members`` are only the keys found before the hit (see
+    :class:`LcOrbit`).  A local hit is replayed before it is returned, by the
+    pure-Python ``local_complement_sequence`` on ``g`` labelled by position,
+    so independently of the engine's key words and masks; a replay that
+    misses the hit's graph or leaves ``allowed`` raises
+    :class:`CertificateError`.  Raises :class:`OrbitBudgetError` when the
+    keys found before a hit exceed the budget.
     """
     orbit = _orbit_vector(g, budget, _edge_mask(allowed, g.labels))
-    if orbit.hit_key is None:
-        return True, orbit
+    if orbit.complete:
+        return orbit
     by_position = SimpleGraph(range(g.n), g.rows)  # the path lists vertex positions
     replayed = SimpleGraph(g.labels, local_complement_sequence(by_position, orbit.hit_path).rows)
     if replayed != orbit.member_graph(orbit.hit_key) or not replayed.is_subgraph_of(allowed):
         raise CertificateError("internal error: the complementations do not replay to a local graph")
-    return False, orbit
+    return orbit

@@ -53,17 +53,15 @@ def _rot90(p: Point) -> Point:
     return (-p[1], p[0])
 
 
-def _reflect_square(p: Point) -> Point:
+def _reflect(p: Point) -> Point:
+    # Swapping the coordinates mirrors both lattices: the square one in the
+    # line x = y, the triangular one (skewed coordinates) in the e1 + e2 axis.
     return (p[1], p[0])
 
 
 def _rot60(p: Point) -> Point:
     # 60-degree rotation in skewed coordinates: e1 -> e2, e2 -> e2 - e1.
     return (-p[1], p[0] + p[1])
-
-
-def _reflect_triangle(p: Point) -> Point:
-    return (p[1], p[0])
 
 
 def _cell_from_triangle_points(pts: frozenset[Point]) -> Cell:
@@ -85,7 +83,7 @@ def _square_transforms() -> list[Callable[[Cell], Cell]]:
             def f(cell: Cell, reflect=reflect, quarter_turns=quarter_turns) -> Cell:
                 p = cell
                 if reflect:
-                    p = _reflect_square(p)
+                    p = _reflect(p)
                 for _ in range(quarter_turns):
                     p = _rot90(p)
                 return p
@@ -101,7 +99,7 @@ def _triangle_transforms() -> list[Callable[[Cell], Cell]]:
                 pts = []
                 for p in _triangle_corners(cell):
                     if reflect:
-                        p = _reflect_triangle(p)
+                        p = _reflect(p)
                     for _ in range(sixth_turns):
                         p = _rot60(p)
                     pts.append(p)

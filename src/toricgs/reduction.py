@@ -20,7 +20,9 @@ once an exhaustive orbit scan, a verified reduction step, or a verified
 relabeling of an already certified system (an explicit embedding
 isomorphism, so the verdict transports along the qubit bijection) vouches
 for its digest; a :class:`CertStore` writes each such record to a file
-named by that digest.
+named by that digest.  The exhaustive scan of a base system is
+:func:`~toricgs.lc.certify_nonlocal`, called by the chain itself; its
+orbit's ``complete`` flag is the base's verdict.
 """
 
 from __future__ import annotations
@@ -33,18 +35,14 @@ from typing import Collection, Iterable, Optional, Sequence
 from .graphs import (
     GraphError,
     SimpleGraph,
-    freeze,
+    array_at,
     integer,
     integers,
+    label_pair,
     local_complement,
     local_complement_sequence,
 )
-from .lc import (
-    DEFAULT_ORBIT_BUDGET,
-    DEFAULT_WITNESS_BUDGET,
-    certify_nonlocal,
-    lc_equivalent,
-)
+from .lc import DEFAULT_ORBIT_BUDGET, certify_nonlocal, lc_equivalent
 from .surface import Embedding, adjacency_relation, phi_graph, setup_from_dict
 
 
@@ -166,29 +164,6 @@ class CertStore:
         os.replace(tmp, path)
 
 
-def exhaustive_certificate(
-    e: Embedding, budget: int = DEFAULT_ORBIT_BUDGET
-) -> tuple[bool, Certificate]:
-    """Search the orbit of the instance for a local member.
-
-    A nonlocal instance's orbit is enumerated in full, and the certificate
-    records its size and digest.  A local instance's search stops at its
-    first local member, so its size and digest are those of the keys found
-    before the hit.
-    """
-    is_nonlocal, orbit = certify_nonlocal(phi_graph(e), adjacency_relation(e), budget=budget)
-    cert = Certificate(
-        e.digest(),
-        "exhaustive",
-        {
-            "n_qubits": e.n_qubits,
-            "orbit_size": orbit.size,
-            "orbit_digest": orbit.digest(),
-        },
-    )
-    return is_nonlocal, cert
-
-
 def verify_relabeling(
     system: Embedding, source: Embedding, edge_map: dict, vertex_map: dict
 ) -> bool:
@@ -237,7 +212,6 @@ def verify_reduction_step(
     reduced_b: Embedding,
     leaf: LeafGraph,
     certified: Collection[str],
-    max_free: int = DEFAULT_WITNESS_BUDGET,
 ) -> tuple[str, ...]:
     """Check the three reduction hypotheses for one system.
 
@@ -267,13 +241,13 @@ def verify_reduction_step(
         if not strict.holds:
             failures.append(f"strictness violated towards {name}: {strict.violating_edges}")
 
-    if lc_equivalent(phi_graph(big), leaf.graph, max_free=max_free) is None:
+    if lc_equivalent(phi_graph(big), leaf.graph) is None:
         failures.append("leaf graph is not LC-equivalent to the big system")
     drop_a = leaf.graph.delete_vertex(a)
-    if lc_equivalent(drop_a, phi_graph(reduced_a), max_free=max_free) is None:
+    if lc_equivalent(drop_a, phi_graph(reduced_a)) is None:
         failures.append("leaf minus outer does not match reduced_a")
     drop_b = epsilon_swap(leaf).graph.delete_vertex(b)
-    if lc_equivalent(drop_b, phi_graph(reduced_b), max_free=max_free) is None:
+    if lc_equivalent(drop_b, phi_graph(reduced_b)) is None:
         failures.append("swapped leaf minus outer does not match reduced_b")
 
     for name, emb in reduced.items():
@@ -337,7 +311,7 @@ def load_chain_spec(path) -> ChainSpec:
         for s in data.get("steps", []):
             leaf = s["leaf"]
             leaf_graph = SimpleGraph.from_edges(
-                integers(leaf["vertices"]), [integers(e) for e in leaf["edges"]]
+                integers(leaf["vertices"]), [integers(e) for e in array_at(leaf, "edges")]
             )
             steps.append(
                 ChainStep(
@@ -353,8 +327,8 @@ def load_chain_spec(path) -> ChainSpec:
             Relabeling(
                 system=r["system"],
                 source=r["source"],
-                edge_map=dict(integers(pair) for pair in r["edge_map"]),
-                vertex_map={freeze(k): freeze(v) for k, v in r["vertex_map"]},
+                edge_map=dict(integers(pair) for pair in array_at(r, "edge_map")),
+                vertex_map=dict(label_pair(pair, "a vertex_map entry") for pair in array_at(r, "vertex_map")),
             )
             for r in data.get("relabel", [])
         ]
@@ -373,12 +347,15 @@ def load_chain_spec(path) -> ChainSpec:
 def reduction_chain(
     spec: ChainSpec,
     budget: int = DEFAULT_ORBIT_BUDGET,
-    max_free: int = DEFAULT_WITNESS_BUDGET,
     store: Optional[CertStore] = None,
 ) -> ChainReport:
     """Verify a whole reduction chain from its exhaustive base upward.
 
-    Base systems are certified by full orbit enumeration.  Then each round
+    Each base system is searched with :func:`certify_nonlocal`.  A nonlocal
+    base is certified by its complete orbit, and ``base_orbits`` records the
+    orbit's size and digest.  A local base ends the chain, and
+    ``base_orbits`` records the replayed complementation path of its hit
+    (vertex positions) under ``complementations``.  Then each round
     fires the ready relabelings and the ready steps, in spec order, until a
     round certifies nothing new: a relabeling is ready once its source is
     certified, a step once both its reduced systems are.  The first failed
@@ -407,15 +384,14 @@ def reduction_chain(
         return ChainReport(verdicts, base_orbits, steps_verified, list(failures))
 
     for name in spec.base:
-        is_nonlocal, cert = exhaustive_certificate(spec.systems[name], budget=budget)
-        base_orbits[name] = {
-            "orbit_size": cert.payload["orbit_size"],
-            "orbit_digest": cert.payload["orbit_digest"],
-            "nonlocal": is_nonlocal,
-        }
-        if not is_nonlocal:
+        emb = spec.systems[name]
+        orbit = certify_nonlocal(phi_graph(emb), adjacency_relation(emb), budget=budget)
+        if not orbit.complete:
+            base_orbits[name] = {"nonlocal": False, "complementations": list(orbit.hit_path)}
             return finish(f"base system {name} has a local representative")
-        record(cert)
+        found = {"orbit_size": orbit.size, "orbit_digest": orbit.digest()}
+        base_orbits[name] = {"nonlocal": True, **found}
+        record(Certificate(digests[name], "exhaustive", {"n_qubits": emb.n_qubits, **found}))
 
     while True:
         n_certified = len(certified)
@@ -444,7 +420,6 @@ def reduction_chain(
                 spec.systems[s.reduced_b],
                 s.leaf,
                 certified,
-                max_free=max_free,
             )
             steps_verified += 1
             if failures:

@@ -23,10 +23,11 @@ from .graphs import (
     Multigraph,
     SimpleGraph,
     SpanningTree,
-    edge_from_json,
+    array_at,
     first_spanning_tree,
     freeze,
     integers,
+    label_pair,
     only_keys,
     phi,
 )
@@ -418,9 +419,9 @@ def setup_from_dict(data: dict) -> Embedding:
     """Parse setup data; anything malformed or invalid raises :class:`EmbeddingError`."""
     try:
         only_keys(data, ("vertices", "edges", "faces", "closed", "qubit_ids"))
-        vertices = [freeze(v) for v in data["vertices"]]
-        edges = [edge_from_json(e) for e in data["edges"]]
-        faces = tuple(integers(w) for w in data["faces"])
+        vertices = [freeze(v) for v in array_at(data, "vertices")]
+        edges = [label_pair(e, "an edge") for e in array_at(data, "edges")]
+        faces = tuple(integers(w) for w in array_at(data, "faces"))
         closed = data["closed"]
         if not isinstance(closed, bool):
             raise EmbeddingError(f"closed must be true or false, got {closed!r}")

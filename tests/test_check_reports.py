@@ -4,23 +4,38 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from toricgs import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_report_fingerprints_on_a_subset(capsys):
+@pytest.fixture(scope="module")
+def tool():
     spec = importlib.util.spec_from_file_location("check_reports", ROOT / "tools" / "check_reports.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_report_is_the_committed_one(capsys, tool):
+    # A change that alters a report on purpose rewrites tests/data/reports.txt
+    # with the tool, so the diff of that file shows which reports it altered.
+    tool.main([])
+    assert capsys.readouterr().out == (ROOT / "tests" / "data" / "reports.txt").read_text()
+
+
+def test_report_fingerprints_on_a_subset(capsys, tool):
     tool.main(["--max-cells", "2", "--setups", "plaquette4,tetriamond"])
     lines = capsys.readouterr().out.splitlines()
     *calls, total = lines
     assert total == hashlib.sha256("\n".join(calls).encode()).hexdigest() + "  total"
     commands = [line.split()[1] for line in calls]
-    # 4 enumerate calls; 2 fixtures and 4 polyforms, 5 calls each; 8 lc-orbit; 16 lc-equiv; reduce
-    assert [commands.count(c) for c in ("enumerate", "locality", "phi", "verify-thm1", "lc-orbit", "lc-equiv", "reduce")] == [
-        4, 12, 12, 6, 8, 16, 1,
+    # 4 enumerate calls; 2 fixtures and 4 polyforms, 5 calls each; 8 lc-orbit and one over budget;
+    # 16 lc-equiv; reduce 4 times; locality, lc-orbit, lc-equiv and reduce on 2 bad files; selftest
+    assert [commands.count(c) for c in ("enumerate", "locality", "phi", "verify-thm1", "lc-orbit", "lc-equiv", "reduce", "selftest")] == [
+        4, 14, 12, 6, 11, 18, 6, 1,
     ]
     assert len(set(calls)) == len(calls)
     # a line's fingerprint is that of the call's exit status and output

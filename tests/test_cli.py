@@ -448,6 +448,18 @@ def test_reduce_chain_with_a_local_base_stops_at_that_base(capsys, tmp_path):
     assert set(result["verdicts"].values()) == {"unverified"}
 
 
+def test_reduce_reports_the_path_of_a_local_base(capsys, tmp_path):
+    # A local base's search stops at its hit, so the report gives the
+    # replayed path of the hit, not the size and digest of a partial key set.
+    run_cli(capsys, "enumerate", "--lattice", "square", "--n", "3", "--out", str(tmp_path))
+    chain = tmp_path / "local_base.json"
+    chain.write_text(json.dumps({"systems": {"p": {"file": "square_3_1.json"}}, "base": ["p"]}))
+    code, report = run_json(capsys, "reduce", "--chain", str(chain))
+    assert code == EXIT_ERROR
+    assert report["result"]["failures"] == ["base system p has a local representative"]
+    assert report["result"]["base_orbits"] == {"p": {"nonlocal": False, "complementations": [0, 5]}}
+
+
 def test_reduce_budget_exhausted_is_one_report(capsys):
     chain = fixture_path("chain/pentomino_chain.json")
     code = main(["reduce", "--chain", chain, "--budget", "10"])
@@ -525,6 +537,23 @@ def test_lc_orbit_object_vertex_is_an_error_report(capsys, tmp_path):
     assert report["error"].startswith("malformed graph data:")
 
 
+@pytest.mark.parametrize("vertices", ["abc", {"a": 1, "b": 2, "c": 3}])
+def test_lc_orbit_vertices_not_an_array_is_an_error_report(capsys, tmp_path, vertices):
+    # iterated, the string or the object would give a 3-vertex graph
+    graph = tmp_path / "vertices.graph.json"
+    graph.write_text(json.dumps({"vertices": vertices, "edges": []}))
+    assert run_error(capsys, "lc-orbit", "--graph", str(graph)) == f"vertices must be an array, got {vertices!r}"
+
+
+def test_reduce_vertex_map_entry_not_a_pair_is_an_error_report(capsys, tmp_path):
+    # unpacked, "01" and "ab" would map vertex "0" to "1" and "a" to "b"
+    def edit(spec):
+        spec["relabel"][0]["vertex_map"] = ["01", "ab"]
+
+    error = run_error(capsys, "reduce", "--chain", _broken_chain(tmp_path, edit))
+    assert error == "a vertex_map entry must be an array of two labels, got '01'"
+
+
 def test_lc_orbit_beyond_64_vertices_is_an_error_report(capsys, tmp_path):
     graph = tmp_path / "path65.graph.json"
     graph.write_text(json.dumps({"vertices": list(range(65)), "edges": [[i, i + 1] for i in range(64)]}))
@@ -569,6 +598,9 @@ BAD_SETUPS = {
         "closed": False,
     },
     "empty_qubit_ids": _square(qubit_ids=[]),  # absent means default ids, empty does not
+    # loaded as the vertices a, b, c, d if a string or an object were iterated
+    "string_vertices": _square(vertices="abcd", edges=[["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]),
+    "object_vertices": _square(vertices=dict.fromkeys("abcd", 0), edges=[["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]),
     "misspelt_qubit_ids": {"qubit_id" if k == "qubit_ids" else k: v for k, v in _square(qubit_ids=[3, 2, 1, 0]).items()},
     "disconnected_carrier": {
         "vertices": [0, 1, 2, 3, 4, 5],

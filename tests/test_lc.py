@@ -147,9 +147,9 @@ def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
         paths = assert_matches_reference(g)
         for _ in range(3):
             allowed = random_simple_graph(rng, g.n)
-            is_nonlocal, orbit = certify_nonlocal(g, allowed)
+            orbit = certify_nonlocal(g, allowed)
             assert (orbit.hit_key, orbit.hit_path) == first_local_in_path_order(paths, allowed)
-            assert is_nonlocal == (orbit.hit_key is None)
+            assert orbit.complete == (orbit.hit_key is None)
             hits += orbit.hit_key is not None and len(orbit.hit_path) > 1
     assert hits >= 5
 
@@ -202,15 +202,15 @@ def test_local_search_stops_at_its_first_local_child(monkeypatch):
         member = graph_from_key(list(paths)[int(rng.integers(len(paths)))], g.labels)
         allowed = SimpleGraph(g.labels, [a | b for a, b in zip(member.rows, random_graph(rng, n, 0.2).rows)])
         hit_key, hit_path, generations, stored, at, copies = reference_search(g, paths, allowed, 2)
-        is_nonlocal, orbit = certify_nonlocal(g, allowed)
-        assert not is_nonlocal and not orbit.complete
+        orbit = certify_nonlocal(g, allowed)
+        assert not orbit.complete
         assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
             hit_key, hit_path, generations, stored,
         )
         past_first_chunk += at is not None and at >= 2
         twice += copies >= 2
         # the budget counts the stored keys only: the hit's own chunk is never stored
-        assert certify_nonlocal(g, allowed, budget=len(stored))[1].hit_path == hit_path
+        assert certify_nonlocal(g, allowed, budget=len(stored)).hit_path == hit_path
         if len(stored) > 1:
             with pytest.raises(OrbitBudgetError):
                 certify_nonlocal(g, allowed, budget=len(stored) - 1)
@@ -227,8 +227,8 @@ def test_local_search_past_the_first_full_chunk():
     allowed = graph_from_key(next(k for k, p in paths.items() if p == (8, 2, 4, 6, 9)), g.labels)
     hit_key, hit_path, generations, stored, at, copies = reference_search(g, paths, allowed, lc._CHUNK)
     assert (hit_path, at, copies) == ((8, 2, 4, 6, 9), 534, 2)
-    is_nonlocal, orbit = certify_nonlocal(g, allowed)
-    assert not is_nonlocal
+    orbit = certify_nonlocal(g, allowed)
+    assert not orbit.complete
     assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
         hit_key, hit_path, generations, stored,
     )
@@ -263,9 +263,8 @@ def test_stop_predicate_short_circuits():
     # the stop test is the allowed-edge mask: K4 minus {0, 1} holds the stars
     # centred at 2 and 3, both two complementations from the star at 0
     allowed = SimpleGraph.from_edges(range(4), [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    is_nonlocal, orbit = certify_nonlocal(star(4), allowed)
+    orbit = certify_nonlocal(star(4), allowed)
     centred_at_2 = SimpleGraph.from_edges(range(4), [(2, 0), (2, 1), (2, 3)])
-    assert not is_nonlocal
     assert orbit.hit_key == canonical_key(centred_at_2)
     assert orbit.hit_path == (0, 2)
     assert orbit.generations == 2
@@ -348,16 +347,16 @@ def test_witness_budget():
 def test_local_representative_found_for_star_seed():
     # allowed edges: the star itself; seed: the complete graph
     allowed = star(4)
-    is_nonlocal, orbit = certify_nonlocal(SimpleGraph.complete(range(4)), allowed)
-    assert not is_nonlocal
+    orbit = certify_nonlocal(SimpleGraph.complete(range(4)), allowed)
+    assert not orbit.complete
     assert orbit.member_graph(orbit.hit_key).is_subgraph_of(allowed)
     assert orbit.hit_path == (0,)
 
 
 def test_local_representative_none_when_orbit_avoids_mask():
     allowed = SimpleGraph.empty(list(range(4)))  # no edges allowed
-    is_nonlocal, orbit = certify_nonlocal(path(4), allowed)
-    assert is_nonlocal and orbit.complete and orbit.hit_key is None
+    orbit = certify_nonlocal(path(4), allowed)
+    assert orbit.complete and orbit.hit_key is None
 
 
 def test_certify_budget_error():
@@ -415,7 +414,7 @@ def test_local_search_beyond_one_key_word():
     n = 12
     complete = SimpleGraph.complete(range(n))
     allowed = star(n)
-    is_nonlocal, orbit = certify_nonlocal(complete, allowed)
-    assert not is_nonlocal
+    orbit = certify_nonlocal(complete, allowed)
+    assert not orbit.complete
     assert orbit.hit_path == (0,)
     assert orbit.member_graph(orbit.hit_key).is_subgraph_of(allowed)

@@ -74,6 +74,8 @@ graph_shaped = st.fixed_dictionaries(
 @FUZZ
 @given(st.one_of(graph_shaped, json_values))
 @example({"vertices": ["a", "b", "c"], "edges": ["ab", "bc"]})
+@example({"vertices": "abc", "edges": []})  # a string or an object is not an array of labels
+@example({"vertices": {"a": 1, "b": 2, "c": 3}, "edges": []})
 @example(json.loads(Path(fixture_path("pentomino_plus.json")).read_text()))  # a setup is not a graph
 def test_graph_loader_fails_closed(data):
     try:
@@ -83,6 +85,7 @@ def test_graph_loader_fails_closed(data):
     else:
         rejected = False
         assert set(data) <= {"vertices", "edges"}
+        assert type(data["vertices"]) is list and type(data["edges"]) is list
         assert all(type(e) is list and len(e) == 2 for e in data["edges"])
     with input_file(data) as path:
         check_cli(["lc-orbit", "--graph", path, "--budget", "100"], rejected)
@@ -166,6 +169,7 @@ def integers_read(data):
 @example(chain(leaf={"edges": [[0, 1], [1, 2.0]]}))
 @example(chain(leaf={"inner": True}))
 @example(chain(relabel={"edge_map": [["0", "1"]]}))
+@example(chain(relabel={"vertex_map": ["01", "ab"]}))  # strings, not pairs of labels
 def test_chain_loader_fails_closed(data):
     with input_file(data) as path:
         try:
@@ -175,4 +179,5 @@ def test_chain_loader_fails_closed(data):
         else:
             rejected = False
             assert all(type(v) is int for v in integers_read(data))
+            assert all(type(pair) is list and len(pair) == 2 for r in data.get("relabel", []) for pair in r["vertex_map"])
         check_cli(["reduce", "--chain", path, "--budget", "1000"], rejected)

@@ -15,7 +15,6 @@ from toricgs.reduction import (
     LeafGraph,
     classify,
     epsilon_swap,
-    exhaustive_certificate,
     is_stricter,
     leaf_delete_commute_check,
     load_chain_spec,
@@ -377,9 +376,9 @@ def test_locality_agrees_with_certification_on_small_setups():
                 allowed = adjacency_relation(emb)
                 orbit = lc_orbit(g)
                 local = [k for k in orbit.members if orbit.member_graph(k).is_subgraph_of(allowed)]
-                is_nonlocal, found = certify_nonlocal(g, allowed)
-                assert is_nonlocal == (not local)
-                assert is_nonlocal or found.hit_key in local
+                found = certify_nonlocal(g, allowed)
+                assert found.complete == (not local)
+                assert found.complete or found.hit_key in local
 
 
 def test_moved_hit_path_fails_closed(monkeypatch):
@@ -401,7 +400,7 @@ def test_moved_hit_path_fails_closed(monkeypatch):
     with pytest.raises(CertificateError, match="do not replay to a local graph"):
         certify_nonlocal(phi_graph(emb), adjacency_relation(emb))
     with pytest.raises(CertificateError, match="do not replay to a local graph"):
-        exhaustive_certificate(emb)
+        reduction_chain(ChainSpec({"p": emb}, (), ("p",), ()))  # the base scan of ``reduce``
 
 
 def test_scan_finds_the_declared_chain_leaf(chain_spec):

@@ -45,15 +45,18 @@ SETUP_KEYS = {"vertices", "edges", "faces", "closed", "qubit_ids"}
 @example(dict(TRIANGLE, edges=["ab", "bc", "ca"]))
 @example(dict(TRIANGLE, edges=[["a", "b"], ["b", "c"], ["c", "a"]], qubit_ids=[]))
 @example(dict(TRIANGLE, edges=[["a", "b"], ["b", "c"], ["c", "a"]], qubit_id=[2, 1, 0]))  # misspelt
+@example(dict(TRIANGLE, vertices="abc", edges=[["a", "b"], ["b", "c"], ["c", "a"]]))  # a string, not an array
+@example(dict(TRIANGLE, vertices=dict.fromkeys("abc", 0), edges=[["a", "b"], ["b", "c"], ["c", "a"]]))
 def test_setup_from_dict_returns_an_embedding_or_raises_embedding_error(data):
     try:
         emb = setup_from_dict(data)
     except EmbeddingError:
         return
     assert isinstance(emb, Embedding)
-    # what loads is what the file says: its five keys only, two-label arrays
-    # as edges, the ids as given
+    # what loads is what the file says: its five keys only, arrays where
+    # arrays belong, two-label arrays as edges, the ids as given
     assert set(data) <= SETUP_KEYS
+    assert all(type(data[key]) is list for key in ("vertices", "edges", "faces"))
     assert all(type(e) is list and len(e) == 2 for e in data["edges"])
     assert emb.qubit_ids == tuple(data.get("qubit_ids", range(len(data["edges"]))))
 
