@@ -11,15 +11,14 @@ Bit vectors passed in and out of this module use the same convention: an
 into an explicit 0/1 list.
 
 Every function below rests on one reduction of a row against a pivot map
-(``_reduce`` / ``_echelon``).  :func:`in_row_span` answers all its goals from
-one elimination in which each row carries its own index bit, the
-row-combination bookkeeping of stabilizer tableaux; :func:`nullspace` adds
-one back-substitution pass to reach the canonical reduced echelon form.
+(``_reduce`` / ``_echelon``); :func:`nullspace` adds one back-substitution
+pass to reach the canonical reduced echelon form.  ``pauli.span_equal``
+runs the same reduction with a phase carried by each row.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 def bits(word: int, width: int) -> list[int]:
@@ -148,17 +147,3 @@ def nullspace(m: BitMatrix) -> list[int]:
                 vec |= 1 << p
         basis.append(vec)
     return basis
-
-
-def in_row_span(m: BitMatrix, vecs: Iterable[int]) -> list[Optional[int]]:
-    """Express each of ``vecs`` as an XOR of rows of ``m``.
-
-    Returns, per goal, a packed combination word (bit ``i`` selects row
-    ``i``) or ``None`` when the goal is outside the row space.  One
-    elimination serves every goal: each row carries its own index bit above
-    column ``ncols``, so reducing a goal records the rows it used.
-    """
-    basis, _ = _echelon(r | (1 << (m.ncols + i)) for i, r in enumerate(m.rows))
-    residues = [_reduce(vec, basis) for vec in vecs]
-    low = (1 << m.ncols) - 1
-    return [None if r & low else r >> m.ncols for r in residues]

@@ -26,7 +26,11 @@ Label = Hashable
 
 
 class SimpleGraph:
-    """Immutable labeled simple graph (no loops, no parallel edges)."""
+    """Immutable labeled simple graph (no loops, no parallel edges).
+
+    The constructor, where caller data enters, checks this; operations that
+    keep it build their results with :meth:`_derived`, which does not.
+    """
 
     __slots__ = ("labels", "rows", "_index")
 
@@ -48,6 +52,14 @@ class SimpleGraph:
                 if not (self.rows[j] >> i) & 1:
                     raise GraphError("adjacency must be symmetric")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+
+    @classmethod
+    def _derived(cls, labels: Sequence[Label], rows: Sequence[int]) -> "SimpleGraph":
+        """A graph valid by construction (distinct labels, symmetric loop-free rows): nothing is checked."""
+        g = cls.__new__(cls)
+        g.labels, g.rows = tuple(labels), tuple(rows)
+        g._index = {lab: i for i, lab in enumerate(g.labels)}
+        return g
 
     @classmethod
     def from_edges(cls, labels: Sequence[Label], edges: Iterable[tuple[Label, Label]]) -> "SimpleGraph":
@@ -203,7 +215,7 @@ def local_complement(g: SimpleGraph, v: Label) -> SimpleGraph:
     rows = list(g.rows)
     for u in _bit_positions(m):
         rows[u] ^= m ^ (1 << u)
-    return SimpleGraph(g.labels, rows)
+    return SimpleGraph._derived(g.labels, rows)
 
 
 def local_complement_sequence(g: SimpleGraph, seq: Iterable[Label]) -> SimpleGraph:
@@ -470,7 +482,7 @@ def phi(m: Multigraph, t: SpanningTree) -> SimpleGraph:
         for f in t.path_edges(p, q):
             rows[e] |= 1 << f
             rows[f] |= 1 << e
-    return SimpleGraph(labels, rows)
+    return SimpleGraph._derived(labels, rows)
 
 
 def graph_to_dict(g: SimpleGraph) -> dict:

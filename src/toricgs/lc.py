@@ -159,13 +159,14 @@ class LcOrbit:
         return i < len(self.members) and self.members[i] == key
 
     def member_graph(self, key: int) -> SimpleGraph:
-        return graph_from_key(key, self.labels)
+        return SimpleGraph._derived(self.labels, _unpack_key(key, len(self.labels)))
 
     def digest(self) -> str:
         """Fingerprint of the member set: SHA-256 of the hex keys, each followed by a comma."""
         h = hashlib.sha256()
         for start in range(0, len(self.members), _BLOCK):
-            h.update("".join(map("{:x},".format, self.members[start : start + _BLOCK])).encode())
+            block = self.members[start : start + _BLOCK]
+            h.update(("%x," * len(block) % tuple(block)).encode())
         return h.hexdigest()
 
 

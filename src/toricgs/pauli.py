@@ -198,25 +198,43 @@ def span_equal(t1: Tableau, t2: Tableau) -> bool:
     A tableau's generators are Hermitian, commuting and independent (checked
     where they enter, kept by every derivation), so its group has 2^rank
     elements and does not contain -I.  Equal ranks plus every generator of
-    ``t2`` being a product of ``t1``'s generators with the same sign therefore
-    means equal groups.  All of ``t2``'s generators are expressed by one
-    elimination; since the generators commute, the product order cannot matter.
+    ``t1`` lying in the group of ``t2`` with its sign therefore means equal
+    groups.  ``t2``'s symplectic rows are brought to echelon form once, and
+    each generator of ``t1`` is reduced against it; every row operation is a
+    signed Pauli product (the "rowsum" of stabilizer tableaux), so a
+    generator lies in the group iff it reduces to +I.  A graph stabilizer is
+    already in echelon form, each row's pivot being its own X bit, so there
+    a generator costs one row operation per X bit.
     """
     if t1.n_qubits != t2.n_qubits:
         raise ValueError("qubit counts differ")
     if t1.rank != t2.rank:
         return False
-    combos = gf2.in_row_span(t1.bit_matrix(), [g.symplectic_row() for g in t2.generators])
-    for goal, combo in zip(t2.generators, combos):
-        if combo is None:
-            return False
-        prod = PauliString(t1.n_qubits, 0, 0, 0)
-        for i, g in enumerate(t1.generators):
-            if (combo >> i) & 1:
-                prod = prod * g
-        if prod != goal:
-            return False
-    return True
+    n = t1.n_qubits
+    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, phase) of a group element
+    pivots = 0
+    for g in t2.generators:  # independent, so none reduces to the identity
+        row, phase = _reduce_signed(g.symplectic_row(), g.phase, basis, pivots, n)
+        low = row & -row
+        basis[low] = (row, phase)
+        pivots |= low
+    return all(_reduce_signed(g.symplectic_row(), g.phase, basis, pivots, n) == (0, 0) for g in t1.generators)
+
+
+def _reduce_signed(row: int, phase: int, basis: dict, pivots: int, n: int) -> tuple[int, int]:
+    """Multiply the Pauli (``row``, ``phase``) on the right by basis rows until no pivot is set.
+
+    As in ``gf2._reduce``, pivots are cleared lowest first; the phase of
+    each product is ``phase + p' + 2 |z & x'|``.
+    """
+    rest = row & pivots
+    while rest:
+        low = rest & -rest
+        r, p = basis[low]
+        phase += p + 2 * ((row >> n) & r).bit_count()
+        row ^= r
+        rest = row & pivots & ~((low << 1) - 1)
+    return row, phase & 3
 
 
 class StateVector:

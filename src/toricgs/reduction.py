@@ -299,6 +299,10 @@ def load_chain_spec(path) -> ChainSpec:
     base_dir = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+
+    def listed(key: str) -> list:  # an absent entry is an empty array
+        return array_at(data, key) if key in data else []
+
     try:
         systems = {}
         for name, entry in data["systems"].items():
@@ -308,7 +312,7 @@ def load_chain_spec(path) -> ChainSpec:
             else:
                 systems[name] = setup_from_dict(entry)
         steps = []
-        for s in data.get("steps", []):
+        for s in listed("steps"):
             leaf = s["leaf"]
             leaf_graph = SimpleGraph.from_edges(
                 integers(leaf["vertices"]), [integers(e) for e in array_at(leaf, "edges")]
@@ -327,12 +331,12 @@ def load_chain_spec(path) -> ChainSpec:
             Relabeling(
                 system=r["system"],
                 source=r["source"],
-                edge_map=dict(integers(pair) for pair in array_at(r, "edge_map")),
+                edge_map=dict(map(integer, label_pair(pair, "an edge_map entry")) for pair in array_at(r, "edge_map")),
                 vertex_map=dict(label_pair(pair, "a vertex_map entry") for pair in array_at(r, "vertex_map")),
             )
-            for r in data.get("relabel", [])
+            for r in listed("relabel")
         ]
-        base = tuple(data.get("base", []))
+        base = tuple(listed("base"))
         named = list(base)
         named += [n for s in steps for n in (s.system, s.reduced_a, s.reduced_b)]
         named += [n for r in relabelings for n in (r.system, r.source)]

@@ -205,10 +205,9 @@ def _independent_generators(e: Embedding, loops: Sequence[int] = ()) -> list[Pau
     """X on each star, then Z on each face and each ``loops`` mask, keeping
     those GF(2)-independent of the operators before them."""
     n = e.n_qubits
-    ops = [PauliString.from_sign(n, x=msk, z=0) for msk in star_masks(e)]
-    ops += [PauliString.from_sign(n, x=0, z=msk) for msk in face_masks(e) + list(loops)]
-    rows = gf2.BitMatrix([p.symplectic_row() for p in ops], 2 * n)
-    return [ops[i] for i in gf2.independent_rows(rows)]
+    rows = star_masks(e) + [msk << n for msk in face_masks(e) + list(loops)]
+    keep = gf2.independent_rows(gf2.BitMatrix(rows, 2 * n))
+    return [PauliString(n, rows[i] & ((1 << n) - 1), rows[i] >> n) for i in keep]
 
 
 def surface_stabilizer(e: Embedding) -> tuple[Tableau, int]:
@@ -235,7 +234,7 @@ def adjacency_relation(e: Embedding) -> SimpleGraph:
             i = low.bit_length() - 1
             rows[i] |= mask & ~low
             mm ^= low
-    return SimpleGraph(e.qubit_ids, rows)
+    return SimpleGraph._derived(e.qubit_ids, rows)
 
 
 def square_torus(side: int) -> Embedding:
@@ -367,17 +366,13 @@ def transform_to_graph_state(e: Embedding, tree: Optional[SpanningTree] = None) 
     """
     if tree is None:
         tree = first_spanning_tree(e.graph)
-    full = sector_tableau(e, tree)
     deleted = sorted(tree.deleted_edges)
-    rotated = conjugate_hadamard(full, deleted)
-    target_graph = phi(e.graph, tree)
-    expected = graph_stabilizer(target_graph)
-    verified = span_equal(rotated, expected)
-    labeled = target_graph.relabel({i: e.qubit_ids[i] for i in range(e.n_qubits)})
+    rotated = conjugate_hadamard(sector_tableau(e, tree), deleted)
+    graph = phi_graph(e, tree)
     return TransformResult(
         hadamard_qubits=frozenset(e.qubit_ids[k] for k in deleted),
-        graph=labeled,
-        verified=verified,
+        graph=graph,
+        verified=span_equal(rotated, graph_stabilizer(graph)),
         rotated_tableau=rotated,
     )
 
@@ -386,8 +381,7 @@ def phi_graph(e: Embedding, tree: Optional[SpanningTree] = None) -> SimpleGraph:
     """The tree-map graph of the instance, labeled by qubit ids."""
     if tree is None:
         tree = first_spanning_tree(e.graph)
-    g = phi(e.graph, tree)
-    return g.relabel({i: e.qubit_ids[i] for i in range(e.n_qubits)})
+    return SimpleGraph._derived(e.qubit_ids, phi(e.graph, tree).rows)
 
 
 def contract_embedding(e: Embedding, edge_index: int) -> Embedding:

@@ -554,6 +554,24 @@ def test_reduce_vertex_map_entry_not_a_pair_is_an_error_report(capsys, tmp_path)
     assert error == "a vertex_map entry must be an array of two labels, got '01'"
 
 
+def test_reduce_edge_map_entry_not_a_pair_is_an_error_report(capsys, tmp_path):
+    def edit(spec):
+        spec["relabel"][0]["edge_map"][0] = [0, 1, 2]
+
+    error = run_error(capsys, "reduce", "--chain", _broken_chain(tmp_path, edit))
+    assert error == "an edge_map entry must be an array of two labels, got [0, 1, 2]"
+
+
+@pytest.mark.parametrize("field", ["base", "steps", "relabel"])
+def test_reduce_chain_list_not_an_array_is_an_error_report(capsys, tmp_path, field):
+    # iterated, the object {"s8": 1} would give the base ("s8",) and verify the chain
+    def edit(spec):
+        spec[field] = {"s8": 1}
+
+    error = run_error(capsys, "reduce", "--chain", _broken_chain(tmp_path, edit))
+    assert error == f"{field} must be an array, got {{'s8': 1}}"
+
+
 def test_lc_orbit_beyond_64_vertices_is_an_error_report(capsys, tmp_path):
     graph = tmp_path / "path65.graph.json"
     graph.write_text(json.dumps({"vertices": list(range(65)), "edges": [[i, i + 1] for i in range(64)]}))

@@ -89,34 +89,6 @@ def test_nullspace_vectors_annihilate():
             assert all((row & vec).bit_count() % 2 == 0 for row in m.rows)
 
 
-def test_in_row_span():
-    m = gf2.BitMatrix([0b011, 0b110], 3)
-    combo, outside = gf2.in_row_span(m, [0b101, 0b100])  # rows 0 xor 1 = 101
-    assert combo == 0b11
-    assert outside is None
-
-
-def test_in_row_span_many_goals_match_brute_force():
-    rng = np.random.default_rng(18)
-    for _ in range(200):
-        cols = int(rng.integers(1, 9))
-        m = _random_matrix(rng, int(rng.integers(0, 8)), cols)
-        goals = [int(rng.integers(0, 1 << cols)) for _ in range(6)] + m.rows[:2]
-        span = _span(m.rows)
-        combos = gf2.in_row_span(m, goals)
-        assert len(combos) == len(goals)
-        for goal, combo in zip(goals, combos):
-            if goal not in span:
-                assert combo is None
-                continue
-            assert combo is not None and combo >> m.nrows == 0
-            acc = 0
-            for i, row in enumerate(m.rows):
-                if (combo >> i) & 1:
-                    acc ^= row
-            assert acc == goal
-
-
 def test_matmul_against_numpy():
     rng = np.random.default_rng(15)
     for _ in range(50):

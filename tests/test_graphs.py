@@ -113,6 +113,60 @@ def test_graph_dict_round_trip():
     assert again == g
 
 
+def random_spanning_tree(rng, m):
+    """The tree that greedily keeps the edges of ``m`` in a random order."""
+    root = list(range(m.n_vertices))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    chosen = []
+    for k in rng.permutation(m.n_edges):
+        a, b = (find(i) for i in m.edges[k])
+        if a != b:
+            root[a] = b
+            chosen.append(int(k))
+    return SpanningTree(m, frozenset(chosen))
+
+
+def test_derived_graphs_pass_the_public_check():
+    # phi, phi_graph, adjacency_relation, local_complement and member_graph
+    # skip the constructor's checks; their graphs must pass them anyway.
+    from toricgs.fixture_files import fixture_path
+    from toricgs.lc import LcOrbit, lc_orbit
+    from toricgs.polyforms import polyform_enumerate
+    from toricgs.surface import adjacency_relation, contract_embedding, load_setup, phi_graph, square_torus
+
+    rng = np.random.default_rng(44)
+    setups = [square_torus(2), square_torus(3), contract_embedding(load_setup(fixture_path("pentomino_plus.json")), 0)]
+    for lattice in ("square", "triangular"):
+        for n in range(1, 6):
+            setups += polyform_enumerate(n, lattice)
+    derived = []
+    for emb in setups:
+        derived.append(adjacency_relation(emb))
+        for _ in range(3):
+            tree = random_spanning_tree(rng, emb.graph)
+            derived += [phi(emb.graph, tree), phi_graph(emb, tree)]
+    for _ in range(100):
+        m = random_connected_multigraph(rng)
+        derived.append(phi(m, random_spanning_tree(rng, m)))
+        n = int(rng.integers(1, 8))
+        g = random_simple_graph(rng, n)
+        derived.append(local_complement(g, int(rng.integers(0, n))))
+        labels = tuple(f"v{i}" for i in rng.permutation(n))
+        keys = [int(k) for k in rng.integers(0, 1 << (n * (n - 1) // 2), size=5)]
+        derived += [LcOrbit(labels, 0, [], 0).member_graph(k) for k in keys]
+    for g in (random_simple_graph(rng, 6) for _ in range(5)):
+        orbit = lc_orbit(g)
+        derived += [orbit.member_graph(k) for k in orbit.members]
+    for g in derived:
+        again = SimpleGraph(g.labels, g.rows)
+        assert again == g and all(g.position(lab) == i for i, lab in enumerate(g.labels))
+
+
 # -- spanning trees -----------------------------------------------------------
 
 

@@ -170,6 +170,8 @@ def integers_read(data):
 @example(chain(leaf={"inner": True}))
 @example(chain(relabel={"edge_map": [["0", "1"]]}))
 @example(chain(relabel={"vertex_map": ["01", "ab"]}))  # strings, not pairs of labels
+@example(chain(relabel={"edge_map": [[0, 1, 2]]}))  # three integers, not a pair
+@example({"systems": {"s": SQUARE}, "base": {"s": 1}})  # an object, not an array of names
 def test_chain_loader_fails_closed(data):
     with input_file(data) as path:
         try:
@@ -178,6 +180,8 @@ def test_chain_loader_fails_closed(data):
             rejected = True
         else:
             rejected = False
+            assert all(type(data.get(key, [])) is list for key in ("base", "steps", "relabel"))
             assert all(type(v) is int for v in integers_read(data))
             assert all(type(pair) is list and len(pair) == 2 for r in data.get("relabel", []) for pair in r["vertex_map"])
+            assert all(len(pair) == 2 for r in data.get("relabel", []) for pair in r["edge_map"])
         check_cli(["reduce", "--chain", path, "--budget", "1000"], rejected)

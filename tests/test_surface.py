@@ -174,7 +174,7 @@ def test_face_boundary_z_cycle_is_in_stabilizer_span():
     for k in emb.faces[0]:
         face_mask ^= 1 << k
     boundary_row = face_mask << emb.n_qubits  # z block
-    assert gf2.in_row_span(rows, [boundary_row]) != [None]
+    assert gf2.rank(gf2.BitMatrix(rows.rows + [boundary_row], rows.ncols)) == gf2.rank(rows)
 
 
 def test_loop_z_commutes_with_every_star():
@@ -230,6 +230,37 @@ def test_transform_exhaustive_small_polyforms():
             for emb in polyform_enumerate(n, lattice):
                 for tree in enumerate_spanning_trees(emb.graph):
                     assert transform_to_graph_state(emb, tree).verified
+
+
+def test_transform_span_check_sees_every_sign():
+    # Conjugating the rotated tableau by a Pauli flips the sign of each
+    # generator it anticommutes with; the span check must then fail.
+    import numpy as np
+
+    from toricgs.pauli import PauliString, conjugate_by_pauli, graph_stabilizer, span_equal
+
+    rng = np.random.default_rng(45)
+    verdicts = {True: 0, False: 0}
+    for lattice in ("square", "triangular"):
+        for n in range(1, 5):
+            for emb in polyform_enumerate(n, lattice):
+                trees = enumerate_spanning_trees(emb.graph)
+                for t in rng.choice(len(trees), size=min(3, len(trees)), replace=False):
+                    res = transform_to_graph_state(emb, trees[t])
+                    expected = graph_stabilizer(res.graph)
+                    for _ in range(4):
+                        # a group element, which commutes with every generator,
+                        # times a random Pauli half of the time
+                        p = PauliString(emb.n_qubits, 0, 0)
+                        for g in res.rotated_tableau.generators:
+                            if rng.integers(0, 2):
+                                p = p * g
+                        if rng.integers(0, 2):
+                            p = p * PauliString(emb.n_qubits, *(int(v) for v in rng.integers(0, 1 << emb.n_qubits, size=2)))
+                        commutes = all(p.commutes_with(g) for g in res.rotated_tableau.generators)
+                        assert span_equal(conjugate_by_pauli(res.rotated_tableau, p), expected) == commutes
+                        verdicts[commutes] += 1
+    assert min(verdicts.values()) > 20
 
 
 def test_sector_and_rotated_tableaux_pass_the_public_check():
