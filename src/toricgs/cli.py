@@ -242,8 +242,8 @@ def cmd_selftest(args) -> tuple[int, None]:
 
 
 def _budget(text: str) -> int:
-    """Parse ``--budget``: an integer of at least 1."""
-    if not text.isdigit() or int(text) < 1:
+    """Parse ``--budget``: an integer of at least 1, in ASCII digits."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return int(text)
 

@@ -6,14 +6,16 @@ integer.  Orbits under local complementation are closed breadth-first over
 those keys by one numpy engine that works on native machine words.  Each
 frontier member carries its key as uint64 words and its adjacency rows as
 n-bit masks; a child's key is its parent's words XOR the flip pattern of the
-complemented neighbourhood, laid out by a plan fixed per n (for n <= 12, a
-table of all 2^n patterns).  Keys are deduplicated and looked up through one
-uint64 fingerprint each, the key itself when it fits one word, and every
-fingerprint match is confirmed on the full words.  Whole generations are
-processed in fixed-size chunks of the frontier, and each member's parent and
-complemented vertex are recorded, so complementation paths come from the
-same run.  Adjacency rows are single words, so orbits are limited to 64
-vertices; a larger graph raises ``ValueError``.  A locality search,
+complemented neighbourhood, laid out by a plan fixed per n (for n <= 16, a
+table of all 2^n patterns, built once per process on first use).  Keys are
+deduplicated and looked up through one uint64 fingerprint each, the key
+itself when it fits one word, and every fingerprint match is confirmed on
+the full words.  Whole generations are processed in fixed-size chunks of the
+frontier, and each member's parent and complemented vertex are recorded, so
+complementation paths come from the same run.  An orbit keeps its keys as
+words and converts them to integers when its members are first read.
+Adjacency rows are single words, so orbits are limited to 64 vertices; a
+larger graph raises ``ValueError``.  A locality search,
 :func:`certify_nonlocal`, is the same closure with the allowed-edge mask as
 its stop test: it tests each chunk's children before deduplicating them and
 stops at the first local one, so a stopped orbit's members are the keys
@@ -47,7 +49,8 @@ DEFAULT_ORBIT_BUDGET = 10**8
 DEFAULT_WITNESS_BUDGET = 24  # max free dimensions, i.e. 2^24 candidates
 _CHUNK = 512  # frontier members complemented per numpy step
 MAX_ORBIT_VERTICES = 64  # adjacency rows are single machine words
-_TABLE_MAX_N = 12  # flips of every neighbourhood tabulated up to here: at most 64 KB
+_TABLE_MAX_N = 16  # flips of every neighbourhood tabulated up to here: at most 1 MB, for n = 16
+_TABLE_BLOCK = 4096  # neighbourhoods per step of a table build, so its temporaries stay small
 _BLOCK = 1024  # keys converted to integers or hashed at a time, so no whole-orbit copy is made
 
 
@@ -109,6 +112,8 @@ def graph_from_key(key: int, labels: Sequence) -> SimpleGraph:
 
 def _edge_mask(g: SimpleGraph, labels: Sequence) -> int:
     """Canonical-key bitmask of ``g``'s edges in the vertex order ``labels``."""
+    if g.labels == tuple(labels):
+        return _pack_rows(g.rows, len(labels))
     if set(g.labels) != set(labels):
         raise GraphError("vertex sets differ")
     pos = {lab: i for i, lab in enumerate(labels)}
@@ -120,7 +125,7 @@ def _edge_mask(g: SimpleGraph, labels: Sequence) -> int:
     return _pack_rows(rows, len(labels))
 
 
-@dataclass
+@dataclass(eq=False)
 class LcOrbit:
     """An enumerated (or partially enumerated) local-complementation class.
 
@@ -129,13 +134,16 @@ class LcOrbit:
     hit stopped it.  An orbit stopped at a local hit holds the keys found
     before the hit: the seed, every generation before the hit's, and the new
     keys of the hit's generation from the frontier chunks before the hit's
-    chunk; the hit itself is among them only when it is the seed.
-    Complementation paths list vertex positions in ``labels``, not labels.
+    chunk; the hit itself is among them only when it is the seed.  The keys
+    are held as the engine's words and converted to ascending integers when
+    ``members`` is first read, so a stopped search whose caller reads only
+    its hit converts nothing else.  Complementation paths list vertex
+    positions in ``labels``, not labels.
     """
 
     labels: tuple
     seed_key: int
-    members: list[int]  # ascending keys
+    words: np.ndarray  # the keys, one column each, most significant word first
     generations: int
     witness_paths: Optional[dict[int, tuple]] = None  # in breadth-first path order
     hit_key: Optional[int] = None
@@ -152,7 +160,12 @@ class LcOrbit:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.words.shape[1]
+
+    @functools.cached_property
+    def members(self) -> list[int]:
+        """The keys in ascending order, converted on first read."""
+        return _key_ints(self.words.take(np.lexsort(self.words[::-1]), axis=1))
 
     def contains(self, key: int) -> bool:
         i = bisect_left(self.members, key)
@@ -202,7 +215,10 @@ def _plan(n: int) -> _Plan:
     vertices = np.arange(n, dtype=dtype)
     plan = _Plan(n, nwords, dtype, vertices, np.left_shift(1, vertices, dtype=dtype), tuple(places))
     if n <= _TABLE_MAX_N:
-        table = _flips(np.arange(1 << n, dtype=dtype), plan)
+        table = np.empty((nwords, 1 << n), dtype=np.uint64)
+        for start in range(0, 1 << n, _TABLE_BLOCK):
+            stop = min(start + _TABLE_BLOCK, 1 << n)
+            table[:, start:stop] = _flips(np.arange(start, stop, dtype=dtype), plan)
         table.setflags(write=False)
         plan = replace(plan, table=table)
     return plan
@@ -361,7 +377,7 @@ def _first_inside(words: np.ndarray, outside: Optional[np.ndarray]) -> Optional[
     """Position of the first key with no bit in ``outside``, if any."""
     if outside is None:
         return None
-    hits = (~_differ(words & outside, np.zeros_like(outside))).nonzero()[0]
+    hits = (~(words & outside).any(axis=0)).nonzero()[0]
     return int(hits[0]) if len(hits) else None
 
 
@@ -445,18 +461,14 @@ def _orbit_vector(
             paths = [paths[p] + (v,) for p, v in zip(parent.tolist(), vertex.tolist())]
             witness_paths.update(zip(_key_ints(frontier), paths))
 
-    members = seen.words()
-    members = _key_ints(members.take(np.lexsort(members[::-1]), axis=1))
-    if hit is None:
-        return LcOrbit(g.labels, seed_key, members, len(origins), witness_paths)
-    path, i = [], hit
-    for generation in reversed(origins):
-        i, v = divmod(int(generation[i]), n)
-        path.append(v)
-    return LcOrbit(
-        g.labels, seed_key, members, len(origins), witness_paths,
-        _key_ints(frontier[:, hit : hit + 1])[0], tuple(reversed(path)),
-    )
+    hit_key = hit_path = None
+    if hit is not None:
+        hit_key, path, i = _key_ints(frontier[:, hit : hit + 1])[0], [], hit
+        for generation in reversed(origins):
+            i, v = divmod(int(generation[i]), n)
+            path.append(v)
+        hit_path = tuple(reversed(path))
+    return LcOrbit(g.labels, seed_key, seen.words(), len(origins), witness_paths, hit_key, hit_path)
 
 
 def lc_orbit(
@@ -619,8 +631,9 @@ def certify_nonlocal(
     orbit = _orbit_vector(g, budget, _edge_mask(allowed, g.labels))
     if orbit.complete:
         return orbit
-    by_position = SimpleGraph(range(g.n), g.rows)  # the path lists vertex positions
-    replayed = SimpleGraph(g.labels, local_complement_sequence(by_position, orbit.hit_path).rows)
+    # Rows of a checked graph and of local_complement need no second check.
+    by_position = SimpleGraph._derived(range(g.n), g.rows)  # the path lists vertex positions
+    replayed = SimpleGraph._derived(g.labels, local_complement_sequence(by_position, orbit.hit_path).rows)
     if replayed != orbit.member_graph(orbit.hit_key) or not replayed.is_subgraph_of(allowed):
         raise CertificateError("internal error: the complementations do not replay to a local graph")
     return orbit

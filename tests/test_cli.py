@@ -9,6 +9,8 @@ import pytest
 from toricgs import cli, lc
 from toricgs.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main
 from toricgs.fixture_files import fixture_path
+from toricgs.graphs import GraphError, SimpleGraph
+from toricgs.surface import adjacency_relation, load_setup, phi_graph
 
 
 def run_cli(capsys, *argv):
@@ -479,11 +481,15 @@ def test_budget_only_on_enumerating_subcommands(capsys):
 
 
 def test_budget_below_one_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["locality", "--setup", fixture_path("plaquette4.json"), "--budget", "0"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:") and "--budget" in err
+    # A superscript two is a digit to str.isdigit but not to int(), and
+    # fullwidth digits are digits to both; neither is a budget.
+    for budget in ("0", "\u00b2", "\uff11\uff10"):
+        with pytest.raises(SystemExit) as exc:
+            main(["locality", "--setup", fixture_path("plaquette4.json"), "--budget", budget])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument --budget: must be an integer of at least 1, got {budget!r}" in err
 
 
 def _broken_chain(tmp_path, edit):
@@ -663,6 +669,32 @@ def test_local_hit_within_the_budget_is_a_verdict(capsys, tmp_path):
     assert report["result"]["complementations"] == LOCAL_PATHS[("square", 3, 1)]
     code, report = run_json(capsys, "locality", "--setup", setup, "--budget", "5")
     assert code == EXIT_BUDGET
+
+
+def test_local_verdict_converts_only_its_hit_key(capsys, tmp_path, monkeypatch):
+    # square_3_1's search stores 6 keys before its hit, and the verdict reads
+    # the hit alone: that one key is the only one made a Python integer.
+    converted = []
+    key_ints = lc._key_ints
+    monkeypatch.setattr(lc, "_key_ints", lambda words: converted.append(words.shape[1]) or key_ints(words))
+    run_cli(capsys, "enumerate", "--lattice", "square", "--n", "3", "--out", str(tmp_path))
+    setup = str(tmp_path / "square_3_1.json")
+    code, report = run_json(capsys, "locality", "--setup", setup)
+    assert code == EXIT_OK
+    assert report["result"]["complementations"] == LOCAL_PATHS[("square", 3, 1)]
+    assert converted == [1]
+
+    # The allowed graph shares the tree graph's label order, so its mask is
+    # packed from its rows; listed in another order, it gives the same mask.
+    emb = load_setup(setup)
+    graph, allowed = phi_graph(emb), adjacency_relation(emb)
+    assert allowed.labels == graph.labels
+    reordered = SimpleGraph.from_edges(reversed(allowed.labels), allowed.edges())
+    assert reordered.labels != allowed.labels
+    assert lc._edge_mask(allowed, graph.labels) == lc._edge_mask(reordered, graph.labels)
+    other = SimpleGraph(graph.labels[:-1] + ("elsewhere",), allowed.rows)
+    with pytest.raises(GraphError, match="vertex sets differ"):
+        lc._edge_mask(other, graph.labels)
 
 
 def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):

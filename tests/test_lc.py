@@ -116,6 +116,16 @@ def test_orbit_matches_reference_closure():
         assert_matches_reference(random_simple_graph(rng, 9))
 
 
+@pytest.mark.parametrize("n", range(13, 17))
+def test_flip_tables_through_16_vertices(n):
+    # Built block by block, each table is the flip pattern of every
+    # neighbourhood, as _flips computes it beyond the tables.
+    plan = lc._plan(n)
+    assert not plan.table.flags.writeable
+    assert plan.table.nbytes <= 1 << 20
+    assert np.array_equal(plan.table, lc._flips(np.arange(1 << n, dtype=plan.dtype), plan))
+
+
 def test_orbit_with_multi_word_keys_matches_reference_closure():
     # 14 vertices: 91 key bits, two words; edges at vertices 12 and 13 set
     # bits in the high word
@@ -142,6 +152,11 @@ def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
         SimpleGraph.from_edges(range(12), [(0, 11), (11, 1), (1, 10), (10, 0), (2, 9), (9, 3)]),
         SimpleGraph.from_edges(range(14), [(0, 13), (13, 12), (12, 1), (1, 11), (2, 10), (10, 3), (3, 9), (9, 2)]),
     ]
+    # 17 vertices: 136-bit keys of three words, beyond the flip tables; the
+    # class of K_{1,16} is K_17 and its 17 stars
+    cases.append(star(17))
+    assert lc._plan(17).table is None and lc._plan(17).nwords == 3
+    assert lc_orbit(star(17)).size == 18
     hits = 0
     for g in cases:
         paths = assert_matches_reference(g)
