@@ -111,18 +111,17 @@ def connected_graphs(n: int) -> list[SimpleGraph]:
     return out
 
 
-def orbit_partition(graphs_list: list[SimpleGraph]) -> dict[int, int]:
-    """Map each canonical key to the smallest key of its orbit."""
+def orbit_classes(graphs_list: list[SimpleGraph]) -> list[int]:
+    """The smallest key of each graph's orbit, in the order of ``graphs_list``."""
     rep_of: dict[int, int] = {}
+    classes = []
     for g in graphs_list:
         k = canonical_key(g)
-        if k in rep_of:
-            continue
-        orbit = lc_orbit(g)
-        rep = orbit.members[0]
-        for member in orbit.members:
-            rep_of[member] = rep
-    return rep_of
+        if k not in rep_of:
+            members = lc_orbit(g).members
+            rep_of.update(dict.fromkeys(members, members[0]))
+        classes.append(rep_of[k])
+    return classes
 
 
 def leaf_graph_pool(rng: np.random.Generator) -> list[LeafGraph]:
@@ -259,31 +258,28 @@ def criterion_5_cross_oracle(full_six: bool = False) -> CriterionResult:
         witness = lc_equivalent(g1, g2)
         return (witness is not None) == same_class
 
-    for n in (2, 3, 4, 5):
-        pool = connected_graphs(n)
-        rep_of = orbit_partition(pool)
-        for g1, g2 in itertools.combinations_with_replacement(pool, 2):
-            same = rep_of[canonical_key(g1)] == rep_of[canonical_key(g2)]
+    def all_pairs(pool: list[SimpleGraph]) -> None:
+        nonlocal pairs, mismatches
+        members = zip(pool, orbit_classes(pool))
+        for (g1, c1), (g2, c2) in itertools.combinations_with_replacement(members, 2):
             pairs += 1
-            if not agree(g1, g2, same):
+            if not agree(g1, g2, c1 == c2):
                 mismatches += 1
 
+    for n in (2, 3, 4, 5):
+        all_pairs(connected_graphs(n))
+
     pool6 = connected_graphs(6)
-    rep_of6 = orbit_partition(pool6)
-    labels6 = list(range(6))
     if full_six:
-        for g1, g2 in itertools.combinations_with_replacement(pool6, 2):
-            same = rep_of6[canonical_key(g1)] == rep_of6[canonical_key(g2)]
-            pairs += 1
-            if not agree(g1, g2, same):
-                mismatches += 1
+        all_pairs(pool6)
     else:
-        reps = sorted(set(rep_of6.values()))
-        rep_graphs = {r: graph_from_key(r, labels6) for r in reps}
+        classes6 = orbit_classes(pool6)
+        reps = sorted(set(classes6))
+        rep_graphs = {r: graph_from_key(r, range(6)) for r in reps}
         # every graph against its class representative
-        for g in pool6:
+        for g, c in zip(pool6, classes6):
             pairs += 1
-            if not agree(rep_graphs[rep_of6[canonical_key(g)]], g, True):
+            if not agree(rep_graphs[c], g, True):
                 mismatches += 1
         # every pair of distinct representatives
         for r1, r2 in itertools.combinations(reps, 2):
@@ -291,12 +287,10 @@ def criterion_5_cross_oracle(full_six: bool = False) -> CriterionResult:
             if not agree(rep_graphs[r1], rep_graphs[r2], False):
                 mismatches += 1
         # seeded random member pairs
-        keys = [canonical_key(g) for g in pool6]
         for _ in range(20000):
-            k1, k2 = rng.integers(0, len(keys), size=2)
-            g1, g2 = pool6[int(k1)], pool6[int(k2)]
+            i, j = (int(k) for k in rng.integers(0, len(pool6), size=2))
             pairs += 1
-            if not agree(g1, g2, rep_of6[keys[int(k1)]] == rep_of6[keys[int(k2)]]):
+            if not agree(pool6[i], pool6[j], classes6[i] == classes6[j]):
                 mismatches += 1
 
     scope = "all pairs n<=6" if full_six else "all pairs n<=5; structured n=6"

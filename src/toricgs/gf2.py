@@ -10,10 +10,14 @@ Bit vectors passed in and out of this module use the same convention: an
 ``int`` whose bit ``j`` is component ``j``.  Use :func:`bits` to unpack one
 into an explicit 0/1 list.
 
-Every function below rests on one reduction of a row against a pivot map
-(``_reduce`` / ``_echelon``); :func:`nullspace` adds one back-substitution
-pass to reach the canonical reduced echelon form.  ``pauli.span_equal``
-runs the same reduction with a phase carried by each row.
+Every function below rests on one reduction of a word against a pivot map
+(``_reduce`` / ``_echelon``), and there is no back-substitution.
+:func:`nullspace` runs that reduction by columns: it takes the matrix as
+column words, reduces each column against the earlier independent ones and
+carries the combination of original columns it added, so a column that
+reduces to zero hands over its nullspace vector directly.
+``pauli.span_equal`` runs the same reduction with a phase carried by each
+row.
 """
 
 from __future__ import annotations
@@ -104,20 +108,6 @@ def _echelon(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     return basis, kept
 
 
-def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form. Returns (nonzero reduced rows, pivot columns).
-
-    Pivots are each row's leftmost entry, in ascending order, and every pivot
-    column is zero outside its own row, so the result is canonical for a
-    given row space.
-    """
-    basis, _ = _echelon(rows)
-    pivot_bits = sorted(basis)
-    for b in reversed(pivot_bits):  # rows with a higher pivot are already reduced
-        basis[b] = _reduce(basis[b] ^ b, basis) | b
-    return [basis[b] for b in pivot_bits], [b.bit_length() - 1 for b in pivot_bits]
-
-
 def rank(m: BitMatrix) -> int:
     """Dimension of the row space of ``m``."""
     return len(_echelon(m.rows)[0])
@@ -128,22 +118,35 @@ def independent_rows(m: BitMatrix) -> list[int]:
     return _echelon(m.rows)[1]
 
 
-def nullspace(m: BitMatrix) -> list[int]:
-    """Basis of the right nullspace, one vector per free column.
+def nullspace(columns: Iterable[int]) -> list[int]:
+    """Basis of the right nullspace of the matrix whose column ``j`` is ``columns[j]``.
 
-    The basis is returned in ascending free-column order with pivot entries
-    filled from the reduced echelon form, so repeated calls enumerate the
-    same vectors in the same order.
+    A column word has bit ``i`` set for a nonzero entry in row ``i``.  Column
+    ``j`` is a pivot iff it is independent of columns ``0..j-1``; every other
+    column ``f`` gives one vector: bit ``f`` plus the pivot columns, all below
+    ``f``, that sum to column ``f``.  These are the vectors the reduced row
+    echelon form gives, in ascending free-column order, so repeated calls
+    enumerate the same vectors in the same order.
     """
-    reduced, pivots = _eliminate(m.rows)
-    pivot_set = set(pivots)
+    pivots: dict[int, int] = {}  # lowest bit -> reduced independent column
+    combos: dict[int, int] = {}  # lowest bit -> the original columns summed into it
     basis = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for p, r in zip(pivots, reduced):
-            if (r >> free) & 1:
-                vec |= 1 << p
-        basis.append(vec)
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        rest = col
+        while rest:  # _reduce, carrying the combination
+            low = rest & -rest
+            r = pivots.get(low)
+            if r is None:
+                rest ^= low
+            else:
+                col ^= r
+                combo ^= combos[low]
+                rest = col & ~((low << 1) - 1)
+        if col:
+            low = col & -col
+            pivots[low] = col
+            combos[low] = combo
+        else:
+            basis.append(combo)
     return basis

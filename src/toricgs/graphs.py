@@ -51,14 +51,14 @@ class SimpleGraph:
             for j in _bit_positions(r):
                 if not (self.rows[j] >> i) & 1:
                     raise GraphError("adjacency must be symmetric")
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._index = None  # label -> position, built by the first position() call
 
     @classmethod
     def _derived(cls, labels: Sequence[Label], rows: Sequence[int]) -> "SimpleGraph":
         """A graph valid by construction (distinct labels, symmetric loop-free rows): nothing is checked."""
         g = cls.__new__(cls)
         g.labels, g.rows = tuple(labels), tuple(rows)
-        g._index = {lab: i for i, lab in enumerate(g.labels)}
+        g._index = None
         return g
 
     @classmethod
@@ -91,6 +91,8 @@ class SimpleGraph:
         return len(self.labels)
 
     def position(self, label: Label) -> int:
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
         try:
             return self._index[label]
         except KeyError:

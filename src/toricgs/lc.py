@@ -27,9 +27,13 @@ returning it.
 The pairwise equivalence test is algebraic: two adjacency matrices are
 LC-equivalent iff diagonal matrices A, B, C, D over GF(2) exist with
 (Gamma B + D) Gamma' + (Gamma A + C) = 0 and the pointwise determinant
-condition a_i d_i + b_i c_i = 1.  The linear part is solved exactly; the
-affine solution space is then walked in Gray-code order so that each
-candidate differs from the previous one by a single basis vector.
+condition a_i d_i + b_i c_i = 1.  The linear part is n^2 equations, one per
+matrix entry (i, j) at bit i*n + j, in the 4n diagonal unknowns.  It is built
+as its 4n column words straight from the adjacency rows, every column a
+shift or a small product of one row, and ``gf2.nullspace`` reduces those
+columns to the canonical nullspace basis.  The affine solution space is then
+walked in Gray-code order so that each candidate differs from the previous
+one by a single basis vector.
 """
 
 from __future__ import annotations
@@ -514,31 +518,30 @@ def _require_same_labels(g: SimpleGraph, h: SimpleGraph) -> None:
         raise GraphError("graphs must share the same ordered labeled vertex set")
 
 
-def _diagonal_system_rows(g: SimpleGraph, h: SimpleGraph) -> list[int]:
-    """Linear system rows over the 4n diagonal unknowns (a | b | c | d).
+def _diagonal_system_columns(g: SimpleGraph, h: SimpleGraph) -> list[int]:
+    """The 4n columns (a | b | c | d) of the diagonal system, over its n^2 equations.
 
-    Entry (i, j) of the matrix identity contributes the equation
+    Equation (i, j) of the matrix identity sits at bit i*n + j and reads
     Gamma_ij a_j + sum_k Gamma_ik Gamma'_kj b_k + [i=j] c_i + Gamma'_ij d_i = 0.
-    Adjacency symmetry turns the b block into a single AND of bitmask rows.
+    With ``spread`` holding bit i*n for each G-neighbour i of k, column a_k is
+    ``spread << k`` and column b_k is ``h.rows[k]`` repeated at every such
+    offset, which is the product ``h.rows[k] * spread`` (the n-bit blocks do
+    not overlap).
     """
     n = g.n
-    rows = []
-    for i in range(n):
-        gi = g.rows[i]
-        hi = h.rows[i]
-        ci = 1 << (2 * n + i)
-        di = 1 << (3 * n + i)
-        for j in range(n):
-            row = (gi & h.rows[j]) << n  # b_k for k adjacent to i in G, j in H
-            if (gi >> j) & 1:
-                row |= 1 << j  # a_j
-            if i == j:
-                row |= ci
-            if (hi >> j) & 1:
-                row |= di
-            if row:
-                rows.append(row)
-    return rows
+    a, b = [], []
+    for k in range(n):
+        spread = 0
+        gk = g.rows[k]
+        while gk:
+            low = gk & -gk
+            spread |= 1 << (low.bit_length() - 1) * n
+            gk ^= low
+        a.append(spread << k)
+        b.append(h.rows[k] * spread)
+    c = [1 << i * (n + 1) for i in range(n)]
+    d = [h.rows[i] << i * n for i in range(n)]
+    return a + b + c + d
 
 
 def _witness_from_packed(n: int, w: int) -> LcWitness:
@@ -564,8 +567,7 @@ def lc_equivalent(
     if g.rows == h.rows:
         return LcWitness(n, mask, 0, 0, mask)
 
-    rows = _diagonal_system_rows(g, h)
-    basis = gf2.nullspace(gf2.BitMatrix(rows, 4 * n))
+    basis = gf2.nullspace(_diagonal_system_columns(g, h))
     k = len(basis)
     if k > max_free:
         raise WitnessBudgetError(k, max_free)

@@ -33,9 +33,10 @@ def test_report_fingerprints_on_a_subset(capsys, tool):
     assert total == hashlib.sha256("\n".join(calls).encode()).hexdigest() + "  total"
     commands = [line.split()[1] for line in calls]
     # 4 enumerate calls; 2 fixtures and 4 polyforms, 5 calls each; 8 lc-orbit and one over budget;
-    # 16 lc-equiv; reduce 4 times; locality, lc-orbit, lc-equiv and reduce on 2 bad files; selftest
+    # 16 lc-equiv and one over its witness budget; reduce 4 times; locality, lc-orbit, lc-equiv and
+    # reduce on 2 bad files; selftest
     assert [commands.count(c) for c in ("enumerate", "locality", "phi", "verify-thm1", "lc-orbit", "lc-equiv", "reduce", "selftest")] == [
-        4, 14, 12, 6, 11, 18, 6, 1,
+        4, 14, 12, 6, 11, 19, 6, 1,
     ]
     assert len(set(calls)) == len(calls)
     # a line's fingerprint is that of the call's exit status and output

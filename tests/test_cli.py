@@ -174,6 +174,16 @@ def test_lc_equiv_negative(capsys):
     assert "witness" not in report["result"]
 
 
+def test_lc_equiv_budget_exceeded(capsys, tmp_path):
+    # 13 vertices and one edge: 37 free dimensions, beyond the default witness budget
+    g, h = tmp_path / "edgeless.graph.json", tmp_path / "one_edge.graph.json"
+    g.write_text(json.dumps({"vertices": list(range(13)), "edges": []}))
+    h.write_text(json.dumps({"vertices": list(range(13)), "edges": [[0, 1]]}))
+    code, report = run_json(capsys, "lc-equiv", "--g", str(g), "--h", str(h))
+    assert code == EXIT_BUDGET
+    assert report["result"] == {"status": "budget-exceeded", "free_dimensions": 37}
+
+
 @pytest.mark.parametrize("diagonal", "abcd")
 def test_lc_equiv_rejects_a_witness_that_fails_the_identity(capsys, monkeypatch, diagonal):
     real = cli.lc_equivalent

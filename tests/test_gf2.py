@@ -1,4 +1,4 @@
-"""Exact GF(2) kernels: rank, independent rows, row-span membership, nullspace."""
+"""Exact GF(2) kernels: rank, independent rows, nullspace."""
 
 import numpy as np
 import pytest
@@ -59,31 +59,43 @@ def test_independent_rows_match_brute_force():
         assert gf2.independent_rows(m) == expected
 
 
-def test_eliminate_is_canonical_rref():
+def _columns(m):
+    """The column words of ``m``: bit ``i`` of column ``j`` is entry (i, j)."""
+    return [sum(((r >> j) & 1) << i for i, r in enumerate(m.rows)) for j in range(m.ncols)]
+
+
+def test_nullspace_is_the_canonical_basis():
+    # Vector f has bit f and otherwise only pivot columns below f, where a
+    # pivot column is one independent of the columns before it.
     rng = np.random.default_rng(17)
     for _ in range(300):
-        m = _random_matrix(rng, int(rng.integers(1, 11)), int(rng.integers(1, 17)))
-        reduced, pivots = gf2._eliminate(m.rows)
-        assert pivots == sorted(set(pivots))
-        for k, (p, r) in enumerate(zip(pivots, reduced)):
-            assert r & -r == 1 << p  # the pivot is the row's leading entry
-            assert [(other >> p) & 1 for other in reduced] == [int(j == k) for j in range(len(reduced))]
-        assert _span(reduced) == _span(m.rows)
-        rows = list(m.rows)
-        rng.shuffle(rows)
-        for _ in range(10):
-            i, j = (int(v) for v in rng.integers(0, len(rows), size=2))
-            if i != j:
-                rows[i] ^= rows[j]
-        rows.append(rows[0] ^ rows[-1])
-        assert gf2._eliminate(rows) == (reduced, pivots)
+        nrows, ncols = int(rng.integers(1, 257)), int(rng.integers(1, 65))
+        gens = [_word(rng.integers(0, 2, size=nrows)) for _ in range(int(rng.integers(0, ncols + 1)))]
+        columns = []
+        for picks in rng.integers(0, 2, size=(ncols, len(gens))):  # rank at most len(gens)
+            col = 0
+            for g, pick in zip(gens, picks.tolist()):
+                col ^= g * pick
+            columns.append(col)
+        transposed = gf2.BitMatrix(columns, nrows)
+        pivots = gf2.independent_rows(transposed)
+        free = [j for j in range(ncols) if j not in pivots]
+        basis = gf2.nullspace(columns)
+        assert len(basis) == len(free) == ncols - gf2.rank(transposed)
+        pivot_bits = sum(1 << p for p in pivots)
+        for f, vec in zip(free, basis):
+            assert vec >> f == 1 and vec & ~pivot_bits == 1 << f
+            total = 0  # the sum of the columns the vector selects
+            for j, e in enumerate(gf2.bits(vec, ncols)):
+                total ^= columns[j] * e
+            assert total == 0
 
 
 def test_nullspace_vectors_annihilate():
     rng = np.random.default_rng(14)
     for _ in range(200):
         m = _random_matrix(rng, int(rng.integers(1, 8)), int(rng.integers(1, 12)))
-        basis = gf2.nullspace(m)
+        basis = gf2.nullspace(_columns(m))
         assert len(basis) == m.ncols - gf2.rank(m)
         for vec in basis:
             assert all((row & vec).bit_count() % 2 == 0 for row in m.rows)

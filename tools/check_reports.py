@@ -20,7 +20,9 @@ every setup fixture and every polyform written by ``enumerate``
 pairs of the graph fixtures; ``reduce`` on the bundled chain, also with
 ``--certs`` (every certificate file hashed into its line) and with a budget
 it exceeds; ``reduce`` on a chain whose one base, the polyform
-``square_3_1``, is local; ``lc-orbit`` with a budget it exceeds; an error
+``square_3_1``, is local; ``lc-orbit`` with a budget it exceeds;
+``lc-equiv`` on an edgeless 13-vertex graph against the same graph with
+edge (0, 1), whose witness search exceeds its budget; an error
 report for a missing and for a malformed input file of each of
 ``locality``, ``lc-orbit``, ``lc-equiv`` and ``reduce``; and
 ``selftest --only 99``.
@@ -43,6 +45,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from toricgs import cli
 from toricgs.fixture_files import fixture_path
+from toricgs.graphs import SimpleGraph, graph_to_dict
 from toricgs.polyforms import enumerate_polyforms, polyform_embedding
 
 FIXTURES = Path(fixture_path("chain")).parent
@@ -99,6 +102,10 @@ def reports(workdir: Path, max_cells: int = 5, setups: Sequence[Path] = SETUPS) 
     local_base = inputs / "local_base.json"
     local_base.write_text(json.dumps({"systems": {"p": square_3_1.to_dict()}, "base": ["p"]}))
     yield run(["reduce", "--chain", str(local_base)])
+    edgeless, one_edge = inputs / "edgeless13.graph.json", inputs / "one_edge13.graph.json"
+    edgeless.write_text(json.dumps(graph_to_dict(SimpleGraph.empty(range(13)))))
+    one_edge.write_text(json.dumps(graph_to_dict(SimpleGraph.from_edges(range(13), [(0, 1)]))))
+    yield run(["lc-equiv", "--g", str(edgeless), "--h", str(one_edge)])
     malformed = inputs / "malformed.json"
     malformed.write_text('{"vertices": [')
     for bad in ("/nonexistent/missing.json", str(malformed)):  # a fixed path: it is in the message
