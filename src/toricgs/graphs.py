@@ -328,7 +328,7 @@ class SpanningTree:
 
     host: Multigraph
     tree_edges: frozenset[int]
-    _parent: tuple = field(init=False, repr=False, compare=False, default=())
+    _root_masks: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         host = self.host
@@ -336,15 +336,12 @@ class SpanningTree:
             raise GraphError(f"tree edge indices must lie in 0..{host.n_edges - 1}")
         if len(self.tree_edges) != host.n_vertices - 1:
             raise GraphError("a spanning tree has |V| - 1 edges")
-        parent = [-1] * host.n_vertices  # parent vertex index
-        parent_edge = [-1] * host.n_vertices  # tree edge to the parent
-        depth = [0] * host.n_vertices
+        root_masks = [0] * host.n_vertices  # tree edges on the path to vertex 0
         adj: list[list[tuple[int, int]]] = [[] for _ in range(host.n_vertices)]
         for k in self.tree_edges:
             a, b = host.edges[k]
             adj[a].append((b, k))
             adj[b].append((a, k))
-        # Root at the lowest vertex position for deterministic paths.
         seen = [False] * host.n_vertices
         if host.n_vertices:
             seen[0] = True
@@ -354,37 +351,24 @@ class SpanningTree:
                 for j, k in adj[i]:
                     if not seen[j]:
                         seen[j] = True
-                        parent[j] = i
-                        parent_edge[j] = k
-                        depth[j] = depth[i] + 1
+                        root_masks[j] = root_masks[i] | 1 << k
                         queue.append(j)
         if not all(seen):
             raise GraphError("tree edges do not span the host (disconnected or cyclic)")
-        object.__setattr__(self, "_parent", (tuple(parent), tuple(parent_edge), tuple(depth)))
+        object.__setattr__(self, "_root_masks", tuple(root_masks))
 
     @property
     def deleted_edges(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.host.n_edges) if k not in self.tree_edges)
 
-    def path_edges(self, p: Label, q: Label) -> tuple[int, ...]:
-        """Edge indices of the unique tree path between vertices ``p`` and ``q``."""
-        parent, parent_edge, depth = self._parent
-        i = self.host._index[p]
-        j = self.host._index[q]
-        path_i: list[int] = []
-        path_j: list[int] = []
-        while depth[i] > depth[j]:
-            path_i.append(parent_edge[i])
-            i = parent[i]
-        while depth[j] > depth[i]:
-            path_j.append(parent_edge[j])
-            j = parent[j]
-        while i != j:
-            path_i.append(parent_edge[i])
-            i = parent[i]
-            path_j.append(parent_edge[j])
-            j = parent[j]
-        return tuple(path_i + path_j[::-1])
+    def path_mask(self, p: Label, q: Label) -> int:
+        """Edge-index mask of the unique tree path between vertices ``p`` and ``q``.
+
+        The two root paths share exactly the edges above the meeting vertex,
+        so their XOR is the path.
+        """
+        index = self.host._index
+        return self._root_masks[index[p]] ^ self._root_masks[index[q]]
 
 
 def enumerate_spanning_trees(m: Multigraph) -> list[SpanningTree]:
@@ -480,9 +464,8 @@ def phi(m: Multigraph, t: SpanningTree) -> SimpleGraph:
     labels = list(range(m.n_edges))
     rows = [0] * m.n_edges
     for e in t.deleted_edges:
-        p, q = m.endpoints(e)
-        for f in t.path_edges(p, q):
-            rows[e] |= 1 << f
+        rows[e] = t.path_mask(*m.endpoints(e))
+        for f in _bit_positions(rows[e]):
             rows[f] |= 1 << e
     return SimpleGraph._derived(labels, rows)
 

@@ -39,6 +39,13 @@ class PauliString:
             raise ValueError("x/z bits beyond qubit count")
 
     @classmethod
+    def _derived(cls, n: int, x: int, z: int, phase: int) -> "PauliString":
+        """A string valid by construction (x/z bits below ``n``, phase in 0..3): nothing is checked."""
+        p = cls.__new__(cls)
+        p.n, p.x, p.z, p.phase = n, x, z, phase
+        return p
+
+    @classmethod
     def from_sign(cls, n: int, x: int, z: int, sign: int = 1) -> "PauliString":
         """Hermitian string with explicit sign (+1 or -1)."""
         if sign not in (1, -1):
@@ -91,7 +98,7 @@ class PauliString:
         flips = (self.x & self.z & qubits_mask).bit_count()  # one -1 per Y
         x = (self.x & ~qubits_mask) | (self.z & qubits_mask)
         z = (self.z & ~qubits_mask) | (self.x & qubits_mask)
-        return PauliString(self.n, x, z, (self.phase + 2 * flips) & 3)
+        return PauliString._derived(self.n, x, z, (self.phase + 2 * flips) & 3)
 
     def symplectic_row(self) -> int:
         """Packed (x | z) row for GF(2) rank work: z bits shifted above x bits."""
@@ -122,16 +129,19 @@ class Tableau:
 
     def __init__(self, n_qubits: int, generators: Sequence[PauliString]):
         self.n_qubits = n_qubits
-        self.generators = tuple(generators)
-        for g in self.generators:
+        self.generators = gens = tuple(generators)
+        for g in gens:
             if g.n != n_qubits:
                 raise ValueError("generator qubit count mismatch")
             g.sign  # raises if not Hermitian
-        for i, g in enumerate(self.generators):
-            for h in self.generators[i + 1 :]:
-                if not g.commutes_with(h):
-                    raise ValueError(f"generators do not commute: {g.label()} vs {h.label()}")
-        if gf2.rank(self.bit_matrix()) != len(self.generators):
+        # g, h anticommute iff |x_g & z_h| + |z_g & x_h| is odd: one AND with h's X/Z-swapped row.
+        rows = [g.symplectic_row() for g in gens]
+        swapped = [g.z | g.x << n_qubits for g in gens]
+        for i, row in enumerate(rows):
+            for j in range(i + 1, len(gens)):
+                if (row & swapped[j]).bit_count() & 1:
+                    raise ValueError(f"generators do not commute: {gens[i].label()} vs {gens[j].label()}")
+        if gf2.rank(gf2.BitMatrix(rows, 2 * n_qubits)) != len(gens):
             raise ValueError("generators are not independent over GF(2)")
 
     @classmethod
@@ -160,10 +170,11 @@ def graph_stabilizer(g: SimpleGraph) -> Tableau:
     """Generators X_v * prod_{w in N_v} Z_w, one per vertex, all signs +1.
 
     ``SimpleGraph`` checks that the adjacency is symmetric and loop-free, so
-    they commute; the identity X-block makes them independent.
+    they commute and have no Y factor (phase 0); the identity X-block makes
+    them independent.
     """
     n = g.n
-    return Tableau._derived(n, [PauliString.from_sign(n, 1 << v, g.rows[v]) for v in range(n)])
+    return Tableau._derived(n, [PauliString._derived(n, 1 << v, g.rows[v], 0) for v in range(n)])
 
 
 def conjugate_hadamard(t: Tableau, qubits: Iterable[int]) -> Tableau:
@@ -224,16 +235,16 @@ def span_equal(t1: Tableau, t2: Tableau) -> bool:
 def _reduce_signed(row: int, phase: int, basis: dict, pivots: int, n: int) -> tuple[int, int]:
     """Multiply the Pauli (``row``, ``phase``) on the right by basis rows until no pivot is set.
 
-    As in ``gf2._reduce``, pivots are cleared lowest first; the phase of
-    each product is ``phase + p' + 2 |z & x'|``.
+    As in ``gf2._reduce``, each step clears the lowest bit of ``row & pivots``
+    (a basis row sets no bit below its pivot); the phase of each product is
+    ``phase + p' + 2 |z & x'|``.
     """
-    rest = row & pivots
-    while rest:
-        low = rest & -rest
-        r, p = basis[low]
+    hit = row & pivots
+    while hit:
+        r, p = basis[hit & -hit]
         phase += p + 2 * ((row >> n) & r).bit_count()
         row ^= r
-        rest = row & pivots & ~((low << 1) - 1)
+        hit = row & pivots
     return row, phase & 3
 
 

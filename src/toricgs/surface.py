@@ -203,11 +203,12 @@ def face_masks(e: Embedding) -> list[int]:
 
 def _independent_generators(e: Embedding, loops: Sequence[int] = ()) -> list[PauliString]:
     """X on each star, then Z on each face and each ``loops`` mask, keeping
-    those GF(2)-independent of the operators before them."""
+    those GF(2)-independent of the operators before them (all-X or all-Z,
+    sign +1: valid by construction)."""
     n = e.n_qubits
     rows = star_masks(e) + [msk << n for msk in face_masks(e) + list(loops)]
     keep = gf2.independent_rows(gf2.BitMatrix(rows, 2 * n))
-    return [PauliString(n, rows[i] & ((1 << n) - 1), rows[i] >> n) for i in keep]
+    return [PauliString._derived(n, rows[i] & ((1 << n) - 1), rows[i] >> n, 0) for i in keep]
 
 
 def surface_stabilizer(e: Embedding) -> tuple[Tableau, int]:
@@ -337,7 +338,7 @@ def sector_tableau(e: Embedding, tree: Optional[SpanningTree] = None) -> Tableau
     if e.closed:
         tree = tree or first_spanning_tree(e.graph)
         for k in sorted(tree.deleted_edges):
-            loops.append(sum(1 << f for f in tree.path_edges(*e.graph.endpoints(k))) | 1 << k)
+            loops.append(tree.path_mask(*e.graph.endpoints(k)) | 1 << k)
     gens = _independent_generators(e, loops)
     if len(gens) != n:
         raise DegeneracyError(

@@ -59,6 +59,30 @@ def test_independent_rows_match_brute_force():
         assert gf2.independent_rows(m) == expected
 
 
+def test_rank_and_independent_rows_on_wide_rows_with_planted_dependencies():
+    # Rows of 65 to 200 bits span several machine words; every dependent row
+    # is the XOR of a random subset of the rows before it.
+    rng = np.random.default_rng(18)
+    planted = 0
+    for _ in range(200):
+        width = int(rng.integers(65, 201))
+        rows = []
+        for _ in range(int(rng.integers(1, 13))):
+            if rows and rng.integers(0, 3) == 0:
+                rows.append(0)
+                for r in rows[:-1]:
+                    if rng.integers(0, 2):
+                        rows[-1] ^= r
+                planted += 1
+            else:
+                rows.append(int.from_bytes(rng.bytes(26), "little") & ((1 << width) - 1))
+        m = gf2.BitMatrix(rows, width)
+        expected = [i for i, r in enumerate(rows) if r not in _span(rows[:i])]
+        assert gf2.independent_rows(m) == expected
+        assert 2 ** gf2.rank(m) == len(_span(rows))
+    assert planted > 100
+
+
 def _columns(m):
     """The column words of ``m``: bit ``i`` of column ``j`` is entry (i, j)."""
     return [sum(((r >> j) & 1) << i for i, r in enumerate(m.rows)) for j in range(m.ncols)]

@@ -229,6 +229,46 @@ def test_enumeration_matches_kirchhoff_count():
         assert len(enumerate_spanning_trees(m)) == expected
 
 
+def _bfs_path_masks(tree, p):
+    """Vertex -> edge-index mask of its tree path from ``p``, by a breadth-first search from ``p``."""
+    m = tree.host
+    adj = {v: [] for v in m.vertices}
+    for k in tree.tree_edges:
+        a, b = m.endpoints(k)
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+    masks = {p: 0}
+    frontier = [p]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v, k in adj[u]:
+                if v not in masks:
+                    masks[v] = masks[u] | 1 << k
+                    nxt.append(v)
+        frontier = nxt
+    return masks
+
+
+def test_path_mask_is_the_bfs_path():
+    from toricgs.polyforms import polyform_enumerate
+    from toricgs.surface import square_torus
+
+    hosts = [square_torus(2).graph]  # parallel edges
+    for lattice in ("square", "triangular"):
+        for n in range(1, 5):
+            hosts += [emb.graph for emb in polyform_enumerate(n, lattice)]
+    checked = 0
+    for m in hosts:
+        for tree in enumerate_spanning_trees(m):
+            for p in m.vertices:
+                from_p = _bfs_path_masks(tree, p)
+                for q in m.vertices:
+                    assert tree.path_mask(p, q) == from_p[q]
+                    checked += 1
+    assert checked > 100_000
+
+
 # -- the tree map -------------------------------------------------------------
 
 

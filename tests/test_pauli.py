@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from toricgs import gf2
 from toricgs.graphs import SimpleGraph
 from toricgs.pauli import (
     PauliString,
@@ -102,16 +103,73 @@ def test_tableau_validation():
 
 
 def test_derived_tableaux_pass_the_public_check():
-    # graph_stabilizer and both conjugations skip the constructor's checks;
-    # their generators must pass them anyway.
+    # graph_stabilizer, both conjugations and the strings of sector_tableau
+    # skip the constructors' checks; their tableaux and strings must pass
+    # them anyway.
+    from toricgs.polyforms import polyform_enumerate
+    from toricgs.surface import sector_tableau, square_torus
+    from tests.test_graphs import random_spanning_tree
+
     rng = np.random.default_rng(41)
+    derived = []
     for _ in range(300):
         n = int(rng.integers(1, 9))
         t = graph_stabilizer(random_simple_graph(rng, n))
         rotated = conjugate_hadamard(t, [q for q in range(n) if rng.integers(0, 2)])
         flips = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
-        for derived in (t, rotated, conjugate_by_pauli(rotated, flips)):
-            assert Tableau(n, derived.generators).rank == n
+        derived += [t, rotated, conjugate_by_pauli(rotated, flips)]
+    setups = [square_torus(2), square_torus(3)]
+    for lattice in ("square", "triangular"):
+        for n in range(1, 5):
+            setups += polyform_enumerate(n, lattice)
+    for emb in setups:
+        tree = random_spanning_tree(rng, emb.graph)
+        t = sector_tableau(emb, tree)
+        derived += [t, conjugate_hadamard(t, tree.deleted_edges)]
+    for t in derived:
+        assert Tableau(t.n_qubits, t.generators).rank == t.n_qubits
+        for g in t.generators:
+            assert g == PauliString(g.n, g.x, g.z, g.phase) and 0 <= g.phase < 4
+
+
+def _random_graph_rows(rng, n):
+    upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+    adjacency = upper | upper.T
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adjacency]
+
+
+def test_tableau_commutation_check_matches_pairwise_commutes_with():
+    # Rows of up to 140 bits: the one-AND check must agree with commutes_with
+    # on every pair and name the first anticommuting pair in (i, j) order.
+    rng = np.random.default_rng(43)
+    verdicts = {"accepted": 0, "anticommuting": 0, "dependent": 0}
+    for _ in range(150):
+        n = int(rng.integers(1, 71))
+        t = graph_stabilizer(SimpleGraph(list(range(n)), _random_graph_rows(rng, n)))
+        t = conjugate_hadamard(t, [q for q in range(n) if rng.integers(0, 2)])
+        gens = [g for g in t.generators if rng.integers(0, 4)]
+        for _ in range(int(rng.integers(0, 3))):  # random strings anticommute with some
+            x, z = (int.from_bytes(rng.bytes(9), "little") & ((1 << n) - 1) for _ in range(2))
+            gens.insert(int(rng.integers(0, len(gens) + 1)), PauliString.from_sign(n, x, z, int(rng.choice([1, -1]))))
+        if gens and rng.integers(0, 4) == 0:  # a repeated generator
+            gens.append(gens[int(rng.integers(0, len(gens)))])
+        first = next(
+            ((g, h) for i, g in enumerate(gens) for h in gens[i + 1 :] if not g.commutes_with(h)),
+            None,
+        )
+        if first is not None:
+            with pytest.raises(ValueError) as err:
+                Tableau(n, gens)
+            assert str(err.value) == f"generators do not commute: {first[0].label()} vs {first[1].label()}"
+            verdicts["anticommuting"] += 1
+        elif gf2.rank(gf2.BitMatrix([g.symplectic_row() for g in gens], 2 * n)) < len(gens):
+            with pytest.raises(ValueError, match="not independent"):
+                Tableau(n, gens)
+            verdicts["dependent"] += 1
+        else:
+            assert Tableau(n, gens).generators == tuple(gens)
+            verdicts["accepted"] += 1
+    assert min(verdicts.values()) >= 10
 
 
 def test_conjugate_by_pauli_checks_qubit_count():
