@@ -13,6 +13,7 @@ positions double as qubit identifiers everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from . import gf2
@@ -128,10 +129,6 @@ class SimpleGraph:
             high = (r >> (i + 1)) << i
             rows.append(low | high)
         return SimpleGraph(labels, rows)
-
-    def relabel(self, mapping: dict) -> "SimpleGraph":
-        """Rename vertices through ``mapping`` (labels not listed stay put)."""
-        return SimpleGraph([mapping.get(l, l) for l in self.labels], self.rows)
 
     def permute_pair(self, a: Label, b: Label) -> "SimpleGraph":
         """Exchange the roles of vertices ``a`` and ``b`` in the edge set."""
@@ -262,21 +259,9 @@ class Multigraph:
         return tuple(k for k, (a, b) in enumerate(self.edges) if a == i or b == i)
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n_vertices
+        dsu = list(range(self.n_vertices))
+        merges = sum(_union(dsu, a, b) for a, b in self.edges)
+        return self.n_vertices == 0 or merges == self.n_vertices - 1
 
     def contract_edge(self, edge_index: int) -> "Multigraph":
         """Delete edge ``edge_index`` and merge its endpoints.
@@ -357,8 +342,9 @@ class SpanningTree:
             raise GraphError("tree edges do not span the host (disconnected or cyclic)")
         object.__setattr__(self, "_root_masks", tuple(root_masks))
 
-    @property
+    @cached_property
     def deleted_edges(self) -> tuple[int, ...]:
+        """The non-tree edge indices, ascending."""
         return tuple(k for k in range(self.host.n_edges) if k not in self.tree_edges)
 
     def path_mask(self, p: Label, q: Label) -> int:
@@ -369,6 +355,24 @@ class SpanningTree:
         """
         index = self.host._index
         return self._root_masks[index[p]] ^ self._root_masks[index[q]]
+
+
+def _union(dsu: list[int], a: int, b: int) -> bool:
+    """Join the components of ``a`` and ``b`` in the union-find ``dsu``.
+
+    Finds halve their paths.  Returns whether the two were in different
+    components.
+    """
+    while dsu[a] != a:
+        dsu[a] = dsu[dsu[a]]
+        a = dsu[a]
+    while dsu[b] != b:
+        dsu[b] = dsu[dsu[b]]
+        b = dsu[b]
+    if a == b:
+        return False
+    dsu[a] = b
+    return True
 
 
 def enumerate_spanning_trees(m: Multigraph) -> list[SpanningTree]:
@@ -383,45 +387,17 @@ def enumerate_spanning_trees(m: Multigraph) -> list[SpanningTree]:
     n, e = m.n_vertices, m.n_edges
     results: list[SpanningTree] = []
 
-    def find(dsu: list[int], x: int) -> int:
-        while dsu[x] != x:
-            dsu[x] = dsu[dsu[x]]
-            x = dsu[x]
-        return x
-
-    def connectable(chosen: list[int], next_edge: int) -> bool:
-        # Can the remaining edges still join all components?
-        dsu = list(range(n))
-        comp = n
-        for k in chosen:
-            a, b = m.edges[k]
-            ra, rb = find(dsu, a), find(dsu, b)
-            if ra != rb:
-                dsu[ra] = rb
-                comp -= 1
-        for k in range(next_edge, e):
-            a, b = m.edges[k]
-            ra, rb = find(dsu, a), find(dsu, b)
-            if ra != rb:
-                dsu[ra] = rb
-                comp -= 1
-        return comp == 1
-
     def rec(idx: int, chosen: list[int], dsu: list[int], comp: int):
+        # Edges idx.. join the comp components of dsu, so idx < e below.
         if comp == 1:
             results.append(SpanningTree(m, frozenset(chosen)))
             return
-        if idx == e:
-            return
-        a, b = m.edges[idx]
-        ra, rb = find(dsu, a), find(dsu, b)
-        if ra != rb:
-            # Include edge idx.
-            dsu2 = list(dsu)
-            dsu2[ra] = rb
-            rec(idx + 1, chosen + [idx], dsu2, comp - 1)
-        # Exclude edge idx, unless that disconnects the rest.
-        if connectable(chosen, idx + 1):
+        joined = list(dsu)
+        if _union(joined, *m.edges[idx]):
+            rec(idx + 1, chosen + [idx], joined, comp - 1)
+        # Exclude edge idx, unless the edges after it no longer join the components.
+        rest = list(dsu)
+        if sum(_union(rest, *m.edges[k]) for k in range(idx + 1, e)) == comp - 1:
             rec(idx + 1, chosen, dsu, comp)
 
     if n == 0:
@@ -432,22 +408,10 @@ def enumerate_spanning_trees(m: Multigraph) -> list[SpanningTree]:
 
 def first_spanning_tree(m: Multigraph) -> SpanningTree:
     """The greedy lowest-edge-index spanning tree (deterministic, cheap)."""
-    if not m.is_connected():
-        raise GraphError("spanning trees require a connected multigraph")
     dsu = list(range(m.n_vertices))
-
-    def find(x: int) -> int:
-        while dsu[x] != x:
-            dsu[x] = dsu[dsu[x]]
-            x = dsu[x]
-        return x
-
-    chosen = []
-    for k, (a, b) in enumerate(m.edges):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            dsu[ra] = rb
-            chosen.append(k)
+    chosen = [k for k, (a, b) in enumerate(m.edges) if _union(dsu, a, b)]
+    if len(chosen) != m.n_vertices - 1:
+        raise GraphError("spanning trees require a connected multigraph")
     return SpanningTree(m, frozenset(chosen))
 
 

@@ -25,6 +25,7 @@ from . import gf2
 from .graphs import SimpleGraph
 
 STATE_VECTOR_MAX_QUBITS = 14
+STABILIZED_TOL = 1e-10  # largest amplitude change a stabilizer may make in is_stabilized
 
 
 class PauliString:
@@ -311,12 +312,12 @@ def apply_hadamard(v: StateVector, qubit: int) -> StateVector:
     return StateVector(n, new.reshape(-1, order="F"))
 
 
-def is_stabilized(v: StateVector, t: Tableau, tol: float = 1e-10) -> bool:
-    """True iff every generator of ``t`` fixes ``v`` within ``tol`` per amplitude."""
+def is_stabilized(v: StateVector, t: Tableau) -> bool:
+    """True iff every generator of ``t`` fixes ``v`` within ``STABILIZED_TOL`` per amplitude."""
     if t.n_qubits != v.n_qubits:
         raise ValueError("dimension mismatch")
     for g in t.generators:
         moved = apply_pauli(g, v)
-        if np.max(np.abs(moved.amplitudes - v.amplitudes)) > tol:
+        if np.max(np.abs(moved.amplitudes - v.amplitudes)) > STABILIZED_TOL:
             return False
     return True

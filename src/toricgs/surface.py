@@ -82,41 +82,27 @@ class Embedding:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _walk_is_closed(m: Multigraph, walk: Sequence[int]) -> bool:
-    """Can the edge sequence be oriented into a closed walk?"""
+def _closed_walk(m: Multigraph, walk: Sequence[int]) -> Optional[list[int]]:
+    """The vertex sequence of an orientation of the edge sequence as a closed walk, or None.
+
+    Edge ``walk[i]`` joins the ``i``-th vertex to the next, and the last edge
+    returns to the first vertex.
+    """
     if len(walk) < 2:
-        return False
-    first = m.edges[walk[0]]
-    for start in (first[0], first[1]):
-        u = start
-        v = first[0] if first[1] == u else first[1] if first[0] == u else None
-        if v is None:
-            continue
-        cur = v
-        good = True
+        return None
+    a, b = m.edges[walk[0]]
+    for start, cur in ((a, b), (b, a)):
+        vertices = [start]
         for k in walk[1:]:
-            a, b = m.edges[k]
-            if cur == a:
-                cur = b
-            elif cur == b:
-                cur = a
-            else:
-                good = False
+            vertices.append(cur)
+            u, v = m.edges[k]
+            if cur not in (u, v):
                 break
-        if good and cur == start:
-            return True
-    return False
-
-
-def _walk_is_simple_cycle(m: Multigraph, walk: Sequence[int]) -> bool:
-    if len(set(walk)) != len(walk):
-        return False
-    if not _walk_is_closed(m, walk):
-        return False
-    touched: list[int] = []
-    for k in walk:
-        touched.extend(m.edges[k])
-    return all(touched.count(v) == 2 for v in set(touched)) and len(set(touched)) == len(walk)
+            cur = v if cur == u else u
+        else:
+            if cur == start:
+                return vertices
+    return None
 
 
 def validate_embedding(e: Embedding) -> Embedding:
@@ -147,7 +133,7 @@ def validate_embedding(e: Embedding) -> Embedding:
                 f"closed surface: edges {bad} do not appear on exactly two faces"
             )
         for w in e.faces:
-            if not _walk_is_closed(m, w):
+            if _closed_walk(m, w) is None:
                 raise EmbeddingError(f"face walk {list(w)} is not a closed walk")
         euler = m.n_vertices + len(e.faces) - m.n_edges
         if euler % 2 != 0 or euler > 2:
@@ -163,7 +149,9 @@ def validate_embedding(e: Embedding) -> Embedding:
                 f"open surface: edges {bad} do not appear on one or two faces"
             )
         for w in e.faces:
-            if not _walk_is_simple_cycle(m, w):
+            # A closed walk is a simple cycle when it repeats no edge and no vertex.
+            vertices = _closed_walk(m, w)
+            if vertices is None or len(set(vertices)) < len(w) or len(set(w)) < len(w):
                 raise EmbeddingError(f"face walk {list(w)} is not a simple cycle")
     return e
 
@@ -337,7 +325,7 @@ def sector_tableau(e: Embedding, tree: Optional[SpanningTree] = None) -> Tableau
     loops = []
     if e.closed:
         tree = tree or first_spanning_tree(e.graph)
-        for k in sorted(tree.deleted_edges):
+        for k in tree.deleted_edges:
             loops.append(tree.path_mask(*e.graph.endpoints(k)) | 1 << k)
     gens = _independent_generators(e, loops)
     if len(gens) != n:
@@ -367,7 +355,7 @@ def transform_to_graph_state(e: Embedding, tree: Optional[SpanningTree] = None) 
     """
     if tree is None:
         tree = first_spanning_tree(e.graph)
-    deleted = sorted(tree.deleted_edges)
+    deleted = tree.deleted_edges
     rotated = conjugate_hadamard(sector_tableau(e, tree), deleted)
     graph = phi_graph(e, tree)
     return TransformResult(

@@ -1,5 +1,7 @@
 """Graphs, spanning trees, local complementation and the tree map."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,73 @@ def test_bad_tree_subset_rejected():
 def test_first_spanning_tree_is_lowest_indices():
     m = Multigraph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     assert sorted(first_spanning_tree(m).tree_edges) == [0, 1]
+
+
+def _reachable(n, edges, start):
+    """The vertices joined to ``start`` by ``edges`` (index pairs), by a breadth-first search."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [j for i in frontier for j in adj[i] if j not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def random_multigraph(rng):
+    """A multigraph on 0-7 vertices with random, often parallel, edges; often disconnected."""
+    n = int(rng.integers(0, 8))
+    edges = []
+    if n > 1:
+        for _ in range(int(rng.integers(0, 2 * n))):
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+            edges += [(u, v)] * int(rng.integers(1, 3))
+    return Multigraph(list(range(n)), edges)
+
+
+def test_is_connected_matches_bfs():
+    rng = np.random.default_rng(26)
+    hosts = [Multigraph([], []), Multigraph([0], []), Multigraph([0, 1], []), Multigraph([0, 1], [(0, 1)] * 3)]
+    hosts += [random_multigraph(rng) for _ in range(400)]
+    verdicts = set()
+    for m in hosts:
+        expected = m.n_vertices == 0 or len(_reachable(m.n_vertices, m.edges, 0)) == m.n_vertices
+        assert m.is_connected() == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_first_spanning_tree_is_the_greedy_tree():
+    # The reference keeps an edge, in index order, when the kept edges do not join its endpoints yet.
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        m = random_multigraph(rng)
+        kept = []
+        for k, (a, b) in enumerate(m.edges):
+            if b not in _reachable(m.n_vertices, [m.edges[j] for j in kept], a):
+                kept.append(k)
+        if len(kept) == m.n_vertices - 1:
+            assert first_spanning_tree(m).tree_edges == frozenset(kept)
+        else:
+            with pytest.raises(GraphError):
+                first_spanning_tree(m)
+
+
+def test_enumeration_order_is_pinned():
+    # perfbench's transform workload samples trees by position, so their order is part of its jobs.
+    from toricgs.fixture_files import fixture_path
+    from toricgs.polyforms import polyform_enumerate
+    from toricgs.surface import load_setup
+
+    shapes = [emb for n in range(1, 5) for emb in polyform_enumerate(n, "square")]
+    shapes += [emb for n in range(1, 6) for emb in polyform_enumerate(n, "triangular")]
+    shapes += [load_setup(fixture_path(f"{name}.json")) for name in ("torus_2x2", "torus_3x3")]
+    trees = [[sorted(t.tree_edges) for t in enumerate_spanning_trees(e.graph)] for e in shapes]
+    assert sum(map(len, trees)) == 13_623
+    digest = hashlib.sha256(repr(trees).encode()).hexdigest()
+    assert digest == "87b89988b96041eb89607720c440c1bf3719054cb316637879019daf81a2c310"
 
 
 def test_enumeration_matches_kirchhoff_count():

@@ -58,6 +58,18 @@ def test_open_face_must_be_simple_cycle():
         Embedding(m, ((0, 1),), closed=False)
 
 
+def test_face_walk_errors():
+    # closed walks that repeat a vertex or an edge are not simple cycles
+    bowtie = Multigraph(range(5), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    edge = Multigraph(range(2), [(0, 1)])
+    for m, face in ((bowtie, (0, 1, 2, 3, 4, 5)), (edge, (0, 0))):
+        with pytest.raises(EmbeddingError, match="is not a simple cycle"):
+            Embedding(m, (face,), closed=False)
+    square = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(EmbeddingError, match="is not a closed walk"):
+        Embedding(square, ((0, 1, 2, 3), (0, 2, 1, 3)), closed=True)
+
+
 def test_closed_surface_needs_two_faces_per_edge():
     m = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(EmbeddingError):

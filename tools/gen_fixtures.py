@@ -33,30 +33,6 @@ def write_setup(name: str, emb: surface.Embedding, directory: str = "") -> None:
     write_json(os.path.join(directory or OUT, f"{name}.json"), emb.to_dict())
 
 
-def tree_including_excluding(
-    emb: surface.Embedding, include: int, exclude: int
-) -> graphs.SpanningTree:
-    order = [include] + [
-        k for k in range(emb.graph.n_edges) if k not in (include, exclude)
-    ]
-    dsu = list(range(emb.graph.n_vertices))
-
-    def find(x: int) -> int:
-        while dsu[x] != x:
-            dsu[x] = dsu[dsu[x]]
-            x = dsu[x]
-        return x
-
-    chosen = []
-    for k in order:
-        x, y = emb.graph.edges[k]
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            dsu[rx] = ry
-            chosen.append(k)
-    return graphs.SpanningTree(emb.graph, frozenset(chosen))
-
-
 def derive_vertex_map(
     system: surface.Embedding, source: surface.Embedding, edge_map: dict
 ) -> dict:
@@ -121,7 +97,11 @@ def build_chain():
         a_pos, b_pos = sorted(m.incident_edges(w))
         qa, qb = current.qubit_ids[a_pos], current.qubit_ids[b_pos]
 
-        tree = tree_including_excluding(current, a_pos, b_pos)
+        # the first enumerated tree with a and without b: greedy over a, then the other edges by index
+        tree = next(
+            t for t in graphs.enumerate_spanning_trees(m)
+            if a_pos in t.tree_edges and b_pos not in t.tree_edges
+        )
         leaf_graph = surface.phi_graph(current, tree)
         leaf = reduction.LeafGraph(leaf_graph, outer=qa, inner=qb)
 
