@@ -12,7 +12,7 @@ positions double as qubit identifiers everywhere else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -309,11 +309,15 @@ class Multigraph:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """A spanning tree of a host multigraph, stored as an edge-index subset."""
+    """A spanning tree of a host multigraph, stored as an edge-index subset.
+
+    The constructor, where caller data enters, checks that the edges span the
+    host; :func:`enumerate_spanning_trees` builds its trees, spanning by
+    construction, with :meth:`_derived`, which does not.
+    """
 
     host: Multigraph
     tree_edges: frozenset[int]
-    _root_masks: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         host = self.host
@@ -321,26 +325,39 @@ class SpanningTree:
             raise GraphError(f"tree edge indices must lie in 0..{host.n_edges - 1}")
         if len(self.tree_edges) != host.n_vertices - 1:
             raise GraphError("a spanning tree has |V| - 1 edges")
-        root_masks = [0] * host.n_vertices  # tree edges on the path to vertex 0
+        # |V| - 1 edges span the host iff none of them closes a cycle.
+        dsu = list(range(host.n_vertices))
+        if not all(_union(dsu, *host.edges[k]) for k in self.tree_edges):
+            raise GraphError("tree edges do not span the host (disconnected or cyclic)")
+
+    @classmethod
+    def _derived(cls, host: Multigraph, tree_edges: frozenset[int]) -> "SpanningTree":
+        """A tree valid by construction (``tree_edges`` span ``host``): nothing is checked."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "host", host)
+        object.__setattr__(t, "tree_edges", tree_edges)
+        return t
+
+    @cached_property
+    def _root_masks(self) -> tuple[int, ...]:
+        """Per vertex, the mask of the tree edges on its path to vertex 0 (built by the first :meth:`path_mask`)."""
+        host = self.host
         adj: list[list[tuple[int, int]]] = [[] for _ in range(host.n_vertices)]
         for k in self.tree_edges:
             a, b = host.edges[k]
             adj[a].append((b, k))
             adj[b].append((a, k))
-        seen = [False] * host.n_vertices
-        if host.n_vertices:
-            seen[0] = True
-            queue = [0]
-            while queue:
-                i = queue.pop()
-                for j, k in adj[i]:
-                    if not seen[j]:
-                        seen[j] = True
-                        root_masks[j] = root_masks[i] | 1 << k
-                        queue.append(j)
-        if not all(seen):
-            raise GraphError("tree edges do not span the host (disconnected or cyclic)")
-        object.__setattr__(self, "_root_masks", tuple(root_masks))
+        masks = [0] * host.n_vertices
+        seen = [True] + [False] * (host.n_vertices - 1)
+        queue = [0]
+        while queue:
+            i = queue.pop()
+            for j, k in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    masks[j] = masks[i] | 1 << k
+                    queue.append(j)
+        return tuple(masks)
 
     @cached_property
     def deleted_edges(self) -> tuple[int, ...]:
@@ -390,11 +407,14 @@ def enumerate_spanning_trees(m: Multigraph) -> list[SpanningTree]:
     def rec(idx: int, chosen: list[int], dsu: list[int], comp: int):
         # Edges idx.. join the comp components of dsu, so idx < e below.
         if comp == 1:
-            results.append(SpanningTree(m, frozenset(chosen)))
+            results.append(SpanningTree._derived(m, frozenset(chosen)))
             return
         joined = list(dsu)
-        if _union(joined, *m.edges[idx]):
-            rec(idx + 1, chosen + [idx], joined, comp - 1)
+        if not _union(joined, *m.edges[idx]):
+            # Edge idx closes a cycle, so the edges after it join the same components.
+            rec(idx + 1, chosen, dsu, comp)
+            return
+        rec(idx + 1, chosen + [idx], joined, comp - 1)
         # Exclude edge idx, unless the edges after it no longer join the components.
         rest = list(dsu)
         if sum(_union(rest, *m.edges[k]) for k in range(idx + 1, e)) == comp - 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import gf2
@@ -47,7 +48,9 @@ class Embedding:
     """A surface-code instance: multigraph, face walks, closed flag.
 
     Valid by construction (``__post_init__`` runs :func:`validate_embedding`),
-    so no function that receives one checks it again.
+    so no function that receives one checks it again.  Its star/plaquette
+    stabilizer is built and checked once, on first use, and kept with the
+    instance: every field is immutable, so it cannot go stale.
     """
 
     graph: Multigraph
@@ -67,6 +70,21 @@ class Embedding:
     @property
     def n_qubits(self) -> int:
         return self.graph.n_edges
+
+    @cached_property
+    def _stabilizer(self) -> tuple[Tableau, dict[int, int], int]:
+        """The checked tableau of :func:`surface_stabilizer`, with the pivot map and mask of its rows.
+
+        X on each star, then Z on each face (all-X or all-Z, sign +1), keeping
+        those GF(2)-independent of the rows before them, by one
+        ``gf2._echelon`` pass; :func:`sector_tableau` extends its pivot map
+        with loops.
+        """
+        n = self.n_qubits
+        rows = star_masks(self) + [msk << n for msk in face_masks(self)]
+        basis, kept = gf2._echelon(rows)
+        tab = Tableau(n, [PauliString._derived(n, rows[i] & ((1 << n) - 1), rows[i] >> n, 0) for i in kept])
+        return tab, basis, sum(basis)  # the pivots are distinct bits, so their sum is their OR
 
     def to_dict(self) -> dict:
         return {
@@ -189,16 +207,6 @@ def face_masks(e: Embedding) -> list[int]:
     return out
 
 
-def _independent_generators(e: Embedding, loops: Sequence[int] = ()) -> list[PauliString]:
-    """X on each star, then Z on each face and each ``loops`` mask, keeping
-    those GF(2)-independent of the operators before them (all-X or all-Z,
-    sign +1: valid by construction)."""
-    n = e.n_qubits
-    rows = star_masks(e) + [msk << n for msk in face_masks(e) + list(loops)]
-    keep = gf2.independent_rows(gf2.BitMatrix(rows, 2 * n))
-    return [PauliString._derived(n, rows[i] & ((1 << n) - 1), rows[i] >> n, 0) for i in keep]
-
-
 def surface_stabilizer(e: Embedding) -> tuple[Tableau, int]:
     """Independent star/plaquette generators and the ground-space degeneracy.
 
@@ -206,9 +214,11 @@ def surface_stabilizer(e: Embedding) -> tuple[Tableau, int]:
     collected in that order; rows that are GF(2)-dependent on earlier ones
     (e.g. the product of all stars) are dropped.  Degeneracy is 2^(N - d);
     for closed surfaces this equals 4^genus, since construction checked that
-    the homology rank is twice the genus.
+    the homology rank is twice the genus.  The tableau passed the public
+    ``Tableau`` check when ``e`` first built it; every call returns that
+    same object.
     """
-    tab = Tableau(e.n_qubits, _independent_generators(e))
+    tab = e._stabilizer[0]
     return tab, tab.degeneracy()
 
 
@@ -313,27 +323,38 @@ def loop_operators(side: int) -> list[LoopOperatorPair]:
 def sector_tableau(e: Embedding, tree: Optional[SpanningTree] = None) -> Tableau:
     """Full rank-N tableau of the all-(+1) topological sector.
 
-    One greedy GF(2) selection runs over the stars, the faces and, on closed
-    surfaces, the Z-operators of the fundamental cycles of the non-tree edges
-    (ascending), so it keeps the generators of :func:`surface_stabilizer` and
-    then the loops that pin every loop eigenvalue to +1.  Raises
-    :class:`DegeneracyError` if full rank cannot be reached, or if an open
-    instance is degenerate to begin with.  This is the one checked tableau of
-    a transform; those derived from it keep its invariants.
+    The generators of :func:`surface_stabilizer`, then, on closed surfaces,
+    the Z-operators of the fundamental cycles of the non-tree edges
+    (ascending) that are independent of the rows before them; they pin every
+    loop eigenvalue to +1.  The loops are reduced against the stabilizer's
+    stored pivot map, which keeps the rows one greedy selection over stars,
+    faces and loops would.  Raises :class:`DegeneracyError` if full rank
+    cannot be reached, or if an open instance is degenerate to begin with.
+
+    This is the one checked tableau of a transform: an open instance returns
+    its stabilizer, checked when it was built, and a closed one builds a
+    checked tableau per call.  Those derived from it keep its invariants.
     """
     n = e.n_qubits
-    loops = []
+    tab, basis, pivots = e._stabilizer
+    gens = list(tab.generators)
     if e.closed:
         tree = tree or first_spanning_tree(e.graph)
+        basis = dict(basis)
         for k in tree.deleted_edges:
-            loops.append(tree.path_mask(*e.graph.endpoints(k)) | 1 << k)
-    gens = _independent_generators(e, loops)
+            loop = tree.path_mask(*e.graph.endpoints(k)) | 1 << k
+            row = gf2._reduce(loop << n, basis, pivots)
+            if row:
+                low = row & -row
+                basis[low] = row
+                pivots |= low
+                gens.append(PauliString._derived(n, 0, loop, 0))
     if len(gens) != n:
         raise DegeneracyError(
             f"residual degeneracy 2^{n - len(gens)}: the instance does not pin a "
             "unique state"
         )
-    return Tableau(n, gens)
+    return Tableau(n, gens) if e.closed else tab
 
 
 @dataclass(frozen=True)

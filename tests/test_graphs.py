@@ -208,6 +208,20 @@ def test_bad_tree_subset_rejected():
         SpanningTree(m, frozenset([0]))
     with pytest.raises(GraphError):
         SpanningTree(m, frozenset([0, 1, 2]))
+    m = Multigraph([0, 1, 2, 3], [(0, 1), (1, 2), (0, 2), (2, 3), (0, 1)])
+    cases = [
+        ([0, 1, 5], "tree edge indices must lie in 0..4"),
+        ([0, 1, -1], "tree edge indices must lie in 0..4"),
+        ([0, 3], "a spanning tree has \\|V\\| - 1 edges"),
+        ([0, 1, 2, 3], "a spanning tree has \\|V\\| - 1 edges"),
+        ([0, 1, 2], "tree edges do not span the host"),  # a triangle: vertex 3 left out
+        ([0, 4, 3], "tree edges do not span the host"),  # parallel edges
+    ]
+    for edges, message in cases:
+        with pytest.raises(GraphError, match=message):
+            SpanningTree(m, frozenset(edges))
+    with pytest.raises(GraphError, match="a spanning tree has"):
+        SpanningTree(Multigraph([], []), frozenset())
 
 
 def test_first_spanning_tree_is_lowest_indices():
@@ -267,8 +281,8 @@ def test_first_spanning_tree_is_the_greedy_tree():
                 first_spanning_tree(m)
 
 
-def test_enumeration_order_is_pinned():
-    # perfbench's transform workload samples trees by position, so their order is part of its jobs.
+def _transform_shapes():
+    """The setups of perfbench's transform workload."""
     from toricgs.fixture_files import fixture_path
     from toricgs.polyforms import polyform_enumerate
     from toricgs.surface import load_setup
@@ -276,10 +290,27 @@ def test_enumeration_order_is_pinned():
     shapes = [emb for n in range(1, 5) for emb in polyform_enumerate(n, "square")]
     shapes += [emb for n in range(1, 6) for emb in polyform_enumerate(n, "triangular")]
     shapes += [load_setup(fixture_path(f"{name}.json")) for name in ("torus_2x2", "torus_3x3")]
-    trees = [[sorted(t.tree_edges) for t in enumerate_spanning_trees(e.graph)] for e in shapes]
+    return shapes
+
+
+def test_enumeration_order_is_pinned():
+    # perfbench's transform workload samples trees by position, so their order is part of its jobs.
+    trees = [[sorted(t.tree_edges) for t in enumerate_spanning_trees(e.graph)] for e in _transform_shapes()]
     assert sum(map(len, trees)) == 13_623
     digest = hashlib.sha256(repr(trees).encode()).hexdigest()
     assert digest == "87b89988b96041eb89607720c440c1bf3719054cb316637879019daf81a2c310"
+
+
+def test_enumerated_trees_pass_the_public_check():
+    # The enumeration skips the constructor's check and builds no root masks.
+    checked = 0
+    for emb in _transform_shapes():
+        m = emb.graph
+        for t in enumerate_spanning_trees(m):
+            assert "_root_masks" not in t.__dict__
+            assert SpanningTree(m, t.tree_edges) == t
+            checked += 1
+    assert checked == 13_623
 
 
 def test_enumeration_matches_kirchhoff_count():

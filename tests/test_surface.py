@@ -1,13 +1,15 @@
 """Embeddings, stabilizers, vicinity, loop operators and the transform."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from toricgs import gf2
 from toricgs.fixture_files import fixture_path
-from toricgs.graphs import Multigraph, enumerate_spanning_trees
-from toricgs.pauli import Tableau, apply_hadamard, graph_state_vector, is_stabilized
+from toricgs.graphs import Multigraph, enumerate_spanning_trees, first_spanning_tree
+from toricgs.pauli import PauliString, Tableau, apply_hadamard, graph_state_vector, is_stabilized
 from toricgs.polyforms import polyform_enumerate
 from toricgs.surface import (
     DegeneracyError,
@@ -26,6 +28,9 @@ from toricgs.surface import (
     square_torus,
     surface_stabilizer,
     transform_to_graph_state,
+    face_masks,
+    setup_from_dict,
+    star_masks,
     validate_embedding,
 )
 
@@ -297,8 +302,67 @@ def test_degenerate_open_instance_raises():
     validate_embedding(emb)
     _, deg = surface_stabilizer(emb)
     assert deg == 2
-    with pytest.raises(DegeneracyError):
-        transform_to_graph_state(emb)
+    tree = first_spanning_tree(emb.graph)
+    for _ in range(2):  # the stored stabilizer must not turn a second call into a success
+        with pytest.raises(DegeneracyError, match="residual degeneracy 2\\^1"):
+            sector_tableau(emb, tree)
+        with pytest.raises(DegeneracyError):
+            transform_to_graph_state(emb)
+
+
+def _one_selection(emb, tree):
+    """The sector generators as one greedy GF(2) selection over stars, faces and
+    fundamental-cycle Z-loops, built by the public ``Tableau``, as ``(x, z, phase)``."""
+    n = emb.n_qubits
+    loops = []
+    if emb.closed:
+        loops = [tree.path_mask(*emb.graph.endpoints(k)) | 1 << k for k in tree.deleted_edges]
+    rows = star_masks(emb) + [msk << n for msk in face_masks(emb) + loops]
+    keep = gf2.independent_rows(gf2.BitMatrix(rows, 2 * n))
+    tab = Tableau(n, [PauliString(n, rows[i] & ((1 << n) - 1), rows[i] >> n) for i in keep])
+    return [(g.x, g.z, g.phase) for g in tab.generators]
+
+
+def test_sector_tableau_is_one_selection_over_stars_faces_and_loops():
+    # The stabilizer's pivot map is built once per embedding and only the
+    # loops are reduced per tree; the kept rows and their order must be those
+    # of one selection over everything.
+    rng = random.Random(16)
+    torus2, torus3 = (load_setup(fixture_path(f"{name}.json")) for name in ("torus_2x2", "torus_3x3"))
+    cases = [(torus2, t) for t in enumerate_spanning_trees(torus2.graph)]
+    cases += [(torus3, t) for t in rng.sample(enumerate_spanning_trees(torus3.graph), 200)]
+    for lattice in ("square", "triangular"):
+        for n in range(1, 5):
+            for emb in polyform_enumerate(n, lattice):
+                trees = enumerate_spanning_trees(emb.graph)
+                cases += [(emb, t) for t in rng.sample(trees, min(4, len(trees)))]
+    assert len(cases) > 250
+    for emb, tree in cases:
+        got = [(g.x, g.z, g.phase) for g in sector_tableau(emb, tree).generators]
+        assert got == _one_selection(emb, tree)
+        assert len(got) == emb.n_qubits
+    for emb in (torus2, torus3):  # the loops left the stored pivot map as built
+        assert emb._stabilizer[1:] == setup_from_dict(emb.to_dict())._stabilizer[1:]
+
+
+def test_open_sector_tableau_is_the_stabilizer_for_every_tree():
+    emb = polyform_enumerate(3, "triangular")[0]
+    stab, deg = surface_stabilizer(emb)
+    assert deg == 1 and surface_stabilizer(emb)[0] is stab
+    for tree in enumerate_spanning_trees(emb.graph):
+        assert sector_tableau(emb, tree) is stab
+        assert transform_to_graph_state(emb, tree).verified
+
+
+def test_built_stabilizer_leaves_equality_and_hash_alone():
+    for emb in (square_torus(2), load_setup(fixture_path("tetriamond.json"))):
+        surface_stabilizer(emb)
+        sector_tableau(emb)
+        assert "_stabilizer" in emb.__dict__
+        again = setup_from_dict(emb.to_dict())
+        assert "_stabilizer" not in again.__dict__
+        assert again == emb and hash(again) == hash(emb)
+        assert again.digest() == emb.digest()
 
 
 # -- qubit ids, contraction, files --------------------------------------------
