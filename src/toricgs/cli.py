@@ -49,7 +49,7 @@ from .lc import (
     lc_orbit,
     verify_witness,
 )
-from .polyforms import enumerate_polyforms, polyform_embedding
+from .polyforms import LATTICES, enumerate_polyforms, polyform_embedding
 from .reduction import CertStore, load_chain_spec, reduction_chain
 from .surface import (
     adjacency_relation,
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce, inputs=("chain",))
 
     p = sub.add_parser("enumerate", help="enumerate polyform setups")
-    p.add_argument("--lattice", choices=("square", "triangular"), required=True)
+    p.add_argument("--lattice", choices=tuple(LATTICES), required=True)
     p.add_argument("--n", type=int, required=True, help="number of cells")
     p.add_argument("--out", help="directory for the setup files")
     p.set_defaults(func=cmd_enumerate, inputs=())

@@ -118,11 +118,6 @@ def rank(m: BitMatrix) -> int:
     return len(_echelon(m.rows)[0])
 
 
-def independent_rows(m: BitMatrix) -> list[int]:
-    """Indices of the rows of ``m`` that are independent of the rows before them."""
-    return _echelon(m.rows)[1]
-
-
 def nullspace(columns: Iterable[int]) -> list[int]:
     """Basis of the right nullspace of the matrix whose column ``j`` is ``columns[j]``.
 

@@ -128,7 +128,7 @@ class SimpleGraph:
             low = r & ((1 << i) - 1)
             high = (r >> (i + 1)) << i
             rows.append(low | high)
-        return SimpleGraph(labels, rows)
+        return SimpleGraph._derived(labels, rows)
 
     def permute_pair(self, a: Label, b: Label) -> "SimpleGraph":
         """Exchange the roles of vertices ``a`` and ``b`` in the edge set."""
@@ -142,7 +142,7 @@ class SimpleGraph:
             for m in _bit_positions(r):
                 out |= 1 << perm[m]
             rows[k] = out
-        return SimpleGraph(self.labels, rows)
+        return SimpleGraph._derived(self.labels, rows)
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -312,8 +312,9 @@ class SpanningTree:
     """A spanning tree of a host multigraph, stored as an edge-index subset.
 
     The constructor, where caller data enters, checks that the edges span the
-    host; :func:`enumerate_spanning_trees` builds its trees, spanning by
-    construction, with :meth:`_derived`, which does not.
+    host; :func:`enumerate_spanning_trees` and :func:`first_spanning_tree`
+    build their trees, spanning by construction, with :meth:`_derived`, which
+    does not.
     """
 
     host: Multigraph
@@ -432,7 +433,7 @@ def first_spanning_tree(m: Multigraph) -> SpanningTree:
     chosen = [k for k, (a, b) in enumerate(m.edges) if _union(dsu, a, b)]
     if len(chosen) != m.n_vertices - 1:
         raise GraphError("spanning trees require a connected multigraph")
-    return SpanningTree(m, frozenset(chosen))
+    return SpanningTree._derived(m, frozenset(chosen))
 
 
 def phi(m: Multigraph, t: SpanningTree) -> SimpleGraph:

@@ -160,9 +160,6 @@ class Tableau:
         """Dimension of the joint +1 eigenspace: 2^(N - rank)."""
         return 1 << (self.n_qubits - self.rank)
 
-    def bit_matrix(self) -> gf2.BitMatrix:
-        return gf2.BitMatrix([g.symplectic_row() for g in self.generators], 2 * self.n_qubits)
-
     def __repr__(self) -> str:
         return f"Tableau({[g.label() for g in self.generators]})"
 

@@ -9,10 +9,16 @@ o = 1 the downward one with corners (x+1, y), (x, y+1), (x+1, y+1).
 canonical form of a shape is the lexicographic minimum over its symmetry
 images after translating to the origin.  Vertex-connected-only arrangements
 never occur because growth proceeds across shared edges.
+
+All geometry comes from one table, :data:`LATTICES`, keyed by lattice name.
+A symmetry, a linear map of points, moves a cell by its anchor points, which
+are read back as a cell: a triangle's three corners, or a square's corner
+(x, y) alone, whose image is off by one translation for all cells alike.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Multigraph
@@ -20,100 +26,75 @@ from .surface import Embedding
 
 Cell = tuple
 Point = tuple[int, int]
-
-SQUARE = "square"
-TRIANGULAR = "triangular"
+Matrix = tuple[int, int, int, int]  # (a, b, c, d) maps (x, y) to (a x + b y, c x + d y)
 
 
-def _square_neighbors(cell: Cell) -> list[Cell]:
-    x, y = cell
-    return [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+@dataclass(frozen=True)
+class Lattice:
+    """One lattice's geometry.  A cell is (x, y) then its kind: nothing for a square, o for a triangle."""
+
+    seed: Cell
+    neighbors: dict[tuple, tuple[Cell, ...]]  # per kind: the cells across the sides, as (dx, dy) then their kind
+    corners: dict[tuple, tuple[Point, ...]]  # per kind: the corner offsets, in cyclic order
+    anchors: int  # a symmetry moves a cell's first this many corners
+    cell_at: Callable[[list[Point]], Cell]  # the cell whose anchors these points are
+    symmetries: tuple[Matrix, ...]
+
+    def cell_neighbors(self, cell: Cell) -> list[Cell]:
+        return [(cell[0] + nb[0], cell[1] + nb[1]) + nb[2:] for nb in self.neighbors[tuple(cell[2:])]]
+
+    def cell_corners(self, cell: Cell) -> list[Point]:
+        return [(cell[0] + dx, cell[1] + dy) for dx, dy in self.corners[tuple(cell[2:])]]
 
 
-def _triangle_neighbors(cell: Cell) -> list[Cell]:
-    x, y, o = cell
-    if o == 0:
-        return [(x, y, 1), (x - 1, y, 1), (x, y - 1, 1)]
-    return [(x, y, 0), (x + 1, y, 0), (x, y + 1, 0)]
-
-
-def _square_corners(cell: Cell) -> list[Point]:
-    x, y = cell
-    return [(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)]
-
-
-def _triangle_corners(cell: Cell) -> list[Point]:
-    x, y, o = cell
-    if o == 0:
-        return [(x, y), (x + 1, y), (x, y + 1)]
-    return [(x + 1, y), (x, y + 1), (x + 1, y + 1)]
-
-
-def _rot90(p: Point) -> Point:
-    return (-p[1], p[0])
-
-
-def _reflect(p: Point) -> Point:
-    # Swapping the coordinates mirrors both lattices: the square one in the
-    # line x = y, the triangular one (skewed coordinates) in the e1 + e2 axis.
-    return (p[1], p[0])
-
-
-def _rot60(p: Point) -> Point:
-    # 60-degree rotation in skewed coordinates: e1 -> e2, e2 -> e2 - e1.
-    return (-p[1], p[0] + p[1])
-
-
-def _cell_from_triangle_points(pts: frozenset[Point]) -> Cell:
-    for x, y in pts:
-        if (x + 1, y) in pts and (x, y + 1) in pts:
-            return (x, y, 0)
-    mx = max(p[0] for p in pts)
-    my = max(p[1] for p in pts)
-    expect = {(mx, my), (mx - 1, my), (mx, my - 1)}
-    if pts == frozenset(expect):
-        return (mx - 1, my - 1, 1)
-    raise ValueError(f"not a lattice triangle: {sorted(pts)}")
-
-
-def _square_transforms() -> list[Callable[[Cell], Cell]]:
+def _symmetries(rotation: Matrix, order: int) -> tuple[Matrix, ...]:
+    """Every power of ``rotation``, alone and after the reflection (x, y) -> (y, x)."""
+    a, b, c, d = rotation
     out = []
-    for reflect in (False, True):
-        for quarter_turns in range(4):
-            def f(cell: Cell, reflect=reflect, quarter_turns=quarter_turns) -> Cell:
-                p = cell
-                if reflect:
-                    p = _reflect(p)
-                for _ in range(quarter_turns):
-                    p = _rot90(p)
-                return p
-            out.append(f)
-    return out
+    for m in ((1, 0, 0, 1), (0, 1, 1, 0)):
+        for _ in range(order):
+            out.append(m)
+            m = (a * m[0] + b * m[2], a * m[1] + b * m[3], c * m[0] + d * m[2], c * m[1] + d * m[3])
+    return tuple(out)
 
 
-def _triangle_transforms() -> list[Callable[[Cell], Cell]]:
-    out = []
-    for reflect in (False, True):
-        for sixth_turns in range(6):
-            def f(cell: Cell, reflect=reflect, sixth_turns=sixth_turns) -> Cell:
-                pts = []
-                for p in _triangle_corners(cell):
-                    if reflect:
-                        p = _reflect(p)
-                    for _ in range(sixth_turns):
-                        p = _rot60(p)
-                    pts.append(p)
-                return _cell_from_triangle_points(frozenset(pts))
-            out.append(f)
-    return out
+def _triangle_at(corners: list[Point]) -> Cell:
+    # Either way (x, y) is the least coordinate pair, and the six coordinates
+    # sum to 3(x + y) + 2 upward and to 3(x + y) + 4 downward.
+    x = min(p[0] for p in corners)
+    y = min(p[1] for p in corners)
+    return (x, y, (sum(map(sum, corners)) - 3 * (x + y)) // 2 - 1)
 
 
-_SQUARE_TRANSFORMS = _square_transforms()
-_TRIANGLE_TRANSFORMS = _triangle_transforms()
+LATTICES: dict[str, Lattice] = {
+    "square": Lattice(
+        seed=(0, 0),
+        neighbors={(): ((1, 0), (-1, 0), (0, 1), (0, -1))},
+        corners={(): ((0, 0), (1, 0), (1, 1), (0, 1))},
+        anchors=1,
+        cell_at=lambda points: points[0],
+        symmetries=_symmetries((0, -1, 1, 0), 4),  # quarter turn
+    ),
+    "triangular": Lattice(
+        seed=(0, 0, 0),
+        neighbors={(0,): ((0, 0, 1), (-1, 0, 1), (0, -1, 1)), (1,): ((0, 0, 0), (1, 0, 0), (0, 1, 0))},
+        corners={(0,): ((0, 0), (1, 0), (0, 1)), (1,): ((1, 0), (1, 1), (0, 1))},
+        anchors=3,
+        cell_at=_triangle_at,
+        # Sixth turn in skewed coordinates; the reflection mirrors in the e1 + e2 axis.
+        symmetries=_symmetries((0, -1, 1, 1), 6),
+    ),
+}
 
 
-def _normalize(cells: Iterable[Cell]) -> tuple[Cell, ...]:
-    cells = list(cells)
+def _lattice(name: str) -> Lattice:
+    try:
+        return LATTICES[name]
+    except KeyError:
+        raise ValueError(f"unknown lattice {name!r}; expected one of {list(LATTICES)}") from None
+
+
+def _normalize(cells: list[Cell]) -> tuple[Cell, ...]:
     minx = min(c[0] for c in cells)
     miny = min(c[1] for c in cells)
     return tuple(sorted((c[0] - minx, c[1] - miny) + tuple(c[2:]) for c in cells))
@@ -121,28 +102,26 @@ def _normalize(cells: Iterable[Cell]) -> tuple[Cell, ...]:
 
 def canonical_form(cells: Iterable[Cell], lattice: str) -> tuple[Cell, ...]:
     """Smallest normalized image of the shape under the lattice symmetries."""
-    transforms = _SQUARE_TRANSFORMS if lattice == SQUARE else _TRIANGLE_TRANSFORMS
-    cells = list(cells)
-    return min(_normalize([f(c) for c in cells]) for f in transforms)
+    lat = _lattice(lattice)
+    anchors = [lat.cell_corners(cell)[: lat.anchors] for cell in cells]
+    return min(
+        _normalize([lat.cell_at([(a * x + b * y, c * x + d * y) for x, y in pts]) for pts in anchors])
+        for a, b, c, d in lat.symmetries
+    )
 
 
 def enumerate_polyforms(n: int, lattice: str) -> list[tuple[Cell, ...]]:
     """All free edge-connected shapes of ``n`` cells, canonical and sorted."""
-    if lattice not in (SQUARE, TRIANGULAR):
-        raise ValueError(f"unknown lattice {lattice!r}")
+    lat = _lattice(lattice)
     if n < 1:
         raise ValueError("need at least one cell")
-    neighbors = _square_neighbors if lattice == SQUARE else _triangle_neighbors
-    seeds = [(0, 0)] if lattice == SQUARE else [(0, 0, 0)]
-    shapes = {canonical_form([s], lattice) for s in seeds}
+    shapes = {canonical_form([lat.seed], lattice)}
     for _ in range(n - 1):
         grown = set()
         for shape in shapes:
             cells = set(shape)
-            for cell in shape:
-                for nb in neighbors(cell):
-                    if nb not in cells:
-                        grown.add(canonical_form(cells | {nb}, lattice))
+            border = {nb for cell in shape for nb in lat.cell_neighbors(cell)} - cells
+            grown.update(canonical_form(cells | {nb}, lattice) for nb in border)
         shapes = grown
     return sorted(shapes)
 
@@ -154,25 +133,12 @@ def polyform_embedding(cells: Sequence[Cell], lattice: str) -> Embedding:
     sorted order (so edge indices are reproducible), and each face walk lists
     its cell's sides in cyclic orientation.
     """
-    corners_of = _square_corners if lattice == SQUARE else _triangle_corners
-    cells = sorted(cells)
-    segments: set[tuple[Point, Point]] = set()
-    walks: list[list[tuple[Point, Point]]] = []
-    for cell in cells:
-        pts = corners_of(cell)
-        if lattice == SQUARE:
-            (a, b, c, d) = pts  # (x,y), (x+1,y), (x,y+1), (x+1,y+1)
-            loop = [a, b, d, c]
-        else:
-            loop = pts if cell[2] == 0 else [pts[0], pts[2], pts[1]]
-        walk = []
-        for i, p in enumerate(loop):
-            q = loop[(i + 1) % len(loop)]
-            seg = (p, q) if p <= q else (q, p)
-            segments.add(seg)
-            walk.append(seg)
-        walks.append(walk)
-    edge_list = sorted(segments)
+    corners = _lattice(lattice).cell_corners
+    walks = []
+    for cell in sorted(cells):
+        loop = corners(cell)
+        walks.append([(p, q) if p <= q else (q, p) for p, q in zip(loop, loop[1:] + loop[:1])])
+    edge_list = sorted({seg for walk in walks for seg in walk})
     edge_index = {seg: k for k, seg in enumerate(edge_list)}
     vertices = sorted({p for seg in edge_list for p in seg})
     graph = Multigraph(vertices, edge_list)

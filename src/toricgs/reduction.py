@@ -41,6 +41,7 @@ from .graphs import (
     label_pair,
     local_complement,
     local_complement_sequence,
+    only_keys,
 )
 from .lc import DEFAULT_ORBIT_BUDGET, certify_nonlocal, lc_equivalent
 from .surface import Embedding, adjacency_relation, phi_graph, setup_from_dict
@@ -295,7 +296,7 @@ class ChainReport:
 
 
 def load_chain_spec(path) -> ChainSpec:
-    """Read a chain specification; bad data or an unknown system name raises ``ValueError``."""
+    """Read a chain specification; bad data, an unknown key or an unknown system name raises ``ValueError``."""
     base_dir = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -304,16 +305,20 @@ def load_chain_spec(path) -> ChainSpec:
         return array_at(data, key) if key in data else []
 
     try:
+        only_keys(data, ("systems", "base", "steps", "relabel"))
         systems = {}
         for name, entry in data["systems"].items():
             if "file" in entry:
+                only_keys(entry, ("file",))
                 with open(os.path.join(base_dir, entry["file"]), "r", encoding="utf-8") as fh:
                     systems[name] = setup_from_dict(json.load(fh))
             else:
                 systems[name] = setup_from_dict(entry)
         steps = []
         for s in listed("steps"):
+            only_keys(s, ("system", "a", "b", "reduced_a", "reduced_b", "leaf"))
             leaf = s["leaf"]
+            only_keys(leaf, ("vertices", "edges", "outer", "inner"))
             leaf_graph = SimpleGraph.from_edges(
                 integers(leaf["vertices"]), [integers(e) for e in array_at(leaf, "edges")]
             )
@@ -327,15 +332,17 @@ def load_chain_spec(path) -> ChainSpec:
                     leaf=LeafGraph(leaf_graph, integer(leaf["outer"]), integer(leaf["inner"])),
                 )
             )
-        relabelings = [
-            Relabeling(
-                system=r["system"],
-                source=r["source"],
-                edge_map=dict(map(integer, label_pair(pair, "an edge_map entry")) for pair in array_at(r, "edge_map")),
-                vertex_map=dict(label_pair(pair, "a vertex_map entry") for pair in array_at(r, "vertex_map")),
+        relabelings = []
+        for r in listed("relabel"):
+            only_keys(r, ("system", "source", "edge_map", "vertex_map"))
+            relabelings.append(
+                Relabeling(
+                    system=r["system"],
+                    source=r["source"],
+                    edge_map=dict(map(integer, label_pair(pair, "an edge_map entry")) for pair in array_at(r, "edge_map")),
+                    vertex_map=dict(label_pair(pair, "a vertex_map entry") for pair in array_at(r, "vertex_map")),
+                )
             )
-            for r in listed("relabel")
-        ]
         base = tuple(listed("base"))
         named = list(base)
         named += [n for s in steps for n in (s.system, s.reduced_a, s.reduced_b)]

@@ -588,6 +588,25 @@ def test_reduce_chain_list_not_an_array_is_an_error_report(capsys, tmp_path, fie
     assert error == f"{field} must be an array, got {{'s8': 1}}"
 
 
+@pytest.mark.parametrize(
+    "where, misspelt, expected",
+    [
+        (lambda spec: spec, "basis", "['base', 'relabel', 'steps', 'systems']"),  # read as absent, no base ran
+        (lambda spec: spec["systems"]["s0"], "files", "['file']"),
+        (lambda spec: spec["steps"][0], "reduced_c", "['a', 'b', 'leaf', 'reduced_a', 'reduced_b', 'system']"),
+        (lambda spec: spec["steps"][0]["leaf"], "outter", "['edges', 'inner', 'outer', 'vertices']"),
+        (lambda spec: spec["relabel"][0], "vertex_maps", "['edge_map', 'source', 'system', 'vertex_map']"),
+    ],
+    ids=["top", "system-file", "step", "leaf", "relabeling"],
+)
+def test_reduce_chain_unknown_key_is_an_error_report(capsys, tmp_path, where, misspelt, expected):
+    def edit(spec):
+        where(spec)[misspelt] = []
+
+    error = run_error(capsys, "reduce", "--chain", _broken_chain(tmp_path, edit))
+    assert error == f"unknown keys [{misspelt!r}]; expected only {expected}"
+
+
 def test_lc_orbit_beyond_64_vertices_is_an_error_report(capsys, tmp_path):
     graph = tmp_path / "path65.graph.json"
     graph.write_text(json.dumps({"vertices": list(range(65)), "edges": [[i, i + 1] for i in range(64)]}))

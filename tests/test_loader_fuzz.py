@@ -98,7 +98,9 @@ numbers = ints | integer_like | json_values
 number_pairs = st.lists(st.lists(ints | integer_like, min_size=2, max_size=2), max_size=4)
 system_entry = (
     st.just(SQUARE)
-    | st.fixed_dictionaries({"file": st.sampled_from(["square.json", "missing.json", ""])})
+    | st.fixed_dictionaries(
+        {"file": st.sampled_from(["square.json", "missing.json", ""])}, optional={"closed": st.booleans()}
+    )
     | setup_shaped
     | json_values
 )
@@ -118,7 +120,8 @@ step_shaped = st.fixed_dictionaries(
         "reduced_a": names | json_values,
         "reduced_b": names | json_values,
         "leaf": leaf_shaped | json_values,
-    }
+    },
+    optional={"reduced_c": names},  # a misspelt key
 )
 relabel_shaped = st.fixed_dictionaries(
     {
@@ -134,8 +137,14 @@ chain_shaped = st.fixed_dictionaries(
         "base": st.lists(names | json_values, max_size=2) | json_values,
         "steps": st.lists(step_shaped | json_values, max_size=2) | json_values,
         "relabel": st.lists(relabel_shaped | json_values, max_size=2) | json_values,
+        "basis": st.lists(names, max_size=2),  # a misspelt key
     },
 )
+
+
+STEP_KEYS = {"system", "a", "b", "reduced_a", "reduced_b", "leaf"}
+LEAF_KEYS = {"vertices", "edges", "outer", "inner"}
+RELABEL_KEYS = {"system", "source", "edge_map", "vertex_map"}
 
 
 def chain(step=None, leaf=None, relabel=None) -> dict:
@@ -172,6 +181,11 @@ def integers_read(data):
 @example(chain(relabel={"vertex_map": ["01", "ab"]}))  # strings, not pairs of labels
 @example(chain(relabel={"edge_map": [[0, 1, 2]]}))  # three integers, not a pair
 @example({"systems": {"s": SQUARE}, "base": {"s": 1}})  # an object, not an array of names
+@example(dict(chain(), basis=["s"]))  # a misspelt key is rejected, not read as absent
+@example({"systems": {"s": {"file": "square.json", "closed": False}}})  # a file entry holds the file alone
+@example(chain(step={"reduced_c": "t"}))
+@example(chain(leaf={"outter": 0}))
+@example(chain(relabel={"vertex_maps": [[0, 1]]}))
 def test_chain_loader_fails_closed(data):
     with input_file(data) as path:
         try:
@@ -180,6 +194,10 @@ def test_chain_loader_fails_closed(data):
             rejected = True
         else:
             rejected = False
+            assert set(data) <= {"systems", "base", "steps", "relabel"}
+            assert all(set(entry) == {"file"} for entry in data["systems"].values() if "file" in entry)
+            assert all(set(s) <= STEP_KEYS and set(s["leaf"]) <= LEAF_KEYS for s in data.get("steps", []))
+            assert all(set(r) <= RELABEL_KEYS for r in data.get("relabel", []))
             assert all(type(data.get(key, [])) is list for key in ("base", "steps", "relabel"))
             assert all(type(v) is int for v in integers_read(data))
             assert all(type(pair) is list and len(pair) == 2 for r in data.get("relabel", []) for pair in r["vertex_map"])

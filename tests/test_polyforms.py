@@ -1,5 +1,8 @@
 """Free polyomino / polyiamond enumeration and instance conversion."""
 
+import hashlib
+import json
+
 import pytest
 
 from toricgs.polyforms import (
@@ -73,10 +76,31 @@ def test_monomino_embedding_is_single_plaquette():
 
 
 def test_unknown_lattice_rejected():
-    with pytest.raises(ValueError):
-        enumerate_polyforms(2, "hexagonal")
+    # Every public function rejects a name outside the table; none falls
+    # through to another lattice's geometry.
+    for name in ("hexagonal", "Square", "triangle", ""):
+        for call in (
+            lambda: enumerate_polyforms(2, name),
+            lambda: canonical_form([(0, 0, 0)], name),
+            lambda: polyform_embedding([(0, 0, 0)], name),
+        ):
+            with pytest.raises(ValueError, match=f"unknown lattice {name!r}"):
+                call()
     with pytest.raises(ValueError):
         enumerate_polyforms(0, "square")
+
+
+def test_enumerations_and_embeddings_are_pinned():
+    # Every shape of 1-7 squares and 1-8 triangles, and its embedding; the
+    # CLI reports pin only shapes of up to 5 cells.
+    h = hashlib.sha256()
+    for lattice, most in (("square", 7), ("triangular", 8)):
+        for n in range(1, most + 1):
+            shapes = enumerate_polyforms(n, lattice)
+            h.update(json.dumps(shapes).encode())
+            for cells in shapes:
+                h.update(json.dumps(polyform_embedding(cells, lattice).to_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == "0be4fe9e127833ad54d1b4e9563a692a10a6c16f351074ee040e2c1b5d10f107"
 
 
 def test_shared_edges_appear_once():

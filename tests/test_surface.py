@@ -184,9 +184,7 @@ def test_loop_operator_algebra():
 def test_face_boundary_z_cycle_is_in_stabilizer_span():
     emb = square_torus(2)
     tab, _ = surface_stabilizer(emb)
-    rows = tab.bit_matrix()
-    from toricgs import gf2
-
+    rows = gf2.BitMatrix([g.symplectic_row() for g in tab.generators], 2 * emb.n_qubits)
     face_mask = 0
     for k in emb.faces[0]:
         face_mask ^= 1 << k
@@ -318,7 +316,7 @@ def _one_selection(emb, tree):
     if emb.closed:
         loops = [tree.path_mask(*emb.graph.endpoints(k)) | 1 << k for k in tree.deleted_edges]
     rows = star_masks(emb) + [msk << n for msk in face_masks(emb) + loops]
-    keep = gf2.independent_rows(gf2.BitMatrix(rows, 2 * n))
+    keep = gf2._echelon(rows)[1]
     tab = Tableau(n, [PauliString(n, rows[i] & ((1 << n) - 1), rows[i] >> n) for i in keep])
     return [(g.x, g.z, g.phase) for g in tab.generators]
 

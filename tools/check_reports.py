@@ -46,13 +46,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from toricgs import cli
 from toricgs.fixture_files import fixture_path
 from toricgs.graphs import SimpleGraph, graph_to_dict
-from toricgs.polyforms import enumerate_polyforms, polyform_embedding
+from toricgs.polyforms import LATTICES, enumerate_polyforms, polyform_embedding
 
 FIXTURES = Path(fixture_path("chain")).parent
 GRAPHS = sorted(FIXTURES.glob("*.graph.json"))
 SETUPS = sorted(p for p in FIXTURES.glob("*.json") if not p.name.endswith(".graph.json"))
 BUDGETS = {"torus_3x3.json": ["--budget", "100000"]}  # its class is far larger than any default run
-LATTICES = ("square", "triangular")
 
 
 def run(argv: list[str], written: Optional[Path] = None) -> str:
