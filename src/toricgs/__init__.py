@@ -41,15 +41,14 @@ from .pauli import (
     conjugate_hadamard,
     graph_stabilizer,
     graph_state_vector,
+    is_graph_stabilizer,
     is_stabilized,
-    span_equal,
 )
 from .polyforms import enumerate_polyforms, polyform_embedding, polyform_enumerate
 from .reduction import (
     Certificate,
     CertStore,
     LeafGraph,
-    StrictnessReport,
     classify,
     epsilon_swap,
     is_stricter,

@@ -136,18 +136,25 @@ def leaf_graph_pool(rng: np.random.Generator) -> list[LeafGraph]:
     for n, count in ((6, 24), (7, 8)):
         made = 0
         while made < count:
-            nbits = (n - 1) * (n - 2) // 2
-            key = int(rng.integers(0, 1 << nbits))
-            core = graph_from_key(key, list(range(n - 1)))
-            if not core.is_connected():
-                continue
-            inner = int(rng.integers(0, n - 1))
-            g = SimpleGraph.from_edges(
-                list(range(n)), core.edges() + [(inner, n - 1)]
-            )
-            pool.append(LeafGraph(g, n - 1, inner))
-            made += 1
+            leaf = _random_leaf_graph(rng, n)
+            if leaf is not None:
+                pool.append(leaf)
+                made += 1
     return pool
+
+
+def _random_leaf_graph(rng: np.random.Generator, n: int) -> Optional[LeafGraph]:
+    """A random connected core on 0..n-2 with leaf n-1 hung on a random inner vertex.
+
+    Draws the core's key, then (only if the core is connected) the inner
+    vertex; returns None for a disconnected core.
+    """
+    nbits = (n - 1) * (n - 2) // 2
+    core = graph_from_key(int(rng.integers(0, 1 << nbits)), list(range(n - 1)))
+    if not core.is_connected():
+        return None
+    inner = int(rng.integers(0, n - 1))
+    return LeafGraph(SimpleGraph.from_edges(list(range(n)), core.edges() + [(inner, n - 1)]), n - 1, inner)
 
 
 # -- criteria ---------------------------------------------------------------
@@ -424,16 +431,9 @@ def criterion_11_leaf_suites() -> CriterionResult:
     runs = 0
     while runs < 200:
         n = int(rng.integers(3, 9))
-        nbits = (n - 1) * (n - 2) // 2
-        core = graph_from_key(int(rng.integers(0, 1 << nbits)), list(range(n - 1)))
-        if not core.is_connected():
+        leaf = _random_leaf_graph(rng, n)
+        if leaf is None:
             continue
-        inner = int(rng.integers(0, n - 1))
-        leaf = LeafGraph(
-            SimpleGraph.from_edges(list(range(n)), core.edges() + [(inner, n - 1)]),
-            n - 1,
-            inner,
-        )
         seq = [int(v) for v in rng.integers(0, n - 1, size=int(rng.integers(0, 7)))]
         runs += 1
         if not leaf_delete_commute_check(leaf, seq):

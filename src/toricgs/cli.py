@@ -87,13 +87,6 @@ def _parse_tree(emb, tree_csv: Optional[str]) -> SpanningTree:
     return SpanningTree(emb.graph, frozenset(indices))
 
 
-def _locality_dot(graph: SimpleGraph, allowed: SimpleGraph) -> str:
-    def style(u, v) -> str:
-        return "" if allowed.has_edge(u, v) else "style=dashed"
-
-    return to_dot(graph, name="phi", edge_style=style)
-
-
 def _load_graph_file(path: str) -> SimpleGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return graph_from_dict(json.load(fh))
@@ -116,7 +109,7 @@ def cmd_phi(args) -> tuple[int, dict]:
         "graph": graph_to_dict(graph),
     }
     if args.format == "dot":
-        result["dot"] = _locality_dot(graph, adjacency_relation(emb))
+        result["dot"] = to_dot(graph, adjacency_relation(emb))
         _write_out(args.out, result["dot"])
     else:
         _write_out(args.out, json.dumps(result["graph"], indent=2, sort_keys=True))
@@ -192,7 +185,7 @@ def cmd_locality(args) -> tuple[int, dict]:
         "complementations": list(orbit.hit_path),
     }
     if args.format == "dot":
-        result["dot"] = _locality_dot(local, allowed)
+        result["dot"] = to_dot(local, allowed)
     return EXIT_OK, result
 
 

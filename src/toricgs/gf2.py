@@ -17,8 +17,8 @@ bits are also OR-ed into one mask, so a reduction visits only pivot bits.
 bit (see ``_reduce``): it takes the matrix as column words, reduces each
 column against the earlier independent ones and carries the combination of
 original columns it added, so a column that reduces to zero hands over its
-nullspace vector directly.  ``pauli.span_equal`` runs the same reduction
-with a phase carried by each row.
+nullspace vector directly.  The Theorem-1 check (``pauli.is_graph_stabilizer``)
+needs no reduction: a graph state's group has one element per X part.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from . import gf2
 
@@ -519,22 +519,16 @@ def graph_from_dict(data: dict) -> SimpleGraph:
         raise GraphError(f"malformed graph data: {exc}") from exc
 
 
-def to_dot(
-    g: SimpleGraph,
-    name: str = "G",
-    edge_style: Optional[Callable[[Label, Label], str]] = None,
-) -> str:
-    """Render a simple graph as Graphviz DOT with deterministic ordering.
+def to_dot(g: SimpleGraph, allowed: SimpleGraph) -> str:
+    """Render a graph-state graph as Graphviz DOT named ``phi``, in deterministic order.
 
-    ``edge_style`` may return an attribute string (e.g. ``"style=dashed"``)
-    for an edge, or an empty string for the default style.
+    Edges that ``allowed`` lacks (joining qubits that are not vicinal) are dashed.
     """
-    lines = [f"graph {name} {{"]
+    lines = ["graph phi {"]
     for lab in g.labels:
         lines.append(f'  "{lab}";')
     for u, v in g.edges():
-        attr = edge_style(u, v) if edge_style else ""
-        suffix = f" [{attr}]" if attr else ""
+        suffix = "" if allowed.has_edge(u, v) else " [style=dashed]"
         lines.append(f'  "{u}" -- "{v}"{suffix};')
     lines.append("}")
     return "\n".join(lines) + "\n"

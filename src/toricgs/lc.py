@@ -549,15 +549,13 @@ def _witness_from_packed(n: int, w: int) -> LcWitness:
     return LcWitness(n, w & mask, (w >> n) & mask, (w >> 2 * n) & mask, (w >> 3 * n) & mask)
 
 
-def lc_equivalent(
-    g: SimpleGraph, h: SimpleGraph, max_free: int = DEFAULT_WITNESS_BUDGET
-) -> Optional[LcWitness]:
+def lc_equivalent(g: SimpleGraph, h: SimpleGraph) -> Optional[LcWitness]:
     """Decide LC-equivalence of two labeled graphs via the diagonal system.
 
     Returns the first witness in deterministic order, or ``None`` when no
     solution of the linear system satisfies the determinant condition.
-    Raises :class:`WitnessBudgetError` when the affine solution space is too
-    large to scan (never guesses).
+    Raises :class:`WitnessBudgetError` when the affine solution space has
+    more than ``DEFAULT_WITNESS_BUDGET`` free dimensions (never guesses).
     """
     _require_same_labels(g, h)
     n = g.n
@@ -569,8 +567,8 @@ def lc_equivalent(
 
     basis = gf2.nullspace(_diagonal_system_columns(g, h))
     k = len(basis)
-    if k > max_free:
-        raise WitnessBudgetError(k, max_free)
+    if k > DEFAULT_WITNESS_BUDGET:
+        raise WitnessBudgetError(k, DEFAULT_WITNESS_BUDGET)
 
     # Gray-code walk: candidate i and i+1 differ by exactly one basis vector.
     cand = 0

@@ -201,49 +201,32 @@ def conjugate_by_pauli(t: Tableau, p: PauliString) -> Tableau:
     return Tableau._derived(t.n_qubits, gens)
 
 
-def span_equal(t1: Tableau, t2: Tableau) -> bool:
-    """True iff the two tableaux generate the same signed stabilizer group.
+def is_graph_stabilizer(t: Tableau, g: SimpleGraph) -> bool:
+    """True iff ``t`` generates the stabilizer group of the graph state of ``g``.
 
-    A tableau's generators are Hermitian, commuting and independent (checked
-    where they enter, kept by every derivation), so its group has 2^rank
-    elements and does not contain -I.  Equal ranks plus every generator of
-    ``t1`` lying in the group of ``t2`` with its sign therefore means equal
-    groups.  ``t2``'s symplectic rows are brought to echelon form once, and
-    each generator of ``t1`` is reduced against it; every row operation is a
-    signed Pauli product (the "rowsum" of stabilizer tableaux), so a
-    generator lies in the group iff it reduces to +I.  A graph stabilizer is
-    already in echelon form, each row's pivot being its own X bit, so there
-    a generator costs one row operation per X bit.
+    That group has one element per X part x, the product of K_v = X_v Z_{N(v)}
+    over v in x (Hein, Eisert and Briegel, PRA 69, 062311 (2004)).  So each
+    generator must equal the product over its own X bits in ascending order,
+    built by the rule of ``PauliString.__mul__``: a step times K_v adds 2 to
+    the phase when bit v of the running Z part is set.  A tableau's
+    generators are independent and commute (checked where they entered, kept
+    by every derivation), so ``g.n`` of them in the group generate all of it.
     """
-    if t1.n_qubits != t2.n_qubits:
+    if t.n_qubits != g.n:
         raise ValueError("qubit counts differ")
-    if t1.rank != t2.rank:
+    if t.rank != g.n:
         return False
-    n = t1.n_qubits
-    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, phase) of a group element
-    pivots = 0
-    for g in t2.generators:  # independent, so none reduces to the identity
-        row, phase = _reduce_signed(g.symplectic_row(), g.phase, basis, pivots, n)
-        low = row & -row
-        basis[low] = (row, phase)
-        pivots |= low
-    return all(_reduce_signed(g.symplectic_row(), g.phase, basis, pivots, n) == (0, 0) for g in t1.generators)
-
-
-def _reduce_signed(row: int, phase: int, basis: dict, pivots: int, n: int) -> tuple[int, int]:
-    """Multiply the Pauli (``row``, ``phase``) on the right by basis rows until no pivot is set.
-
-    As in ``gf2._reduce``, each step clears the lowest bit of ``row & pivots``
-    (a basis row sets no bit below its pivot); the phase of each product is
-    ``phase + p' + 2 |z & x'|``.
-    """
-    hit = row & pivots
-    while hit:
-        r, p = basis[hit & -hit]
-        phase += p + 2 * ((row >> n) & r).bit_count()
-        row ^= r
-        hit = row & pivots
-    return row, phase & 3
+    rows = g.rows
+    for p in t.generators:
+        x, z, phase = p.x, 0, 0
+        while x:
+            v = (x & -x).bit_length() - 1
+            phase += 2 * ((z >> v) & 1)
+            z ^= rows[v]
+            x &= x - 1
+        if z != p.z or phase & 3 != p.phase:
+            return False
+    return True
 
 
 class StateVector:

@@ -113,24 +113,17 @@ def leaf_delete_commute_check(leaf: LeafGraph, seq: Sequence) -> bool:
     return after == before
 
 
-@dataclass(frozen=True)
-class StrictnessReport:
-    holds: bool
-    violating_edges: tuple[tuple, ...]
+def is_stricter(rel1: SimpleGraph, rel2: SimpleGraph, sub_qubits: Iterable) -> tuple[tuple, ...]:
+    """The edges of vicinity graph rel1 within ``sub_qubits`` that rel2 lacks.
 
-
-def is_stricter(rel1: SimpleGraph, rel2: SimpleGraph, sub_qubits: Iterable) -> StrictnessReport:
-    """Check that vicinity graph rel1, restricted to ``sub_qubits``, is contained in rel2."""
+    An empty tuple means rel1, restricted to ``sub_qubits``, is contained in rel2.
+    """
     sub = set(sub_qubits)
     if not sub <= set(rel1.labels):
         raise GraphError("sub_qubits must be qubits of the first relation")
     if set(rel2.labels) != sub:
         raise GraphError("the second relation must live exactly on sub_qubits")
-    violations = []
-    for u, v in rel1.edges():
-        if u in sub and v in sub and not rel2.has_edge(u, v):
-            violations.append((u, v))
-    return StrictnessReport(not violations, tuple(violations))
+    return tuple((u, v) for u, v in rel1.edges() if u in sub and v in sub and not rel2.has_edge(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +231,9 @@ def verify_reduction_step(
     reduced = {"reduced_a": reduced_a, "reduced_b": reduced_b}
     rel_big = adjacency_relation(big)
     for name, emb in reduced.items():
-        strict = is_stricter(rel_big, adjacency_relation(emb), emb.qubit_ids)
-        if not strict.holds:
-            failures.append(f"strictness violated towards {name}: {strict.violating_edges}")
+        violations = is_stricter(rel_big, adjacency_relation(emb), emb.qubit_ids)
+        if violations:
+            failures.append(f"strictness violated towards {name}: {violations}")
 
     if lc_equivalent(phi_graph(big), leaf.graph) is None:
         failures.append("leaf graph is not LC-equivalent to the big system")

@@ -32,7 +32,7 @@ from .graphs import (
     only_keys,
     phi,
 )
-from .pauli import PauliString, Tableau, conjugate_hadamard, graph_stabilizer, span_equal
+from .pauli import PauliString, Tableau, conjugate_hadamard, is_graph_stabilizer
 
 
 class EmbeddingError(ValueError):
@@ -359,7 +359,11 @@ def sector_tableau(e: Embedding, tree: Optional[SpanningTree] = None) -> Tableau
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Outcome of the geometric surface-code-to-graph-state transformation."""
+    """Outcome of the geometric surface-code-to-graph-state transformation.
+
+    ``verified`` is True iff ``rotated_tableau`` generates the stabilizer
+    group of the graph state of ``graph``, signs included.
+    """
 
     hadamard_qubits: frozenset[int]
     graph: SimpleGraph
@@ -370,9 +374,10 @@ class TransformResult:
 def transform_to_graph_state(e: Embedding, tree: Optional[SpanningTree] = None) -> TransformResult:
     """Rotate the instance into a graph state along a spanning tree.
 
-    Hadamards act on the qubits of non-tree edges; the resulting stabilizer
-    is compared (bit part and signs) against the graph stabilizer of
-    ``phi(graph, tree)``.  ``verified`` reports that comparison.
+    Hadamards act on the qubits of non-tree edges.  ``verified`` reports
+    whether each rotated generator, sign included, is the product of the
+    graph-state generators of ``phi(graph, tree)`` over its own X bits
+    (``pauli.is_graph_stabilizer``).
     """
     if tree is None:
         tree = first_spanning_tree(e.graph)
@@ -382,7 +387,7 @@ def transform_to_graph_state(e: Embedding, tree: Optional[SpanningTree] = None) 
     return TransformResult(
         hadamard_qubits=frozenset(e.qubit_ids[k] for k in deleted),
         graph=graph,
-        verified=span_equal(rotated, graph_stabilizer(graph)),
+        verified=is_graph_stabilizer(rotated, graph),
         rotated_tableau=rotated,
     )
 

@@ -484,15 +484,16 @@ def test_contract_parallel_edge_rejected():
 
 def test_dot_output_is_deterministic():
     g = SimpleGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
-    dot = to_dot(g)
-    assert dot == to_dot(g)
-    assert '"0" -- "1";' in dot and dot.startswith("graph G {")
+    dot = to_dot(g, g)
+    assert dot == to_dot(g, g)
+    assert dot == 'graph phi {\n  "0";\n  "1";\n  "2";\n  "0" -- "1";\n  "1" -- "2";\n}\n'
 
 
 def test_dot_edge_styles():
-    g = SimpleGraph.from_edges([0, 1], [(0, 1)])
-    dot = to_dot(g, edge_style=lambda u, v: "style=dashed")
+    g = SimpleGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
+    dot = to_dot(g, SimpleGraph.from_edges([0, 1, 2], [(1, 2)]))
     assert '"0" -- "1" [style=dashed];' in dot
+    assert '"1" -- "2";' in dot
 
 
 def test_single_vertex_host_is_valid():

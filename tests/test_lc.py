@@ -8,6 +8,7 @@ import pytest
 from toricgs import lc
 from toricgs.graphs import SimpleGraph, local_complement
 from toricgs.lc import (
+    DEFAULT_WITNESS_BUDGET,
     OrbitBudgetError,
     WitnessBudgetError,
     canonical_key,
@@ -374,13 +375,14 @@ def test_mismatched_labels_rejected():
 
 
 def test_witness_budget():
-    g = SimpleGraph.empty(list(range(8)))
-    h = SimpleGraph.empty(list(range(8)))
-    h2 = SimpleGraph.from_edges(range(8), [(0, 1)])
+    g = SimpleGraph.empty(list(range(13)))
+    h = SimpleGraph.empty(list(range(13)))
+    h2 = SimpleGraph.from_edges(range(13), [(0, 1)])
     # identical graphs shortcut, no budget involved
     assert lc_equivalent(g, h) is not None
-    with pytest.raises(WitnessBudgetError):
-        lc_equivalent(g, h2, max_free=2)
+    with pytest.raises(WitnessBudgetError) as exc:
+        lc_equivalent(g, h2)
+    assert (exc.value.free_dim, exc.value.budget) == (37, DEFAULT_WITNESS_BUDGET)
 
 
 # -- locality search ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Pauli strings, tableaux, span comparison and the dense oracle."""
+"""Pauli strings, tableaux, the graph-state span check and the dense oracle."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from toricgs.pauli import (
     conjugate_hadamard,
     graph_stabilizer,
     graph_state_vector,
+    is_graph_stabilizer,
     is_stabilized,
-    span_equal,
 )
 from tests.test_graphs import random_simple_graph
 
@@ -179,48 +179,64 @@ def test_conjugate_by_pauli_checks_qubit_count():
         conjugate_by_pauli(t, PauliString.from_label("ZZ"))
 
 
-# -- span comparison ----------------------------------------------------------
+# -- span comparison with a graph state's group --------------------------------
+# ``is_graph_stabilizer(t, g)``: does ``t`` span the signed group of g's graph state?
+
+EDGE = SimpleGraph.from_edges([0, 1], [(0, 1)])  # K_0 = +XZ, K_1 = +ZX
 
 
 def test_span_equal_reordering():
     gens = [PauliString.from_label("XZ"), PauliString.from_label("ZX")]
-    assert span_equal(Tableau(2, gens), Tableau(2, gens[::-1]))
+    assert is_graph_stabilizer(Tableau(2, gens), EDGE)
+    assert is_graph_stabilizer(Tableau(2, gens[::-1]), EDGE)
 
 
 def test_span_equal_product_generator():
-    t1 = Tableau(2, [PauliString.from_label("ZI"), PauliString.from_label("IZ")])
-    t2 = Tableau(2, [PauliString.from_label("ZZ"), PauliString.from_label("IZ")])
-    assert span_equal(t1, t2)
+    # XZ * ZX = +YY, the group's only element with X part 11
+    t = Tableau(2, [PauliString.from_label("YY"), PauliString.from_label("ZX")])
+    assert is_graph_stabilizer(t, EDGE)
+    edgeless = SimpleGraph.empty([0, 1])
+    t = Tableau(2, [PauliString.from_label("XX"), PauliString.from_label("IX")])
+    assert is_graph_stabilizer(t, edgeless)
+    assert not is_graph_stabilizer(t, EDGE)
 
 
 def test_span_equal_sign_mismatch():
-    t1 = Tableau(1, [PauliString.from_label("Z")])
-    t2 = Tableau(1, [PauliString.from_label("Z", sign=-1)])
-    assert not span_equal(t1, t2)
+    single = SimpleGraph.empty([0])
+    assert is_graph_stabilizer(Tableau(1, [PauliString.from_label("X")]), single)
+    assert not is_graph_stabilizer(Tableau(1, [PauliString.from_label("X", sign=-1)]), single)
+    t = Tableau(2, [PauliString.from_label("XZ"), PauliString.from_label("ZX", sign=-1)])
+    assert not is_graph_stabilizer(t, EDGE)
 
 
 def test_span_equal_detects_sign_in_products():
-    # Same bit rows, but one generator product differs by -1.
-    t1 = Tableau(2, [PauliString.from_label("XZ"), PauliString.from_label("ZX")])
-    t2 = Tableau(
-        2, [PauliString.from_label("XZ", sign=-1), PauliString.from_label("ZX")]
-    )
-    assert not span_equal(t1, t2)
-    assert span_equal(t1, t1)
+    # Same bit rows as the graph group's generators, but their product has the wrong sign.
+    t = Tableau(2, [PauliString.from_label("YY", sign=-1), PauliString.from_label("ZX")])
+    assert not is_graph_stabilizer(t, EDGE)
+
+
+def test_graph_stabilizer_check_needs_full_rank_and_equal_qubit_counts():
+    assert not is_graph_stabilizer(Tableau(2, [PauliString.from_label("XZ")]), EDGE)
+    assert not is_graph_stabilizer(Tableau(2, []), EDGE)
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        is_graph_stabilizer(Tableau(1, [PauliString.from_label("X")]), EDGE)
 
 
 def test_conjugate_hadamard_preserves_span_verdicts():
     rng = np.random.default_rng(31)
+    verdicts = {True: 0, False: 0}
     for _ in range(60):
         g1 = random_simple_graph(rng, 4)
         g2 = random_simple_graph(rng, 4)
         t1, t2 = graph_stabilizer(g1), graph_stabilizer(g2)
         mask_qubits = [q for q in range(4) if rng.integers(0, 2)]
-        before = span_equal(t1, t2)
-        after = span_equal(
-            conjugate_hadamard(t1, mask_qubits), conjugate_hadamard(t2, mask_qubits)
+        before = _signed_group(t1) == _signed_group(t2)
+        after = _signed_group(conjugate_hadamard(t1, mask_qubits)) == _signed_group(
+            conjugate_hadamard(t2, mask_qubits)
         )
         assert before == after
+        verdicts[before] += 1
+    assert min(verdicts.values()) > 0
 
 
 def _signed_group(t: Tableau) -> set:
@@ -243,12 +259,12 @@ def test_span_equal_matches_brute_force_groups():
     verdicts = {True: 0, False: 0}
     for _ in range(600):
         n = int(rng.integers(1, 6))
-        t1 = _random_signed_tableau(rng, n)
+        g = random_simple_graph(rng, n)
         mode = int(rng.integers(0, 4))
-        if mode == 2:  # another graph, usually another group of the same size
+        if mode == 2:  # another tableau, usually of another group of the same size
             gens = list(_random_signed_tableau(rng, n).generators)
-        else:  # a random basis change of the same group
-            gens = list(t1.generators)
+        else:  # a random basis change of the graph state's group
+            gens = list(graph_stabilizer(g).generators)
             for _ in range(3 * n):
                 i, j = (int(v) for v in rng.integers(0, n, size=2))
                 if i != j:
@@ -259,10 +275,9 @@ def test_span_equal_matches_brute_force_groups():
             gens[k] = PauliString(n, gens[k].x, gens[k].z, gens[k].phase + 2)
         if mode == 3:  # a proper subgroup
             gens = gens[: int(rng.integers(0, n))]
-        t2 = Tableau(n, gens)
-        same = _signed_group(t1) == _signed_group(t2)
-        assert span_equal(t1, t2) == same
-        assert span_equal(t2, t1) == same
+        t = Tableau(n, gens)
+        same = _signed_group(t) == _signed_group(graph_stabilizer(g))
+        assert is_graph_stabilizer(t, g) == same
         verdicts[same] += 1
     assert min(verdicts.values()) > 100
 
