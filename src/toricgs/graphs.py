@@ -176,6 +176,8 @@ class SimpleGraph:
 
     def is_subgraph_of(self, other: "SimpleGraph") -> bool:
         """True iff every edge of ``self`` is an edge of ``other`` (same labels)."""
+        if self.labels == other.labels:  # same vertex order: compare rows
+            return not any(r & ~a for r, a in zip(self.rows, other.rows))
         if set(self.labels) != set(other.labels):
             raise GraphError("vertex sets differ")
         for u, v in self.edges():

@@ -13,16 +13,24 @@ itself when it fits one word, and every fingerprint match is confirmed on
 the full words.  Whole generations are processed in fixed-size chunks of the
 frontier, and each member's parent and complemented vertex are recorded, so
 complementation paths come from the same run.  An orbit keeps its keys as
-words and converts them to integers when its members are first read.
-Adjacency rows are single words, so orbits are limited to 64 vertices; a
-larger graph raises ``ValueError``.  A locality search,
-:func:`certify_nonlocal`, is the same closure with the allowed-edge mask as
-its stop test: it tests each chunk's children before deduplicating them and
-stops at the first local one, so a stopped orbit's members are the keys
-found before the hit.  It returns the orbit alone, whose ``complete`` flag
+words, one array per generation, and converts them to integers when its
+members are first read.  Adjacency rows are single words, so orbits are
+limited to 64 vertices; a larger graph raises ``ValueError``.  A locality
+search, :func:`certify_nonlocal`, is the same closure with the allowed-edge
+mask as its stop test: it tests each chunk's children before deduplicating
+them and stops at the first local one, so a stopped orbit's members are the
+keys found before the hit.  It returns the orbit alone, whose ``complete`` flag
 is the verdict, and it replays every local hit it finds from the seed graph
 with the pure-Python complementation of :mod:`toricgs.graphs` before
 returning it.
+
+Two facts about local complementation (LC) cut the work of a closure.  LC_v
+is an involution: it keeps N(v), so applying it twice toggles each pair in
+N(v) twice.  A child of generation d therefore lies in generation d - 1, d
+or d + 1, and is looked up only there.  LC_u and LC_v commute when u and v
+are distinct and not adjacent: neither changes the other's neighbourhood.
+So the children of a member that cannot be new are not built (see
+:func:`_orbit_vector` for both proofs).
 
 The pairwise equivalence test is algebraic: two adjacency matrices are
 LC-equivalent iff diagonal matrices A, B, C, D over GF(2) exist with
@@ -103,9 +111,11 @@ def _unpack_key(key: int, n: int) -> list[int]:
         width = n - 1 - i
         chunk = (key >> shift) & ((1 << width) - 1)
         rows[i] |= chunk << (i + 1)
-        for dj in range(width):
-            if (chunk >> dj) & 1:
-                rows[i + 1 + dj] |= 1 << i
+        bit = 1 << i
+        while chunk:  # only the set bits: the row's neighbours above i
+            low = chunk & -chunk
+            rows[i + low.bit_length()] |= bit
+            chunk ^= low
         shift += width
     return rows
 
@@ -202,6 +212,7 @@ class _Plan:
     dtype: np.dtype  # narrowest unsigned type that holds one adjacency row
     vertices: np.ndarray  # 0 .. n - 1 in ``dtype``
     bits: np.ndarray  # 1 << vertex in ``dtype``
+    after: np.ndarray  # per vertex v, the bits of the vertices above v, in ``dtype``
     places: tuple  # per row segment: (word, left shift, spill) with spill (word, right shift) or None
     table: Optional[np.ndarray] = None  # flip words of every neighbourhood, for small n
 
@@ -217,7 +228,8 @@ def _plan(n: int) -> _Plan:
         start += width
     dtype = np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= n))
     vertices = np.arange(n, dtype=dtype)
-    plan = _Plan(n, nwords, dtype, vertices, np.left_shift(1, vertices, dtype=dtype), tuple(places))
+    after = np.array([(1 << n) - (2 << v) for v in range(n)], dtype=dtype)
+    plan = _Plan(n, nwords, dtype, vertices, np.left_shift(1, vertices, dtype=dtype), after, tuple(places))
     if n <= _TABLE_MAX_N:
         table = np.empty((nwords, 1 << n), dtype=np.uint64)
         for start in range(0, 1 << n, _TABLE_BLOCK):
@@ -245,19 +257,39 @@ def _flips(nbr: np.ndarray, plan: _Plan) -> np.ndarray:
     return flips
 
 
-def _children(words: np.ndarray, rows: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Keys of the n complementations of each member, in (member, vertex) order."""
-    nbr = rows.ravel()
+def _children(words: np.ndarray, rows: np.ndarray, keep: np.ndarray, plan: _Plan) -> tuple:
+    """Keys of the complementations that can give a new key, and each one's ``member * n + vertex``.
+
+    Member m is complemented at the vertices in ``keep[m]`` that have two
+    neighbours or more, in (member, vertex) order.
+    """
+    live = np.logical_and(keep[:, None] & plan.bits, rows & (rows - 1))
+    at = live.ravel().nonzero()[0]
+    nbr = rows.ravel()[at]
     children = plan.table.take(nbr, axis=1) if plan.table is not None else _flips(nbr, plan)
-    children ^= words.repeat(plan.n, axis=1)
-    return children
+    children ^= words.take(at // plan.n, axis=1)
+    return children, at
 
 
-def _complemented_rows(rows: np.ndarray, origins: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Adjacency rows after complementing member ``origin // n`` of ``rows`` at ``origin % n``."""
-    parent, vertex = np.divmod(origins, plan.n)
-    nbr = rows[parent, vertex][:, None]
-    return rows[parent] ^ (nbr ^ plan.bits) * (nbr >> plan.vertices & 1)
+def _complemented_rows(rows: np.ndarray, origins: np.ndarray, plan: _Plan) -> tuple:
+    """Rows after complementing member ``origin // n`` of ``rows`` at ``v = origin % n``, and their keep masks.
+
+    A member's keep mask holds the vertices above v and the neighbours of v:
+    the complementations of the member that can give a new key, before the
+    degree test of :func:`_children`.  Origins are taken ``_CHUNK`` at a
+    time and written into the results, so no temporary holds a generation.
+    """
+    complemented = np.empty((len(origins), plan.n), dtype=plan.dtype)
+    keep = np.empty(len(origins), dtype=plan.dtype)
+    for start in range(0, len(origins), _CHUNK):
+        chunk = origins[start : start + _CHUNK]
+        parent, vertex = np.divmod(chunk, plan.n)
+        nbr = rows.ravel()[chunk]
+        column = nbr[:, None]
+        flips = (column ^ plan.bits) * (column >> plan.vertices & 1)
+        np.bitwise_xor(rows[parent], flips, out=complemented[start : start + _CHUNK])
+        np.bitwise_or(plan.after[vertex], nbr, out=keep[start : start + _CHUNK])
+    return complemented, keep
 
 
 def _fingerprint(words: np.ndarray) -> np.ndarray:
@@ -303,54 +335,66 @@ def _distinct(fp: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(order, starts.nonzero()[0]) if len(fp) else order
 
 
-class _KeySet:
-    """Keys as sorted runs of fingerprints with their words, merged like a binary counter.
+def _in_run(run_fp: np.ndarray, run_words: np.ndarray, fp: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Which keys are in a non-empty run sorted by fingerprint: one search, every match confirmed on the words."""
+    at = run_fp.searchsorted(fp)
+    np.minimum(at, len(run_fp) - 1, out=at)
+    found = run_fp[at] == fp
+    pending = found & _differ(run_words.take(at, axis=1), words)
+    found ^= pending
+    pending, step = pending.nonzero()[0], 1
+    while len(pending):  # fingerprint shared with another key: walk on through its run
+        at_next = at[pending] + step
+        pending, at_next = pending[at_next < len(run_fp)], at_next[at_next < len(run_fp)]
+        same_fp = run_fp[at_next] == fp[pending]
+        pending, at_next = pending[same_fp], at_next[same_fp]
+        differ = _differ(run_words.take(at_next, axis=1), words.take(pending, axis=1))
+        found[pending[~differ]] = True
+        pending, step = pending[differ], step + 1
+    return found
 
-    Runs are kept in decreasing size, so a set of G keys has at most
-    log2(G) + 1 runs and each key is merged O(log G) times.
+
+class _KeySet:
+    """The keys found so far for the next generation, as sorted runs merged like a binary counter.
+
+    Each run holds fingerprints in ascending order with their key words.
+    Runs are kept in decreasing size, so a generation of G keys has at most
+    log2(G) + 1 runs and each of its keys is merged O(log G) times.  No set
+    ever holds more than one generation.  That is enough because LC_u is an
+    involution (it keeps N(u), so it toggles the same pairs twice): if a
+    child K = LC_u M of a member M of generation d lay in generation e, then
+    M = LC_u K would put d at most e + 1.  So K lies in generation d - 1, d
+    or d + 1, and the generations before d - 1 need no lookup.
     """
 
-    def __init__(self, fp: np.ndarray, words: np.ndarray):
-        self.runs = [(fp, words)]
-        self.size = len(fp)
+    def __init__(self):
+        self.runs = []
 
     def add(self, fp: np.ndarray, words: np.ndarray) -> None:
         """Add keys not yet in the set, given in ascending fingerprint order."""
         if len(fp) == 0:
             return
-        self.size += len(fp)
         while self.runs and len(self.runs[-1][0]) <= len(fp):
-            fp, words = _merge(*self.runs.pop(), fp, words)
+            fp, words, _ = _merge(*self.runs.pop(), fp, words)
         self.runs.append((fp, words))
 
-    def contains(self, fp: np.ndarray, words: np.ndarray) -> np.ndarray:
-        found = np.zeros(len(fp), dtype=bool)
-        for run_fp, run_words in self.runs:
-            at = run_fp.searchsorted(fp)
-            np.minimum(at, len(run_fp) - 1, out=at)
-            match = (run_fp[at] == fp).nonzero()[0]
-            differ = _differ(run_words.take(at[match], axis=1), words.take(match, axis=1))
-            found[match[~differ]] = True
-            pending, step = match[differ], 1
-            while len(pending):  # fingerprint shared with another key: walk on through its run
-                at_next = at[pending] + step
-                pending, at_next = pending[at_next < len(run_fp)], at_next[at_next < len(run_fp)]
-                same_fp = run_fp[at_next] == fp[pending]
-                pending, at_next = pending[same_fp], at_next[same_fp]
-                differ = _differ(run_words.take(at_next, axis=1), words.take(pending, axis=1))
-                found[pending[~differ]] = True
-                pending, step = pending[differ], step + 1
-        return found
-
-    def words(self) -> np.ndarray:
-        return np.concatenate([w for _, w in self.runs], axis=1)
+    def run(self) -> tuple:
+        """All the keys, at least one, as one run; the set is left empty."""
+        fp, words = self.runs.pop()
+        while self.runs:
+            fp, words, _ = _merge(*self.runs.pop(), fp, words)
+        return fp, words
 
 
 def _merge(fp: np.ndarray, words: np.ndarray, new_fp: np.ndarray, new_words: np.ndarray) -> tuple:
-    """Merge two runs sorted by fingerprint by scattering each into its merged positions."""
+    """Merge two runs sorted by fingerprint by scattering each into its merged positions.
+
+    Returns the merged run and which of its keys came from the first run.
+    """
     at = fp.searchsorted(new_fp, side="right") + np.arange(len(new_fp))
-    old = np.ones(len(fp) + len(new_fp), dtype=bool)
-    old[at] = False
+    new = np.zeros(len(fp) + len(new_fp), dtype=bool)
+    new[at] = True
+    old = ~new
     merged_fp = np.empty(len(old), dtype=fp.dtype)
     merged_fp[at] = new_fp
     merged_fp[old] = fp
@@ -358,7 +402,7 @@ def _merge(fp: np.ndarray, words: np.ndarray, new_fp: np.ndarray, new_words: np.
     for merged, w, new_w in zip(merged_words, words, new_words):
         merged[at] = new_w
         merged[old] = w
-    return merged_fp, merged_words
+    return merged_fp, merged_words, old
 
 
 def _key_ints(words: np.ndarray) -> list[int]:
@@ -378,10 +422,13 @@ def _key_words(key: int, nwords: int) -> np.ndarray:
 
 
 def _first_inside(words: np.ndarray, outside: Optional[np.ndarray]) -> Optional[int]:
-    """Position of the first key with no bit in ``outside``, if any."""
+    """Position of the first key with no bit in ``outside`` (one mask word per key word), if any."""
     if outside is None:
         return None
-    hits = (~(words & outside).any(axis=0)).nonzero()[0]
+    inside = words[0] & outside[0] == 0
+    for w, o in zip(words[1:], outside[1:]):
+        inside &= w & o == 0
+    hits = inside.nonzero()[0]
     return int(hits[0]) if len(hits) else None
 
 
@@ -407,6 +454,36 @@ def _orbit_vector(
     members, and the budget is checked after each chunk against the distinct
     keys found so far.
 
+    Lookups touch only the neighbouring generations.  LC_u keeps N(u), so
+    applying it twice toggles the same pairs twice: it is an involution.  If
+    a child K = LC_u M of a member M of generation d lay in generation e,
+    then M = LC_u K would give d <= e + 1, and breadth-first order gives
+    e <= d + 1.  So a chunk's distinct children are looked up in one run
+    sorted by fingerprint that holds generations d - 1 and d, merged once
+    per generation, and in a :class:`_KeySet` of the keys found so far for
+    d + 1.  Older generations keep only their key words, one array each.
+
+    Children that cannot be new are not built.  Let member M come from its
+    parent P by complementing at v, so N(v) is the same in P and M.  LC_u
+    and LC_v commute when u != v and u is not in N(v): then v is not in
+    N(u) either, neither complementation changes the other's neighbourhood,
+    and each toggles the pairs inside its own.  Three kinds of child follow:
+
+    * u = v gives LC_v M = P back;
+    * u of degree at most one toggles no pair, so LC_u M = M;
+    * u < v outside N(v) gives LC_v(LC_u P).  Q = LC_u P is reached by
+      the path (path of P, u), which precedes M's path (path of P, v).  So
+      either Q lies in an earlier generation, and LC_v Q in generation d or
+      before, or Q precedes M in generation d, and its child LC_v Q
+      precedes M's child LC_u M in path order.
+
+    None of these is the first occurrence in path order of a key of
+    generation d + 1, nor the first local child: P and M were tested when
+    they were found.  So the skips change no member, generation, origin,
+    path, hit or per-chunk budget count.  Each member's keep mask, the
+    vertices above v and the neighbours of v, comes with its rows; the seed
+    keeps every vertex.
+
     With ``local_mask``, each chunk's children are tested before they are
     deduplicated, and the search stops at the first child with no edge
     outside the mask.  That child is the first local member in path order,
@@ -420,59 +497,74 @@ def _orbit_vector(
     plan = _plan(n)
     outside = None
     if local_mask is not None:
-        outside = _key_words(((1 << (n * (n - 1) // 2)) - 1) & ~local_mask, plan.nwords)
+        outside = _key_words(((1 << (n * (n - 1) // 2)) - 1) & ~local_mask, plan.nwords).ravel()
 
     seed_key = _pack_rows(g.rows, n)
     frontier = _key_words(seed_key, plan.nwords)
-    frontier_rows = np.array([g.rows], dtype=plan.dtype)
-    seen = _KeySet(_fingerprint(frontier), frontier)
-    origins = []  # per generation: parent * n + vertex of each member
+    rows = np.array([g.rows], dtype=plan.dtype)
+    keep = np.array([(1 << n) - 1], dtype=plan.dtype)  # the seed has no parent to skip
+    generations = [frontier]  # the keys of each generation, in path order
+    # generations d - 1 and d as one run sorted by fingerprint, and which of its keys are in d
+    near_fp, near_words, near_last = _fingerprint(frontier), frontier, np.ones(1, dtype=bool)
+    found = _KeySet()  # the keys of generation d + 1 found so far
+    stored = 1
+    origins = []  # per generation after the seed: parent * n + vertex of each member
+    no_origins = np.empty(0, dtype=np.intp)
     paths = [()]
     witness_paths = {seed_key: ()} if track_paths else None
-    hit = _first_inside(frontier, outside)
-    while hit is None and frontier.shape[1]:
-        if origins:  # the frontier's rows, from its parents' rows, chunk by chunk
-            frontier_rows = np.concatenate([
-                _complemented_rows(frontier_rows, origins[-1][start : start + _CHUNK], plan)
-                for start in range(0, frontier.shape[1], _CHUNK)
-            ])
-        new_words, new_origins = [], []
+    hit_key = hit_path = None
+    if _first_inside(frontier, outside) is not None:
+        hit_key, hit_path = seed_key, ()
+    while hit_key is None and frontier.shape[1]:
+        if origins:  # one generation on: the frontier's rows and keep masks
+            rows, keep = _complemented_rows(rows, origins[-1], plan)
+        new_words, new_origins = [frontier[:, :0]], [no_origins]
         for start in range(0, frontier.shape[1], _CHUNK):
-            cand = _children(frontier[:, start : start + _CHUNK], frontier_rows[start : start + _CHUNK], plan)
+            chunk = slice(start, start + _CHUNK)
+            cand, at = _children(frontier[:, chunk], rows[chunk], keep[chunk], plan)
             hit = _first_inside(cand, outside)
             if hit is not None:
-                # The first local child in path order ends the search, and the
-                # generation is cut to it.  It is new: a generation that found
-                # a local key would have stopped there.
-                new_words, new_origins = [cand[:, hit : hit + 1]], [np.array([start * n + hit])]
-                hit = 0  # its position in the cut generation
+                # The first local child in path order ends the search.  It is
+                # new: a generation that found a local key would have stopped there.
+                hit_key = _key_ints(cand[:, hit : hit + 1])[0]
+                hit_path = _path(origins, start * n + int(at[hit]), n)
                 break
+            if start == 0 and origins:  # lookups begin: the run moves on one generation
+                near_words = near_words.compress(near_last, axis=1)
+                near_fp, near_words, near_prev = _merge(near_fp[near_last], near_words, *found.run())
+                near_last = ~near_prev
             fp = _fingerprint(cand)
             first = _distinct(fp, cand)
             fp, words = fp[first], cand.take(first, axis=1)
-            new = ~seen.contains(fp, words)
-            first = first[new]
-            seen.add(fp[new], words[:, new])
-            if seen.size > budget:
-                raise OrbitBudgetError(budget, seen.size)
+            for run in [(near_fp, near_words), *found.runs]:
+                new = ~_in_run(*run, fp, words)
+                fp, words, first = fp[new], words[:, new], first[new]
+            found.add(fp, words)
+            stored += len(first)
+            if stored > budget:
+                raise OrbitBudgetError(budget, stored)
             first.sort()
             new_words.append(cand.take(first, axis=1))
-            new_origins.append(first + start * n)
+            new_origins.append(at[first] + start * n)
         frontier = np.concatenate(new_words, axis=1)
+        generations.append(frontier)
         origins.append(np.concatenate(new_origins))
         if track_paths:
             parent, vertex = np.divmod(origins[-1], n)
             paths = [paths[p] + (v,) for p, v in zip(parent.tolist(), vertex.tolist())]
             witness_paths.update(zip(_key_ints(frontier), paths))
+    return LcOrbit(
+        g.labels, seed_key, np.concatenate(generations, axis=1), len(origins), witness_paths, hit_key, hit_path
+    )
 
-    hit_key = hit_path = None
-    if hit is not None:
-        hit_key, path, i = _key_ints(frontier[:, hit : hit + 1])[0], [], hit
-        for generation in reversed(origins):
-            i, v = divmod(int(generation[i]), n)
-            path.append(v)
-        hit_path = tuple(reversed(path))
-    return LcOrbit(g.labels, seed_key, seen.words(), len(origins), witness_paths, hit_key, hit_path)
+
+def _path(origins: list, origin: int, n: int) -> tuple:
+    """The complementation path of the child ``parent * n + vertex`` of the last generation in ``origins``."""
+    path = [origin % n]
+    for generation in reversed(origins):
+        origin = int(generation[origin // n])
+        path.append(origin % n)
+    return tuple(reversed(path))
 
 
 def lc_orbit(

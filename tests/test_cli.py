@@ -769,3 +769,19 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
         [sys.executable, "-m", "toricgs.cli", "--help"], capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected[3][1], "")
+
+
+@pytest.mark.slow
+def test_torus_3x3_runs_out_of_budget_within_memory():
+    # At a budget of 10^6 keys the 18-qubit torus gets no verdict; the
+    # search must fail closed (exit 2) and stay within 150 MB of resident
+    # memory.  os.wait4 reads the rusage of this one child (Linux reports
+    # ru_maxrss in kilobytes).
+    import subprocess, sys
+
+    argv = ["locality", "--setup", fixture_path("torus_3x3.json"), "--budget", "1000000"]
+    proc = subprocess.Popen([sys.executable, "-m", "toricgs.cli", *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == EXIT_BUDGET
+    assert usage.ru_maxrss <= 150 * 1024

@@ -109,6 +109,30 @@ def test_permute_pair():
     assert h.labels == g.labels
 
 
+def test_is_subgraph_of_with_permuted_labels():
+    # The row test for one label order and the label mapping for another
+    # must agree with the edge sets, on sparse graphs inside dense ones and
+    # on unrelated pairs.
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        g, h = random_simple_graph(rng, n), random_simple_graph(rng, n)
+        if rng.integers(0, 2):
+            h = SimpleGraph(g.labels, [a | b for a, b in zip(g.rows, h.rows)])
+        expected = {frozenset(e) for e in g.edges()} <= {frozenset(e) for e in h.edges()}
+        order = [int(v) for v in rng.permutation(n)]
+        if order == sorted(order):
+            order.reverse()  # another order whenever n > 1
+        permuted = SimpleGraph.from_edges(order, h.edges())
+        assert g.is_subgraph_of(h) == g.is_subgraph_of(permuted) == expected
+    g = SimpleGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
+    assert g.is_subgraph_of(SimpleGraph.from_edges([2, 0, 1], [(1, 0), (2, 1)]))
+    assert not g.is_subgraph_of(SimpleGraph.from_edges([2, 0, 1], [(1, 0), (2, 0)]))
+    for other in (SimpleGraph.empty([0, 1, 3]), SimpleGraph.empty([0, 1])):
+        with pytest.raises(GraphError, match="vertex sets differ"):
+            g.is_subgraph_of(other)
+
+
 def test_graph_dict_round_trip():
     g = SimpleGraph.from_edges([3, 1, 2], [(3, 1), (1, 2)])
     again = graphs.graph_from_dict(graphs.graph_to_dict(g))

@@ -1,11 +1,13 @@
 """Orbit enumeration, the pairwise equivalence test, locality search."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from toricgs import lc
+from toricgs.fixture_files import fixture_path
 from toricgs.graphs import SimpleGraph, local_complement
 from toricgs.lc import (
     DEFAULT_WITNESS_BUDGET,
@@ -18,6 +20,7 @@ from toricgs.lc import (
     lc_orbit,
     verify_witness,
 )
+from toricgs.surface import adjacency_relation, load_setup, phi_graph
 from tests.test_graphs import random_simple_graph
 
 
@@ -193,10 +196,11 @@ def reference_search(g, paths, allowed, chunk):
     if depth == 0:
         return hit_key, (), 0, [hit_key], None, 1
     parents = [p for p in paths.values() if len(p) == depth - 1]
-    at = parents.index(hit_path[:-1])
+    index = {p: i for i, p in enumerate(parents)}
+    at = index[hit_path[:-1]]
     stored = [
         k for k, p in paths.items()
-        if len(p) < depth or len(p) == depth and parents.index(p[:-1]) < at // chunk * chunk
+        if len(p) < depth or len(p) == depth and index[p[:-1]] < at // chunk * chunk
     ]
     by_path = {p: k for k, p in paths.items()}
     children = [
@@ -233,6 +237,89 @@ def test_local_search_stops_at_its_first_local_child(monkeypatch):
             with pytest.raises(OrbitBudgetError):
                 certify_nonlocal(g, allowed, budget=len(stored) - 1)
     assert past_first_chunk >= 10 and twice >= 5
+
+
+def pendant_graph(rng, n, core):
+    """A random core of at most ``core`` vertices, then leaves, pendant paths of two or three and isolated vertices.
+
+    The vertices are shuffled, so the ones of degree at most one fall above
+    and below the vertices they hang from.
+    """
+    core = int(rng.integers(1, min(core, n) + 1))
+    edges = [(i, j) for i in range(core) for j in range(i + 1, core) if rng.random() < 0.6]
+    v = core
+    while v < n:
+        if rng.random() < 0.3:
+            v += 1  # isolated
+            continue
+        end = min(v + int(rng.integers(1, 4)), n)
+        tail = int(rng.integers(0, v))
+        for w in range(v, end):  # a leaf when end == v + 1, else a pendant path
+            edges.append((tail, w))
+            tail = w
+        v = end
+    order = rng.permutation(n).tolist()
+    return SimpleGraph.from_edges(range(n), [(order[a], order[b]) for a, b in edges])
+
+
+def reference_reached(paths, budget, chunk):
+    """The stored-key count that ends a closure with ``budget``: the count after the first chunk past it."""
+    reached, depth = 1, 1
+    while reached <= budget:
+        parents = {p: i for i, p in enumerate(p for p in paths.values() if len(p) == depth - 1)}
+        by_chunk = Counter(parents[p[:-1]] // chunk for p in paths.values() if len(p) == depth)
+        for c in sorted(by_chunk):
+            reached += by_chunk[c]
+            if reached > budget:
+                break
+        depth += 1
+    return reached
+
+
+def test_skipped_children_change_nothing(monkeypatch):
+    # Complementations that cannot give a new key are never built: at the
+    # vertex that made the member, at vertices of degree at most one, and
+    # at non-neighbours of that vertex below it.  Graphs full of isolated
+    # vertices, leaves and pendant paths make all three common.  Chunks of
+    # two members spread each generation over many chunks, so the budget
+    # count, which is taken per chunk, is checked too.
+    monkeypatch.setattr(lc, "_CHUNK", 2)
+    rng = np.random.default_rng(57)
+    built = [0, 0]  # children built, and members complemented times n
+    children = lc._children
+
+    def counted(words, rows, keep, plan):
+        cand, at = children(words, rows, keep, plan)
+        built[0] += len(at)
+        built[1] += words.shape[1] * plan.n
+        return cand, at
+
+    monkeypatch.setattr(lc, "_children", counted)
+    cases = [pendant_graph(rng, int(rng.integers(2, 10)), 5) for _ in range(40)]
+    cases += [pendant_graph(rng, int(rng.integers(12, 15)), 4) for _ in range(6)]
+    assert sum(lc._plan(g.n).nwords == 2 for g in cases) == 6
+    hits = 0
+    for g in cases:
+        paths = reference_closure(g)
+        orbit = lc_orbit(g, budget=len(paths), track_paths=True)  # the class fits exactly
+        assert orbit.complete
+        assert orbit.generations == max(map(len, paths.values())) + 1
+        assert orbit.members == sorted(paths)
+        assert list(orbit.witness_paths.items()) == list(paths.items())
+        member = graph_from_key(list(paths)[int(rng.integers(len(paths)))], g.labels)
+        allowed = SimpleGraph(g.labels, [a | b for a, b in zip(member.rows, random_graph(rng, g.n, 0.2).rows)])
+        hit_key, hit_path, generations, stored, _, _ = reference_search(g, paths, allowed, 2)
+        orbit = certify_nonlocal(g, allowed)
+        assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
+            hit_key, hit_path, generations, stored,
+        )
+        if len(stored) > 1:
+            with pytest.raises(OrbitBudgetError) as exc:
+                certify_nonlocal(g, allowed, budget=len(stored) - 1)
+            assert exc.value.reached == reference_reached(paths, len(stored) - 1, 2)
+        hits += len(hit_path) > 1
+    assert hits >= 10
+    assert 2 * built[0] < built[1]  # most complementations are skipped
 
 
 def test_local_search_past_the_first_full_chunk():
@@ -462,3 +549,14 @@ def test_local_search_beyond_one_key_word():
     assert not orbit.complete
     assert orbit.hit_path == (0,)
     assert orbit.member_graph(orbit.hit_key).is_subgraph_of(allowed)
+
+
+def test_budget_count_is_pinned_per_chunk():
+    # The budget is checked after each chunk, so a search that runs out
+    # reports the keys stored after the chunk that crossed it.  torus_3x3
+    # (18 qubits) has no verdict at this budget; the count it reaches pins
+    # the chunk order, the dedupe and the lookups together.
+    emb = load_setup(fixture_path("torus_3x3.json"))
+    with pytest.raises(OrbitBudgetError) as exc:
+        certify_nonlocal(phi_graph(emb), adjacency_relation(emb), budget=100_000)
+    assert (exc.value.budget, exc.value.reached) == (100_000, 101_599)
