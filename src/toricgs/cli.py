@@ -131,7 +131,7 @@ def cmd_verify_thm1(args) -> tuple[int, dict]:
 
 def cmd_lc_orbit(args) -> tuple[int, dict]:
     graph = _load_graph_file(args.graph)
-    orbit = lc_orbit(graph, budget=args.budget, track_paths=args.paths)
+    orbit = lc_orbit(graph, budget=args.budget)
     result = {
         "status": "complete",
         "vertices": orbit.n_vertices,
@@ -141,13 +141,10 @@ def cmd_lc_orbit(args) -> tuple[int, dict]:
         "orbit_digest": orbit.digest(),
     }
     if args.out:
+        paths = orbit.paths() if args.paths else None
         lines = []
         for key in orbit.members:
-            if orbit.witness_paths is not None:
-                path = orbit.witness_paths[key]
-                lines.append(f"{key:x} {','.join(str(v) for v in path)}")
-            else:
-                lines.append(f"{key:x}")
+            lines.append(f"{key:x}" if paths is None else f"{key:x} {','.join(map(str, paths[key]))}")
         _write_out(args.out, "\n".join(lines) + "\n")
         result["dump"] = os.path.basename(args.out)
     return EXIT_OK, result

@@ -130,19 +130,30 @@ class SimpleGraph:
             rows.append(low | high)
         return SimpleGraph._derived(labels, rows)
 
+    def in_order(self, labels: Sequence[Label]) -> "SimpleGraph":
+        """The same graph with its vertices listed in ``labels``, which must hold exactly this graph's labels."""
+        labels = tuple(labels)
+        if labels == self.labels:
+            return self
+        pos = {lab: i for i, lab in enumerate(labels)}  # label -> position in the new order
+        if len(labels) != self.n or pos.keys() != set(self.labels):
+            raise GraphError("vertex sets differ")
+        to = [pos[lab] for lab in self.labels]
+        rows = [0] * self.n
+        for i, r in enumerate(self.rows):
+            out = 0
+            while r:  # each neighbour j of i, moved to position to[j]
+                low = r & -r
+                out |= 1 << to[low.bit_length() - 1]
+                r ^= low
+            rows[to[i]] = out
+        return SimpleGraph._derived(labels, rows)
+
     def permute_pair(self, a: Label, b: Label) -> "SimpleGraph":
         """Exchange the roles of vertices ``a`` and ``b`` in the edge set."""
-        i, j = self.position(a), self.position(b)
-        perm = list(range(self.n))
-        perm[i], perm[j] = j, i
-        rows = [0] * self.n
-        for k in range(self.n):
-            r = self.rows[perm[k]]
-            out = 0
-            for m in _bit_positions(r):
-                out |= 1 << perm[m]
-            rows[k] = out
-        return SimpleGraph._derived(self.labels, rows)
+        swapped = list(self.labels)
+        swapped[self.position(a)], swapped[self.position(b)] = b, a
+        return SimpleGraph._derived(self.labels, self.in_order(swapped).rows)
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -175,15 +186,9 @@ class SimpleGraph:
         return True
 
     def is_subgraph_of(self, other: "SimpleGraph") -> bool:
-        """True iff every edge of ``self`` is an edge of ``other`` (same labels)."""
-        if self.labels == other.labels:  # same vertex order: compare rows
-            return not any(r & ~a for r, a in zip(self.rows, other.rows))
-        if set(self.labels) != set(other.labels):
-            raise GraphError("vertex sets differ")
-        for u, v in self.edges():
-            if not other.has_edge(u, v):
-                return False
-        return True
+        """True iff every edge of ``self`` is an edge of ``other`` (same labels, in any order)."""
+        rows = other.in_order(self.labels).rows
+        return not any(r & ~a for r, a in zip(self.rows, rows))
 
     def adjacency_matrix(self) -> gf2.BitMatrix:
         return gf2.BitMatrix(self.rows, self.n)

@@ -11,15 +11,15 @@ table of all 2^n patterns, built once per process on first use).  Keys are
 deduplicated and looked up through one uint64 fingerprint each, the key
 itself when it fits one word, and every fingerprint match is confirmed on
 the full words.  Whole generations are processed in fixed-size chunks of the
-frontier, and each member's parent and complemented vertex are recorded, so
-complementation paths come from the same run.  An orbit keeps its keys as
-words, one array per generation, and converts them to integers when its
-members are first read.  Adjacency rows are single words, so orbits are
-limited to 64 vertices; a larger graph raises ``ValueError``.  A locality
-search, :func:`certify_nonlocal`, is the same closure with the allowed-edge
-mask as its stop test: it tests each chunk's children before deduplicating
-them and stops at the first local one, so a stopped orbit's members are the
-keys found before the hit.  It returns the orbit alone, whose ``complete`` flag
+frontier, and each member's parent and complemented vertex are recorded.
+An orbit keeps that record with its keys, as words that become integers
+when its members are first read; :meth:`LcOrbit.paths` spells every path
+from it.  Adjacency rows are single words, so orbits are limited to 64
+vertices; a larger graph raises ``ValueError``.  A locality search,
+:func:`certify_nonlocal`, is the same closure with the allowed-edge mask as
+its stop test: it tests each chunk's children before deduplicating them and
+stops at the first local one, so a stopped orbit's members are the keys
+found before the hit.  It returns the orbit alone, whose ``complete`` flag
 is the verdict, and it replays every local hit it finds from the seed graph
 with the pure-Python complementation of :mod:`toricgs.graphs` before
 returning it.
@@ -124,21 +124,6 @@ def graph_from_key(key: int, labels: Sequence) -> SimpleGraph:
     return SimpleGraph(labels, _unpack_key(key, len(labels)))
 
 
-def _edge_mask(g: SimpleGraph, labels: Sequence) -> int:
-    """Canonical-key bitmask of ``g``'s edges in the vertex order ``labels``."""
-    if g.labels == tuple(labels):
-        return _pack_rows(g.rows, len(labels))
-    if set(g.labels) != set(labels):
-        raise GraphError("vertex sets differ")
-    pos = {lab: i for i, lab in enumerate(labels)}
-    rows = [0] * len(labels)
-    for u, v in g.edges():
-        i, j = pos[u], pos[v]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return _pack_rows(rows, len(labels))
-
-
 @dataclass(eq=False)
 class LcOrbit:
     """An enumerated (or partially enumerated) local-complementation class.
@@ -151,15 +136,17 @@ class LcOrbit:
     chunk; the hit itself is among them only when it is the seed.  The keys
     are held as the engine's words and converted to ascending integers when
     ``members`` is first read, so a stopped search whose caller reads only
-    its hit converts nothing else.  Complementation paths list vertex
-    positions in ``labels``, not labels.
+    its hit converts nothing else.  The orbit keeps the record its search
+    made: the words list the seed, then each generation in path order, and
+    ``origins`` holds each later generation's ``parent * n + vertex``
+    origins, from which :meth:`paths` spells every stored key's path.
+    Complementation paths list vertex positions in ``labels``, not labels.
     """
 
     labels: tuple
     seed_key: int
     words: np.ndarray  # the keys, one column each, most significant word first
-    generations: int
-    witness_paths: Optional[dict[int, tuple]] = None  # in breadth-first path order
+    origins: list  # per generation after the seed: parent * n + vertex of each member
     hit_key: Optional[int] = None
     hit_path: Optional[tuple] = None
 
@@ -175,6 +162,26 @@ class LcOrbit:
     @property
     def size(self) -> int:
         return self.words.shape[1]
+
+    @property
+    def generations(self) -> int:
+        """How many generations were complemented, the seed's first; a stopped search stopped inside the last."""
+        return len(self.origins)
+
+    def paths(self) -> dict[int, tuple]:
+        """Each stored key mapped to its shortest, lexicographically least complementation path, in path order.
+
+        One forward pass: a member's path is its parent's path and its
+        complemented vertex, and each generation's parents come before it.
+        """
+        n = self.n_vertices
+        paths, out, start = [()], {self.seed_key: ()}, 1
+        for origins in self.origins:
+            parent, vertex = np.divmod(origins, n)
+            paths = [paths[p] + (v,) for p, v in zip(parent.tolist(), vertex.tolist())]
+            out.update(zip(_key_ints(self.words[:, start : start + len(paths)]), paths))
+            start += len(paths)
+        return out
 
     @functools.cached_property
     def members(self) -> list[int]:
@@ -432,12 +439,7 @@ def _first_inside(words: np.ndarray, outside: Optional[np.ndarray]) -> Optional[
     return int(hits[0]) if len(hits) else None
 
 
-def _orbit_vector(
-    g: SimpleGraph,
-    budget: int,
-    local_mask: Optional[int] = None,
-    track_paths: bool = False,
-) -> LcOrbit:
+def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None) -> LcOrbit:
     """Breadth-first closure over whole generations of native-word key arrays.
 
     Each frontier member carries its key as W uint64 words, most significant
@@ -510,8 +512,6 @@ def _orbit_vector(
     stored = 1
     origins = []  # per generation after the seed: parent * n + vertex of each member
     no_origins = np.empty(0, dtype=np.intp)
-    paths = [()]
-    witness_paths = {seed_key: ()} if track_paths else None
     hit_key = hit_path = None
     if _first_inside(frontier, outside) is not None:
         hit_key, hit_path = seed_key, ()
@@ -549,13 +549,7 @@ def _orbit_vector(
         frontier = np.concatenate(new_words, axis=1)
         generations.append(frontier)
         origins.append(np.concatenate(new_origins))
-        if track_paths:
-            parent, vertex = np.divmod(origins[-1], n)
-            paths = [paths[p] + (v,) for p, v in zip(parent.tolist(), vertex.tolist())]
-            witness_paths.update(zip(_key_ints(frontier), paths))
-    return LcOrbit(
-        g.labels, seed_key, np.concatenate(generations, axis=1), len(origins), witness_paths, hit_key, hit_path
-    )
+    return LcOrbit(g.labels, seed_key, np.concatenate(generations, axis=1), origins, hit_key, hit_path)
 
 
 def _path(origins: list, origin: int, n: int) -> tuple:
@@ -567,19 +561,15 @@ def _path(origins: list, origin: int, n: int) -> tuple:
     return tuple(reversed(path))
 
 
-def lc_orbit(
-    g: SimpleGraph,
-    budget: int = DEFAULT_ORBIT_BUDGET,
-    track_paths: bool = False,
-) -> LcOrbit:
+def lc_orbit(g: SimpleGraph, budget: int = DEFAULT_ORBIT_BUDGET) -> LcOrbit:
     """Breadth-first closure of ``{g}`` under all local complementations.
 
-    With ``track_paths`` the orbit maps every member to its shortest,
+    The orbit's :meth:`LcOrbit.paths` maps every member to its shortest,
     lexicographically least complementation path.  Exceeding ``budget``
     raises :class:`OrbitBudgetError`; that outcome means "instance too
     large", never "not found".
     """
-    return _orbit_vector(g, budget, track_paths=track_paths)
+    return _orbit_vector(g, budget)
 
 
 @dataclass(frozen=True)
@@ -720,7 +710,8 @@ def certify_nonlocal(
     :class:`CertificateError`.  Raises :class:`OrbitBudgetError` when the
     keys found before a hit exceed the budget.
     """
-    orbit = _orbit_vector(g, budget, _edge_mask(allowed, g.labels))
+    allowed = allowed.in_order(g.labels)
+    orbit = _orbit_vector(g, budget, _pack_rows(allowed.rows, g.n))
     if orbit.complete:
         return orbit
     # Rows of a checked graph and of local_complement need no second check.

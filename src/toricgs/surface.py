@@ -236,32 +236,30 @@ def adjacency_relation(e: Embedding) -> SimpleGraph:
     return SimpleGraph._derived(e.qubit_ids, rows)
 
 
-def square_torus(side: int) -> Embedding:
-    """The side x side square lattice on the torus (closed, genus 1).
-
-    Edge order: all horizontal edges row-major first, then all vertical ones.
-    """
+def _torus_edges(side: int) -> tuple:
+    """The edge numbering of the side x side torus: ``h(i, j)`` and ``v(i, j)``, coordinates taken mod ``side``."""
     if side < 2:
         raise ValueError("torus side must be at least 2")
-    verts = [(i, j) for j in range(side) for i in range(side)]
-    edges = []
-    for j in range(side):
-        for i in range(side):
-            edges.append(((i, j), ((i + 1) % side, j)))  # horizontal h(i, j)
-    for j in range(side):
-        for i in range(side):
-            edges.append(((i, j), (i, (j + 1) % side)))  # vertical v(i, j)
 
     def h(i: int, j: int) -> int:
         return (j % side) * side + (i % side)
 
     def v(i: int, j: int) -> int:
-        return side * side + (j % side) * side + (i % side)
+        return side * side + h(i, j)
 
-    faces = []
-    for j in range(side):
-        for i in range(side):
-            faces.append((h(i, j), v(i + 1, j), h(i, j + 1), v(i, j)))
+    return h, v
+
+
+def square_torus(side: int) -> Embedding:
+    """The side x side square lattice on the torus (closed, genus 1).
+
+    Edge order: all horizontal edges row-major first, then all vertical ones.
+    """
+    h, v = _torus_edges(side)
+    verts = [(i, j) for j in range(side) for i in range(side)]
+    edges = [((i, j), ((i + 1) % side, j)) for i, j in verts]  # horizontal h(i, j)
+    edges += [((i, j), (i, (j + 1) % side)) for i, j in verts]  # vertical v(i, j)
+    faces = [(h(i, j), v(i + 1, j), h(i, j + 1), v(i, j)) for j in range(side) for i in range(side)]
     return Embedding(Multigraph(verts, edges), tuple(faces), closed=True)
 
 
@@ -294,29 +292,15 @@ def loop_operators(side: int) -> list[LoopOperatorPair]:
     loop commutes with all star and plaquette generators; acceptance
     criterion 10 and the tests check this algebra.
     """
-    e = square_torus(side)
-    n = e.n_qubits
-
-    def h(i: int, j: int) -> int:
-        return j * side + i
-
-    def v(i: int, j: int) -> int:
-        return side * side + j * side + i
-
-    z1 = frozenset(h(i, 0) for i in range(side))  # winds horizontally
-    x1 = frozenset(h(0, j) for j in range(side))  # dual loop winding vertically
-    z2 = frozenset(v(0, j) for j in range(side))  # winds vertically
-    x2 = frozenset(v(i, 0) for i in range(side))  # dual loop winding horizontally
-
-    def z_op(cyc: frozenset[int]) -> PauliString:
-        return PauliString.from_sign(n, x=0, z=sum(1 << k for k in cyc))
-
-    def x_op(cyc: frozenset[int]) -> PauliString:
-        return PauliString.from_sign(n, x=sum(1 << k for k in cyc), z=0)
-
+    h, v = _torus_edges(side)
+    n = 2 * side * side
+    z1 = sum(1 << h(i, 0) for i in range(side))  # winds horizontally
+    x1 = sum(1 << h(0, j) for j in range(side))  # dual loop winding vertically
+    z2 = sum(1 << v(0, j) for j in range(side))  # winds vertically
+    x2 = sum(1 << v(i, 0) for i in range(side))  # dual loop winding horizontally
     return [
-        LoopOperatorPair(z_op(z1), x_op(x1)),
-        LoopOperatorPair(z_op(z2), x_op(x2)),
+        LoopOperatorPair(PauliString.from_sign(n, x=0, z=z1), PauliString.from_sign(n, x=x1, z=0)),
+        LoopOperatorPair(PauliString.from_sign(n, x=0, z=z2), PauliString.from_sign(n, x=x2, z=0)),
     ]
 
 

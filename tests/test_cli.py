@@ -713,17 +713,18 @@ def test_local_verdict_converts_only_its_hit_key(capsys, tmp_path, monkeypatch):
     assert report["result"]["complementations"] == LOCAL_PATHS[("square", 3, 1)]
     assert converted == [1]
 
-    # The allowed graph shares the tree graph's label order, so its mask is
-    # packed from its rows; listed in another order, it gives the same mask.
+    # The allowed graph shares the tree graph's label order, so its rows are
+    # packed as they are; listed in another order, it gives the same rows.
     emb = load_setup(setup)
     graph, allowed = phi_graph(emb), adjacency_relation(emb)
     assert allowed.labels == graph.labels
+    assert allowed.in_order(graph.labels) is allowed
     reordered = SimpleGraph.from_edges(reversed(allowed.labels), allowed.edges())
     assert reordered.labels != allowed.labels
-    assert lc._edge_mask(allowed, graph.labels) == lc._edge_mask(reordered, graph.labels)
+    assert reordered.in_order(graph.labels) == allowed
     other = SimpleGraph(graph.labels[:-1] + ("elsewhere",), allowed.rows)
     with pytest.raises(GraphError, match="vertex sets differ"):
-        lc._edge_mask(other, graph.labels)
+        other.in_order(graph.labels)
 
 
 def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):

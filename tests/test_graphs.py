@@ -109,6 +109,55 @@ def test_permute_pair():
     assert h.labels == g.labels
 
 
+def edge_set(g):
+    return {frozenset(e) for e in g.edges()}
+
+
+def test_permute_pair_is_the_edge_swap():
+    # Against swapping a and b in every edge, a == b included, with tuple
+    # and string labels listed in a random order.
+    rng = np.random.default_rng(61)
+    same = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 10))
+        g = random_simple_graph(rng, n)
+        labels = [(int(i), "t") if trial % 2 else f"s{i}" for i in rng.permutation(n)]
+        g = SimpleGraph.from_edges(labels, [(labels[u], labels[v]) for u, v in g.edges()])
+        a, b = (labels[int(i)] for i in rng.integers(0, n, size=2))
+        swap = {a: b, b: a}
+        h = g.permute_pair(a, b)
+        assert h.labels == g.labels
+        assert edge_set(h) == {frozenset(swap.get(x, x) for x in e) for e in edge_set(g)}
+        same += a == b
+    assert same >= 20
+    with pytest.raises(GraphError, match="unknown vertex"):
+        g.permute_pair(labels[0], "elsewhere")
+
+
+def test_in_order_keeps_the_graph():
+    # The same order gives the graph itself; a random order lists the same
+    # edges, and ordering back gives the original rows.
+    rng = np.random.default_rng(62)
+    for trial in range(300):
+        n = int(rng.integers(0, 10))
+        g = random_simple_graph(rng, n)
+        labels = [(i, -i) if trial % 3 == 1 else f"v{i}" if trial % 3 == 2 else i for i in range(n)]
+        g = SimpleGraph.from_edges(labels, [(labels[u], labels[v]) for u, v in g.edges()])
+        assert g.in_order(list(g.labels)) is g
+        order = [labels[int(i)] for i in rng.permutation(n)]
+        h = g.in_order(order)
+        assert h.labels == tuple(order) and edge_set(h) == edge_set(g)
+        assert h == SimpleGraph(h.labels, h.rows)  # symmetric and loop-free
+        assert h.in_order(g.labels) == g
+
+
+def test_in_order_needs_exactly_the_graph_labels():
+    g = SimpleGraph.from_edges("abc", [("a", "b"), ("b", "c")])
+    for labels in ("ab", "abcd", "abb", "aabc", "abd", ""):
+        with pytest.raises(GraphError, match="vertex sets differ"):
+            g.in_order(labels)
+
+
 def test_is_subgraph_of_with_permuted_labels():
     # The row test for one label order and the label mapping for another
     # must agree with the edge sets, on sparse graphs inside dense ones and
@@ -184,7 +233,7 @@ def test_derived_graphs_pass_the_public_check():
         derived.append(local_complement(g, int(rng.integers(0, n))))
         labels = tuple(f"v{i}" for i in rng.permutation(n))
         keys = [int(k) for k in rng.integers(0, 1 << (n * (n - 1) // 2), size=5)]
-        derived += [LcOrbit(labels, 0, [], 0).member_graph(k) for k in keys]
+        derived += [LcOrbit(labels, 0, [], []).member_graph(k) for k in keys]
     for g in (random_simple_graph(rng, 6) for _ in range(5)):
         orbit = lc_orbit(g)
         derived += [orbit.member_graph(k) for k in orbit.members]

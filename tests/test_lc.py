@@ -55,11 +55,11 @@ def reference_closure(g):
 
 
 def assert_matches_reference(g):
-    orbit = lc_orbit(g, track_paths=True)
+    orbit = lc_orbit(g)
     expected = reference_closure(g)
     assert orbit.complete
     assert orbit.members == sorted(expected)
-    assert list(orbit.witness_paths.items()) == list(expected.items())
+    assert list(orbit.paths().items()) == list(expected.items())
     return expected
 
 
@@ -209,6 +209,12 @@ def reference_search(g, paths, allowed, chunk):
     return hit_key, hit_path, depth, sorted(stored), at, children.count(hit_key)
 
 
+def stored_paths(paths, stored):
+    """The reference ``paths`` of the ``stored`` keys, in path order."""
+    stored = set(stored)
+    return [(k, p) for k, p in paths.items() if k in stored]
+
+
 def test_local_search_stops_at_its_first_local_child(monkeypatch):
     # Chunks of two parents give many frontiers of several chunks.  Each
     # allowed graph holds a random member of the class, so most searches
@@ -229,6 +235,7 @@ def test_local_search_stops_at_its_first_local_child(monkeypatch):
         assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
             hit_key, hit_path, generations, stored,
         )
+        assert list(orbit.paths().items()) == stored_paths(paths, stored)
         past_first_chunk += at is not None and at >= 2
         twice += copies >= 2
         # the budget counts the stored keys only: the hit's own chunk is never stored
@@ -301,11 +308,11 @@ def test_skipped_children_change_nothing(monkeypatch):
     hits = 0
     for g in cases:
         paths = reference_closure(g)
-        orbit = lc_orbit(g, budget=len(paths), track_paths=True)  # the class fits exactly
+        orbit = lc_orbit(g, budget=len(paths))  # the class fits exactly
         assert orbit.complete
         assert orbit.generations == max(map(len, paths.values())) + 1
         assert orbit.members == sorted(paths)
-        assert list(orbit.witness_paths.items()) == list(paths.items())
+        assert list(orbit.paths().items()) == list(paths.items())
         member = graph_from_key(list(paths)[int(rng.integers(len(paths)))], g.labels)
         allowed = SimpleGraph(g.labels, [a | b for a, b in zip(member.rows, random_graph(rng, g.n, 0.2).rows)])
         hit_key, hit_path, generations, stored, _, _ = reference_search(g, paths, allowed, 2)
@@ -313,6 +320,7 @@ def test_skipped_children_change_nothing(monkeypatch):
         assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
             hit_key, hit_path, generations, stored,
         )
+        assert list(orbit.paths().items()) == stored_paths(paths, stored)
         if len(stored) > 1:
             with pytest.raises(OrbitBudgetError) as exc:
                 certify_nonlocal(g, allowed, budget=len(stored) - 1)
@@ -328,7 +336,7 @@ def test_local_search_past_the_first_full_chunk():
     # full orbit's paths, checked against the reference closure above, are
     # the oracle here.
     g = random_graph(np.random.default_rng(56), 10, 0.5)
-    paths = lc_orbit(g, track_paths=True).witness_paths
+    paths = lc_orbit(g).paths()
     allowed = graph_from_key(next(k for k, p in paths.items() if p == (8, 2, 4, 6, 9)), g.labels)
     hit_key, hit_path, generations, stored, at, copies = reference_search(g, paths, allowed, lc._CHUNK)
     assert (hit_path, at, copies) == ((8, 2, 4, 6, 9), 534, 2)
@@ -352,15 +360,15 @@ def test_orbit_budget_exceeded():
 
 
 def test_orbit_paths_are_shortest_and_lexicographic():
-    orbit = lc_orbit(SimpleGraph.complete([0, 1, 2]), track_paths=True)
-    for key, p in orbit.witness_paths.items():
+    orbit = lc_orbit(SimpleGraph.complete([0, 1, 2]))
+    for key, p in orbit.paths().items():
         # replaying the path reaches the member
         g = SimpleGraph.complete([0, 1, 2])
         for v in p:
             g = local_complement(g, v)
         assert canonical_key(g) == key
     # the three paths from K3 each take exactly one complementation
-    lengths = sorted(len(p) for p in orbit.witness_paths.values())
+    lengths = sorted(len(p) for p in orbit.paths().values())
     assert lengths == [0, 1, 1, 1]
 
 
@@ -496,12 +504,11 @@ def test_certify_budget_error():
 
 
 def test_empty_graph_orbit():
-    # one generation is processed and finds nothing, with or without paths
-    g = SimpleGraph.empty([])
-    for track_paths in (False, True):
-        orbit = lc_orbit(g, track_paths=track_paths)
-        assert orbit.size == 1 and orbit.complete
-        assert orbit.generations == 1
+    # one generation is processed and finds nothing
+    orbit = lc_orbit(SimpleGraph.empty([]))
+    assert orbit.size == 1 and orbit.complete
+    assert orbit.generations == 1
+    assert orbit.paths() == {0: ()}
 
 
 def test_cross_oracle_on_disconnected_graphs():
@@ -521,13 +528,13 @@ def test_cross_oracle_on_disconnected_graphs():
         checked += 1
 
 
-def test_witness_paths_are_lexicographically_least():
+def test_orbit_paths_are_lexicographically_least():
     # brute force over all complementation sequences up to the BFS depth
     import itertools as it
 
     seed = star(4)
-    orbit = lc_orbit(seed, track_paths=True)
-    max_len = max(len(p) for p in orbit.witness_paths.values())
+    paths = lc_orbit(seed).paths()
+    max_len = max(len(p) for p in paths.values())
     best = {}
     for length in range(max_len + 1):
         for seq in it.product(range(4), repeat=length):
@@ -537,7 +544,7 @@ def test_witness_paths_are_lexicographically_least():
             key = canonical_key(g)
             if key not in best:
                 best[key] = seq
-    assert best == orbit.witness_paths
+    assert best == paths
 
 
 def test_local_search_beyond_one_key_word():
