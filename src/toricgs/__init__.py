@@ -50,6 +50,7 @@ from .reduction import (
     CertStore,
     LeafGraph,
     classify,
+    derive_chain,
     epsilon_swap,
     is_stricter,
     leaf_delete_commute_check,
@@ -67,6 +68,7 @@ from .surface import (
     dump_setup,
     homology_rank,
     load_setup,
+    locality_pair,
     loop_operators,
     one_point_double_plaquette,
     phi_graph,

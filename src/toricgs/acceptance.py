@@ -50,12 +50,11 @@ from .reduction import (
     reduction_chain,
 )
 from .surface import (
-    adjacency_relation,
     homology_rank,
     load_setup,
+    locality_pair,
     loop_operators,
     one_point_double_plaquette,
-    phi_graph,
     single_plaquette,
     square_torus,
     surface_stabilizer,
@@ -314,7 +313,7 @@ def criterion_5_cross_oracle(full_six: bool = False) -> CriterionResult:
 def criterion_6_tetriamond() -> CriterionResult:
     t0 = time.time()
     emb = polyforms.polyform_embedding(polyforms.triangle_tetriamond_cells(), "triangular")
-    orbit = certify_nonlocal(phi_graph(emb), adjacency_relation(emb))
+    orbit = certify_nonlocal(*locality_pair(emb))
     elapsed = time.time() - t0
     return _result(
         6,
@@ -328,7 +327,7 @@ def criterion_6_tetriamond() -> CriterionResult:
 def criterion_7_eight_qubit_base() -> CriterionResult:
     t0 = time.time()
     emb = load_setup(fixture_path("reduced_8qubit.json"))
-    orbit = certify_nonlocal(phi_graph(emb), adjacency_relation(emb))
+    orbit = certify_nonlocal(*locality_pair(emb))
     return _result(
         7,
         "8-qubit reduced system: exhaustive orbit, verdict nonlocal",

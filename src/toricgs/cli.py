@@ -55,6 +55,7 @@ from .surface import (
     adjacency_relation,
     dump_setup,
     load_setup,
+    locality_pair,
     phi_graph,
     surface_stabilizer,
     transform_to_graph_state,
@@ -74,13 +75,20 @@ def _input_record(path: str) -> dict:
         return {"path": os.path.basename(path), "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
+def _csv_integers(text: str, flag: str) -> list[int]:
+    """Parse a CSV of integers, each in ASCII digits after an optional ``-``; blank entries are skipped."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for tok in tokens:
+        digits = tok.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{flag} must be a CSV of integers in ASCII digits, got {tok!r}")
+    return [int(tok) for tok in tokens]
+
+
 def _parse_tree(emb, tree_csv: Optional[str]) -> SpanningTree:
     if tree_csv is None:
         return first_spanning_tree(emb.graph)
-    try:
-        indices = [int(tok) for tok in tree_csv.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise GraphError(f"--tree must be a CSV of edge indices: {exc}") from exc
+    indices = _csv_integers(tree_csv, "--tree")
     repeated = sorted({k for k in indices if indices.count(k) > 1})
     if repeated:
         raise GraphError(f"--tree repeats edge indices {repeated}")
@@ -166,9 +174,7 @@ def cmd_lc_equiv(args) -> tuple[int, dict]:
 
 
 def cmd_locality(args) -> tuple[int, dict]:
-    emb = load_setup(args.setup)
-    graph = phi_graph(emb)
-    allowed = adjacency_relation(emb)
+    graph, allowed = locality_pair(load_setup(args.setup))
     try:
         orbit = certify_nonlocal(graph, allowed, budget=args.budget)
     except OrbitBudgetError as exc:
@@ -220,10 +226,7 @@ def cmd_enumerate(args) -> tuple[int, dict]:
 
 def cmd_selftest(args) -> tuple[int, None]:
     """Print one line per criterion and a summary line; there is no JSON report."""
-    numbers = None
-    if args.only:
-        numbers = [int(tok) for tok in args.only.split(",")]
-    results = acceptance.run_all(numbers)
+    results = acceptance.run_all(_csv_integers(args.only, "--only") if args.only else None)
     for res in results:
         print(res.line())
     failed = [res.number for res in results if not res.passed]

@@ -2,9 +2,7 @@
 
 Matrices are kept as one Python integer per row: bit ``j`` of a row word is
 the entry in column ``j``.  Addition is XOR and multiplication is AND, so a
-whole row operation is a single integer XOR.  Every instance handled by this
-package has at most a few hundred rows and at most 64 columns (4N unknowns at
-N <= 16 qubits), which keeps the dense representation both simple and fast.
+whole row operation is a single integer XOR, at any width.
 
 Bit vectors passed in and out of this module use the same convention: an
 ``int`` whose bit ``j`` is component ``j``.  Use :func:`bits` to unpack one

@@ -27,6 +27,7 @@ orbit's ``complete`` flag is the base's verdict.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -35,6 +36,8 @@ from typing import Collection, Iterable, Optional, Sequence
 from .graphs import (
     GraphError,
     SimpleGraph,
+    SpanningTree,
+    _union,
     array_at,
     integer,
     integers,
@@ -43,8 +46,8 @@ from .graphs import (
     local_complement_sequence,
     only_keys,
 )
-from .lc import DEFAULT_ORBIT_BUDGET, certify_nonlocal, lc_equivalent
-from .surface import Embedding, adjacency_relation, phi_graph, setup_from_dict
+from .lc import DEFAULT_ORBIT_BUDGET, CertificateError, certify_nonlocal, lc_equivalent
+from .surface import Embedding, adjacency_relation, contract_embedding, locality_pair, phi_graph, setup_from_dict
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,9 @@ def epsilon_swap(leaf: LeafGraph) -> LeafGraph:
     the leaf now hanging off the old inner vertex.
     """
     g = local_complement(local_complement(leaf.graph, leaf.inner), leaf.outer)
-    swapped = LeafGraph(g, outer=leaf.inner, inner=leaf.outer)
-    assert g == leaf.graph.permute_pair(leaf.outer, leaf.inner), (
-        "leaf exchange must equal a relabeling of the input"
-    )
-    return swapped
+    if g != leaf.graph.permute_pair(leaf.outer, leaf.inner):
+        raise CertificateError("internal error: the leaf exchange is not a relabeling of the input")
+    return LeafGraph(g, outer=leaf.inner, inner=leaf.outer)
 
 
 def classify(h: SimpleGraph, a, b) -> Optional[str]:
@@ -348,6 +349,40 @@ def load_chain_spec(path) -> ChainSpec:
     return ChainSpec(systems, tuple(steps), base, tuple(relabelings))
 
 
+def derive_chain(setup: Embedding) -> ChainSpec:
+    """The chain of corner contractions from ``setup`` (``s0``) down to its base.
+
+    While system ``s{k}`` has a vertex of degree 2, the first one w in vertex
+    order, with edges a < b to vertices x and y, ``s{k+1}`` contracts a and
+    the mirror ``m{k+1}`` contracts b.  The leaf graph is ``phi_graph`` along
+    the greedy tree of edge a, then every other edge but b in index order: w
+    is a leaf of that tree, so b is the one non-tree edge whose path holds a.
+    A contraction keeps the lower-index endpoint, so the mirror relabeling
+    sends m's merged {w, y} to y and x to s's merged {w, x}, and fixes every
+    other vertex.  The last ``s`` is the base.  A contraction that would make
+    a loop raises ``GraphError``.
+    """
+    systems, steps, relabelings = {"s0": setup}, [], []
+    for k in itertools.count():
+        big = systems[f"s{k}"]
+        m, labels = big.graph, big.graph.vertices
+        w = next((i for i, v in enumerate(labels) if len(m.incident_edges(v)) == 2), None)
+        if w is None:
+            return ChainSpec(systems, tuple(steps), (f"s{k}",), tuple(relabelings))
+        a, b = m.incident_edges(labels[w])
+        x, y = sum(m.edges[a]) - w, sum(m.edges[b]) - w  # the far ends of a and b
+        dsu = list(range(m.n_vertices))
+        tree = SpanningTree(m, frozenset(e for e in (a, *range(m.n_edges)) if e != b and _union(dsu, *m.edges[e])))
+        qa, qb = big.qubit_ids[a], big.qubit_ids[b]
+        s, mirror = f"s{k + 1}", f"m{k + 1}"
+        systems[s], systems[mirror] = contract_embedding(big, a), contract_embedding(big, b)
+        vertex_map = {v: v for v in systems[mirror].graph.vertices}
+        vertex_map[labels[min(w, y)]], vertex_map[labels[x]] = labels[y], labels[min(w, x)]
+        edge_map = {q: q for q in systems[mirror].qubit_ids} | {qa: qb}
+        relabelings.append(Relabeling(mirror, s, edge_map, vertex_map))
+        steps.append(ChainStep(f"s{k}", qa, qb, s, mirror, LeafGraph(phi_graph(big, tree), qa, qb)))
+
+
 def reduction_chain(
     spec: ChainSpec,
     budget: int = DEFAULT_ORBIT_BUDGET,
@@ -389,7 +424,7 @@ def reduction_chain(
 
     for name in spec.base:
         emb = spec.systems[name]
-        orbit = certify_nonlocal(phi_graph(emb), adjacency_relation(emb), budget=budget)
+        orbit = certify_nonlocal(*locality_pair(emb), budget=budget)
         if not orbit.complete:
             base_orbits[name] = {"nonlocal": False, "complementations": list(orbit.hit_path)}
             return finish(f"base system {name} has a local representative")

@@ -383,6 +383,16 @@ def phi_graph(e: Embedding, tree: Optional[SpanningTree] = None) -> SimpleGraph:
     return SimpleGraph._derived(e.qubit_ids, phi(e.graph, tree).rows)
 
 
+def locality_pair(e: Embedding) -> tuple[SimpleGraph, SimpleGraph]:
+    """The tree graph and the vicinity graph whose pairing a locality verdict judges.
+
+    A setup that does not pin a unique state has no one graph state to judge,
+    so :func:`sector_tableau` runs first and raises :class:`DegeneracyError`.
+    """
+    sector_tableau(e)
+    return phi_graph(e), adjacency_relation(e)
+
+
 def contract_embedding(e: Embedding, edge_index: int) -> Embedding:
     """Remove one qubit by contracting its edge; faces shed the edge.
 

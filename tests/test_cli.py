@@ -85,6 +85,11 @@ TREE_ERRORS = {
     "0,1,99": "tree edge indices must lie in 0..3",
     "0,1,-1": "tree edge indices must lie in 0..3",
     "0,1,1,2": "--tree repeats edge indices [1]",
+    # int() reads these as 0, 1, 2, but an index is written in ASCII digits, as a budget is
+    "0_0,1,2": "--tree must be a CSV of integers in ASCII digits, got '0_0'",
+    "\u0660,\u0661,\u0662": "--tree must be a CSV of integers in ASCII digits, got '\u0660'",
+    "+0,1,2": "--tree must be a CSV of integers in ASCII digits, got '+0'",
+    "0,1,--2": "--tree must be a CSV of integers in ASCII digits, got '--2'",
 }
 
 
@@ -340,6 +345,19 @@ def test_locality_unknown_on_budget(capsys):
     assert report["result"]["verdict"] == "unknown"
 
 
+def test_locality_rejects_a_degenerate_setup(capsys, tmp_path):
+    # The 8-cell ring has a hole, so it does not pin a unique state: one error
+    # report, as verify-thm1 gives, not a verdict about one state of its ground space.
+    from toricgs.polyforms import polyform_embedding
+    from toricgs.surface import dump_setup
+
+    path = str(tmp_path / "ring.json")
+    dump_setup(polyform_embedding([(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)], "square"), path)
+    error = run_error(capsys, "locality", "--setup", path, "--budget", "1000")
+    assert error == "residual degeneracy 2^1: the instance does not pin a unique state"
+    assert run_error(capsys, "verify-thm1", "--setup", path) == error
+
+
 def test_reduce_chain(capsys, tmp_path):
     code, report = run_json(
         capsys,
@@ -390,6 +408,12 @@ def test_selftest_subset(capsys):
 def test_selftest_unknown_criterion_is_an_error_report(capsys):
     error = run_error(capsys, "selftest", "--only", "1,99")
     assert error == "unknown criterion numbers [99]; criteria are numbered 1 to 11"
+
+
+@pytest.mark.parametrize("only", ["0_9", "\u0669", "+9", "9.0", "-"])
+def test_selftest_number_outside_ascii_digits_is_an_error_report(capsys, only):
+    error = run_error(capsys, "selftest", "--only", f"1,{only}")
+    assert error == f"--only must be a CSV of integers in ASCII digits, got {only!r}"
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,5 +1,6 @@
 """Orbit enumeration, the pairwise equivalence test, locality search."""
 
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -435,6 +436,36 @@ def test_witness_along_complementation_sequence():
             h = local_complement(h, int(rng.integers(0, n)))
         w = lc_equivalent(g, h)
         assert w is not None and verify_witness(g, h, w)
+
+
+def matrix_identity_holds(g, h, w):
+    """(Gamma B + D) Gamma' + Gamma A + C = 0 and a d + b c = 1 at every vertex, mod 2, in numpy."""
+    n = g.n
+    gamma, gamma_p = (np.array([[(r >> j) & 1 for j in range(n)] for r in x.rows]).reshape(n, n) for x in (g, h))
+    a, b, c, d = (np.array([(word >> i) & 1 for i in range(n)]) for word in (w.a, w.b, w.c, w.d))
+    residual = (gamma * b + np.diag(d)) @ gamma_p + gamma * a + np.diag(c)  # M * v scales column j by v_j
+    return bool(not (residual % 2).any() and ((a * d + b * c) % 2).all())
+
+
+def test_verify_witness_matches_a_numpy_evaluation():
+    # the found witness and every single-bit flip of it, on pairs of 1 to 10 vertices
+    rng = np.random.default_rng(62)
+    verdicts = Counter()
+    for _ in range(150):
+        n = int(rng.integers(1, 11))
+        g = random_simple_graph(rng, n)
+        h = g
+        for _ in range(int(rng.integers(0, 5))):
+            h = local_complement(h, int(rng.integers(0, n)))
+        w = lc_equivalent(g, h)
+        assert verify_witness(g, h, w) and matrix_identity_holds(g, h, w)
+        for name in "abcd":
+            for i in range(n):
+                flipped = dataclasses.replace(w, **{name: getattr(w, name) ^ 1 << i})
+                expected = matrix_identity_holds(g, h, flipped)
+                assert verify_witness(g, h, flipped) == expected
+                verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_witnesses_are_pinned():

@@ -14,6 +14,7 @@ from toricgs.reduction import (
     ChainSpec,
     LeafGraph,
     classify,
+    derive_chain,
     epsilon_swap,
     is_stricter,
     leaf_delete_commute_check,
@@ -22,7 +23,7 @@ from toricgs.reduction import (
     verify_reduction_step,
     verify_relabeling,
 )
-from toricgs.surface import load_setup
+from toricgs.surface import DegeneracyError, load_setup
 from tests.test_graphs import random_simple_graph
 
 
@@ -62,6 +63,16 @@ def test_epsilon_swap_is_involution():
         leaf = LeafGraph(g, "leaf", inner)
         assert epsilon_swap(epsilon_swap(leaf)).graph == g
         done += 1
+
+
+def test_epsilon_swap_checks_its_relabeling_without_assert(monkeypatch):
+    # The identity is checked by an ``if``, so it holds under ``python -O`` too.
+    from toricgs import reduction
+
+    wrong = SimpleGraph.from_edges("abc", [("a", "b"), ("a", "c"), ("b", "c")])
+    monkeypatch.setattr(reduction, "local_complement", lambda g, v: wrong)
+    with pytest.raises(CertificateError, match="internal error: the leaf exchange is not a relabeling"):
+        epsilon_swap(leaf_path3())
 
 
 def test_leaf_graph_validation():
@@ -407,3 +418,64 @@ def test_scan_finds_the_declared_chain_leaf(chain_spec):
     big = chain_spec.systems[step.system]
     assert (step.leaf.outer, step.leaf.inner) == (step.a, step.b)
     assert lc_orbit(phi_graph(big)).contains(canonical_key(step.leaf.graph))
+
+
+# -- derived chains -------------------------------------------------------------
+
+
+PENTOMINO_BASE_ORBIT = {
+    "nonlocal": True,
+    "orbit_size": 148,
+    "orbit_digest": "7b150cd88f5a1393acb4de90a164add94967e912f25a299db5d2f888531dfb2a",
+}
+
+
+def test_derive_chain_gives_the_committed_pentomino_chain(chain_spec):
+    from toricgs.polyforms import plus_pentomino_cells, polyform_embedding
+
+    spec = derive_chain(polyform_embedding(plus_pentomino_cells(), "square"))
+    assert spec == chain_spec
+    report = reduction_chain(spec)
+    assert report.ok and report.steps_verified == 8
+    assert report.verdicts == {name: "nonlocal" for name in chain_spec.systems}
+    assert report.base_orbits == {"s8": PENTOMINO_BASE_ORBIT}
+
+
+def test_derived_steps_and_relabelings_hold_on_small_polyforms():
+    # The closed-form leaf tree and mirror map hold on every shape, not just the
+    # pentomino: with the reduced systems counted as certified, every step passes
+    # all three hypotheses and every relabeling is an embedding isomorphism.
+    from toricgs.polyforms import polyform_enumerate
+
+    steps = 0
+    for lattice, n in (("square", 4), ("square", 5), ("triangular", 5)):
+        for emb in polyform_enumerate(n, lattice):
+            spec = derive_chain(emb)
+            certified = {e.digest() for e in spec.systems.values()}
+            for r in spec.relabelings:
+                assert verify_relabeling(spec.systems[r.system], spec.systems[r.source], r.edge_map, r.vertex_map)
+            for s in spec.steps:
+                systems = [spec.systems[name] for name in (s.system, s.reduced_a, s.reduced_b)]
+                assert verify_reduction_step(systems[0], s.a, s.b, *systems[1:], s.leaf, certified) == ()
+                steps += 1
+    assert steps == 105
+
+
+def test_derive_chain_stops_where_no_vertex_has_degree_2():
+    torus = load_setup(fixture_path("torus_2x2.json"))
+    assert derive_chain(torus) == ChainSpec({"s0": torus}, (), ("s0",), ())
+
+
+def test_derive_chain_refuses_a_contraction_that_makes_a_loop():
+    with pytest.raises(GraphError, match="would turn edge .* into a loop"):
+        derive_chain(load_setup(fixture_path("plaquette4.json")))
+
+
+def test_degenerate_base_is_rejected_before_its_search():
+    # The 8-cell ring has a hole, so its ground space is degenerate: the chain
+    # has no one state to search and raises instead of running out of budget.
+    from toricgs.polyforms import polyform_embedding
+
+    ring = polyform_embedding([(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)], "square")
+    with pytest.raises(DegeneracyError, match=r"residual degeneracy 2\^1"):
+        reduction_chain(ChainSpec({"ring": ring}, (), ("ring",), ()), budget=1000)

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the bundled fixture files under src/toricgs/fixtures/.
 
-Produces the standard small instances, the reduction-chain systems obtained
-by repeatedly contracting arm corners of the plus-shaped pentomino, the
-mirror systems with their relabeling maps, and the chain specification.
-Everything written here is re-verified from scratch by the test suite; this
-script exists so the fixtures are reproducible rather than hand-typed.
+Produces the standard small instances and the reduction chain of the
+plus-shaped pentomino: ``reduction.derive_chain`` contracts arm corners and
+fixes each step's leaf graph and mirror relabeling, and this script writes
+its systems and specification as JSON.  Everything written here is
+re-verified from scratch by the test suite; this script exists so the
+fixtures are reproducible rather than hand-typed.
 """
 
 from __future__ import annotations
@@ -33,131 +34,33 @@ def write_setup(name: str, emb: surface.Embedding, directory: str = "") -> None:
     write_json(os.path.join(directory or OUT, f"{name}.json"), emb.to_dict())
 
 
-def derive_vertex_map(
-    system: surface.Embedding, source: surface.Embedding, edge_map: dict
-) -> dict:
-    """Find a vertex bijection consistent with the given qubit bijection."""
-    src_pos = {q: k for k, q in enumerate(source.qubit_ids)}
-    constraints = []
-    for k in range(system.graph.n_edges):
-        u, v = system.graph.endpoints(k)
-        su, sv = source.graph.endpoints(src_pos[edge_map[system.qubit_ids[k]]])
-        constraints.append(((u, v), (su, sv)))
-
-    sys_vertices = list(system.graph.vertices)
-    src_vertices = set(source.graph.vertices)
-
-    def backtrack(i: int, assignment: dict, used: set):
-        if i == len(constraints):
-            if len(assignment) < len(sys_vertices):
-                # Isolated vertices cannot occur in connected hosts.
-                return None
-            return dict(assignment)
-        (u, v), (su, sv) = constraints[i]
-        for mu, mv in ((su, sv), (sv, su)):
-            conflicts = (
-                (u in assignment and assignment[u] != mu)
-                or (v in assignment and assignment[v] != mv)
-                or (u not in assignment and mu in used)
-                or (v not in assignment and mv in used)
-            )
-            if conflicts or (u == v) != (mu == mv):
-                continue
-            new_assignment = dict(assignment)
-            new_used = set(used)
-            new_assignment[u] = mu
-            new_used.add(mu)
-            new_assignment[v] = mv
-            new_used.add(mv)
-            result = backtrack(i + 1, new_assignment, new_used)
-            if result is not None:
-                return result
-        return None
-
-    mapping = backtrack(0, {}, set())
-    if mapping is None:
-        raise RuntimeError("no vertex bijection found for the relabeling")
-    assert src_vertices == set(mapping.values())
-    return mapping
-
-
 def build_chain():
+    """Write the systems and the specification of ``reduction.derive_chain`` on the plus pentomino."""
     pent = polyforms.polyform_embedding(polyforms.plus_pentomino_cells(), "square")
-    systems = {"s0": pent}
-    steps = []
-    relabels = []
-    current = pent
-    k = 0
-    while True:
-        m = current.graph
-        deg2 = [v for v in m.vertices if len(m.incident_edges(v)) == 2]
-        if not deg2:
-            break
-        w = sorted(deg2)[0]
-        a_pos, b_pos = sorted(m.incident_edges(w))
-        qa, qb = current.qubit_ids[a_pos], current.qubit_ids[b_pos]
-
-        # the first enumerated tree with a and without b: greedy over a, then the other edges by index
-        tree = next(
-            t for t in graphs.enumerate_spanning_trees(m)
-            if a_pos in t.tree_edges and b_pos not in t.tree_edges
-        )
-        leaf_graph = surface.phi_graph(current, tree)
-        leaf = reduction.LeafGraph(leaf_graph, outer=qa, inner=qb)
-
-        reduced_a = surface.contract_embedding(current, a_pos)
-        reduced_b = surface.contract_embedding(current, b_pos)
-
-        next_name = f"s{k + 1}"
-        mirror_name = f"m{k + 1}"
-        systems[next_name] = reduced_a
-        systems[mirror_name] = reduced_b
-
-        edge_map = {q: q for q in reduced_b.qubit_ids}
-        edge_map[qa] = qb
-        vertex_map = derive_vertex_map(reduced_b, reduced_a, edge_map)
-        assert reduction.verify_relabeling(reduced_b, reduced_a, edge_map, vertex_map)
-        relabels.append(
-            {
-                "system": mirror_name,
-                "source": next_name,
-                "edge_map": sorted([q, edge_map[q]] for q in edge_map),
-                "vertex_map": sorted([list(v), list(vertex_map[v])] for v in vertex_map),
-            }
-        )
-        steps.append(
-            {
-                "system": f"s{k}",
-                "a": qa,
-                "b": qb,
-                "reduced_a": next_name,
-                "reduced_b": mirror_name,
-                "leaf": {
-                    "vertices": list(leaf.graph.labels),
-                    "edges": [list(e) for e in leaf.graph.edges()],
-                    "outer": qa,
-                    "inner": qb,
-                },
-            }
-        )
-        current = reduced_a
-        k += 1
-
-    print(f"chain built: {k} steps, final system has {current.n_qubits} qubits")
-    assert current.n_qubits == 8
+    spec = reduction.derive_chain(pent)
+    base = spec.systems[spec.base[0]]
+    print(f"chain built: {len(spec.steps)} steps, final system has {base.n_qubits} qubits")
 
     os.makedirs(CHAIN_DIR, exist_ok=True)
     chain = {
-        "systems": {name: {"file": f"{name}.json"} for name in systems},
-        "steps": steps,
-        "relabel": relabels,
-        "base": [f"s{k}"],
+        "systems": {name: {"file": f"{name}.json"} for name in spec.systems},
+        "steps": [
+            {"system": s.system, "a": s.a, "b": s.b, "reduced_a": s.reduced_a, "reduced_b": s.reduced_b,
+             "leaf": {**graphs.graph_to_dict(s.leaf.graph), "outer": s.leaf.outer, "inner": s.leaf.inner}}
+            for s in spec.steps
+        ],
+        "relabel": [
+            {"system": r.system, "source": r.source,
+             "edge_map": sorted(map(list, r.edge_map.items())), "vertex_map": sorted(map(list, r.vertex_map.items()))}
+            for r in spec.relabelings
+        ],
+        "base": list(spec.base),
     }
-    for name, emb in systems.items():
+    for name, emb in spec.systems.items():
         write_setup(name, emb, CHAIN_DIR)
     write_json(os.path.join(CHAIN_DIR, "pentomino_chain.json"), chain)
     # The 8-qubit base doubles as a standalone fixture.
-    write_setup("reduced_8qubit", systems[f"s{k}"])
+    write_setup("reduced_8qubit", base)
     return os.path.join(CHAIN_DIR, "pentomino_chain.json")
 
 
