@@ -234,8 +234,8 @@ def cmd_selftest(args) -> tuple[int, None]:
     return (EXIT_OK if not failed else EXIT_ERROR), None
 
 
-def _budget(text: str) -> int:
-    """Parse ``--budget``: an integer of at least 1, in ASCII digits."""
+def _at_least_one(text: str) -> int:
+    """Parse ``--budget`` and ``--n``: an integer of at least 1, in ASCII digits."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return int(text)
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def with_budget(p):
         p.add_argument(
-            "--budget", type=_budget, default=DEFAULT_ORBIT_BUDGET, help="orbit member budget"
+            "--budget", type=_at_least_one, default=DEFAULT_ORBIT_BUDGET, help="orbit member budget"
         )
 
     p = sub.add_parser("phi", help="map a setup to its tree graph")
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate polyform setups")
     p.add_argument("--lattice", choices=tuple(LATTICES), required=True)
-    p.add_argument("--n", type=int, required=True, help="number of cells")
+    p.add_argument("--n", type=_at_least_one, required=True, help="number of cells")
     p.add_argument("--out", help="directory for the setup files")
     p.set_defaults(func=cmd_enumerate, inputs=())
 

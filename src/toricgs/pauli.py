@@ -156,10 +156,6 @@ class Tableau:
     def rank(self) -> int:
         return len(self.generators)
 
-    def degeneracy(self) -> int:
-        """Dimension of the joint +1 eigenspace: 2^(N - rank)."""
-        return 1 << (self.n_qubits - self.rank)
-
     def __repr__(self) -> str:
         return f"Tableau({[g.label() for g in self.generators]})"
 

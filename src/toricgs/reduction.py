@@ -13,6 +13,10 @@ systems with qubits E - {a} and E - {b}, provided
    whose two leaf deletions are LC-equivalent to the reduced systems, and
 3. both reduced systems are certified nonlocal.
 
+Precondition: every system pins a unique state.  Bases and step systems are
+read through :func:`~toricgs.surface.locality_pair`, which raises
+:class:`~toricgs.surface.DegeneracyError` otherwise.
+
 :func:`verify_reduction_step` returns one message per failed check of these
 hypotheses, an empty tuple when the step holds.  :func:`reduction_chain` stops at the
 first failed check and reports its messages.  A system counts as certified
@@ -47,7 +51,7 @@ from .graphs import (
     only_keys,
 )
 from .lc import DEFAULT_ORBIT_BUDGET, CertificateError, certify_nonlocal, lc_equivalent
-from .surface import Embedding, adjacency_relation, contract_embedding, locality_pair, phi_graph, setup_from_dict
+from .surface import Embedding, contract_embedding, locality_pair, phi_graph, setup_from_dict
 
 
 @dataclass(frozen=True)
@@ -172,14 +176,11 @@ def verify_relabeling(
     """
     if system.closed != source.closed:
         return False
-    if sorted(edge_map) != sorted(system.qubit_ids):
-        return False
-    if sorted(edge_map[q] for q in edge_map) != sorted(source.qubit_ids):
-        return False
-    if sorted(vertex_map) != sorted(system.graph.vertices):
-        return False
-    if sorted(vertex_map[v] for v in vertex_map) != sorted(source.graph.vertices):
-        return False
+    pairs = ((edge_map, system.qubit_ids, source.qubit_ids), (vertex_map, system.graph.vertices, source.graph.vertices))
+    for mapping, domain, image in pairs:  # a bijection onto image, as sets: mixed label types have no order
+        values = set(mapping.values())
+        if set(mapping) != set(domain) or values != set(image) or len(values) != len(mapping):
+            return False
     src_pos = {q: k for k, q in enumerate(source.qubit_ids)}
     mapped_pos = {}
     for k in range(system.graph.n_edges):
@@ -210,7 +211,8 @@ def verify_reduction_step(
 ) -> tuple[str, ...]:
     """Check the three reduction hypotheses for one system.
 
-    Hypothesis 1 is the strictness containment for both reduced relations.
+    A system that does not pin a unique state raises ``DegeneracyError``
+    from :func:`~toricgs.surface.locality_pair` before any check.  Hypothesis 1 is the strictness containment for both reduced relations.
     Hypothesis 2 asks that ``leaf`` belongs to the LC class of the big
     system's tree graph (decided by the pairwise algebraic test, so no orbit
     enumeration happens here) and that its two leaf deletions match the
@@ -230,19 +232,19 @@ def verify_reduction_step(
 
     failures = []
     reduced = {"reduced_a": reduced_a, "reduced_b": reduced_b}
-    rel_big = adjacency_relation(big)
-    for name, emb in reduced.items():
-        violations = is_stricter(rel_big, adjacency_relation(emb), emb.qubit_ids)
+    (tree_big, rel_big), (tree_a, rel_a), (tree_b, rel_b) = map(locality_pair, (big, reduced_a, reduced_b))
+    for (name, emb), rel in zip(reduced.items(), (rel_a, rel_b)):
+        violations = is_stricter(rel_big, rel, emb.qubit_ids)
         if violations:
             failures.append(f"strictness violated towards {name}: {violations}")
 
-    if lc_equivalent(phi_graph(big), leaf.graph) is None:
+    if lc_equivalent(tree_big, leaf.graph) is None:
         failures.append("leaf graph is not LC-equivalent to the big system")
     drop_a = leaf.graph.delete_vertex(a)
-    if lc_equivalent(drop_a, phi_graph(reduced_a)) is None:
+    if lc_equivalent(drop_a, tree_a) is None:
         failures.append("leaf minus outer does not match reduced_a")
     drop_b = epsilon_swap(leaf).graph.delete_vertex(b)
-    if lc_equivalent(drop_b, phi_graph(reduced_b)) is None:
+    if lc_equivalent(drop_b, tree_b) is None:
         failures.append("swapped leaf minus outer does not match reduced_b")
 
     for name, emb in reduced.items():

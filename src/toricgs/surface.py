@@ -175,14 +175,16 @@ def validate_embedding(e: Embedding) -> Embedding:
 
 
 def homology_rank(e: Embedding) -> int:
-    """Dimension of the cycle space modulo the span of face boundaries.
+    """h = dim(cycle space) - rank(face masks): the star/plaquette code has degeneracy 2^h.
 
-    Needs no check: ``e`` is valid, or is being validated and its faces passed.
+    The stars of a connected multigraph have rank |V| - 1, so the stabilizer
+    has rank N - h, open or closed.  A closed setup has h = 2g, checked on
+    construction, and its Z-loops pin those sectors; an open one pins a
+    unique state iff h = 0.  Needs no check: ``e`` is valid, or is being
+    validated and its faces passed.
     """
-    if not e.closed:
-        raise EmbeddingError("homology rank is defined for closed embeddings only")
     m = e.graph
-    cycle_dim = m.n_edges - m.n_vertices + 1
+    cycle_dim = m.n_edges - m.n_vertices + 1 if m.n_vertices else 0  # connected, or empty
     return cycle_dim - gf2.rank(gf2.BitMatrix(face_masks(e), m.n_edges))
 
 
@@ -212,14 +214,12 @@ def surface_stabilizer(e: Embedding) -> tuple[Tableau, int]:
 
     One X-type generator per vertex and one Z-type generator per face are
     collected in that order; rows that are GF(2)-dependent on earlier ones
-    (e.g. the product of all stars) are dropped.  Degeneracy is 2^(N - d);
-    for closed surfaces this equals 4^genus, since construction checked that
-    the homology rank is twice the genus.  The tableau passed the public
-    ``Tableau`` check when ``e`` first built it; every call returns that
-    same object.
+    (e.g. the product of all stars) are dropped.  Degeneracy is
+    2^:func:`homology_rank`; for closed surfaces this equals 4^genus.  The
+    tableau passed the public ``Tableau`` check when ``e`` first built it;
+    every call returns that same object.
     """
-    tab = e._stabilizer[0]
-    return tab, tab.degeneracy()
+    return e._stabilizer[0], 1 << homology_rank(e)
 
 
 def adjacency_relation(e: Embedding) -> SimpleGraph:
@@ -386,10 +386,12 @@ def phi_graph(e: Embedding, tree: Optional[SpanningTree] = None) -> SimpleGraph:
 def locality_pair(e: Embedding) -> tuple[SimpleGraph, SimpleGraph]:
     """The tree graph and the vicinity graph whose pairing a locality verdict judges.
 
-    A setup that does not pin a unique state has no one graph state to judge,
-    so :func:`sector_tableau` runs first and raises :class:`DegeneracyError`.
+    A setup that does not pin a unique state has no one graph state to judge:
+    an open setup with :func:`homology_rank` h > 0 raises
+    :class:`DegeneracyError`, and no stabilizer tableau is built to find out.
     """
-    sector_tableau(e)
+    if not e.closed and (h := homology_rank(e)):
+        raise DegeneracyError(f"residual degeneracy 2^{h}: the instance does not pin a unique state")
     return phi_graph(e), adjacency_relation(e)
 
 

@@ -453,6 +453,34 @@ def test_reduce_chain_with_a_wrong_relabeling_stops_there(capsys, tmp_path):
     assert unverified == ["m1", "s0"]
 
 
+def test_reduce_relabeling_with_labels_of_mixed_types_fails_closed(capsys, tmp_path):
+    # An integer label among the tuple labels cannot be sorted against them;
+    # the maps are compared as sets, so the relabeling simply does not verify.
+    def edit(spec):
+        spec["relabel"][0]["vertex_map"][0][0] = 5
+
+    result = _failed_reduce(capsys, tmp_path, edit)
+    assert result["failures"] == ["relabeling of m1 onto s1 does not verify"]
+
+
+def test_verdict_paths_build_no_checked_tableau(capsys, monkeypatch):
+    # Degeneracy is decided by homology_rank, so the verdict paths never run
+    # the O(n^2) public Tableau check (sector_tableau and transforms still do).
+    from toricgs import pauli
+    from toricgs.reduction import load_chain_spec, reduction_chain
+    from toricgs.surface import locality_pair
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a checked Tableau was built")
+
+    monkeypatch.setattr(pauli.Tableau, "__init__", refuse)
+    for name in ("tetriamond", "torus_2x2", "reduced_8qubit"):
+        locality_pair(load_setup(fixture_path(f"{name}.json")))
+    assert reduction_chain(load_chain_spec(fixture_path("chain/pentomino_chain.json"))).ok
+    code, report = run_json(capsys, "locality", "--setup", fixture_path("tetriamond.json"))
+    assert code == EXIT_OK and report["result"]["verdict"] == "nonlocal"
+
+
 def test_reduce_chain_with_a_path_leaf_names_each_failed_hypothesis(capsys, tmp_path):
     def edit(spec):
         leaf = spec["steps"][-1]["leaf"]
@@ -516,14 +544,17 @@ def test_budget_only_on_enumerating_subcommands(capsys):
 
 def test_budget_below_one_is_a_usage_error(capsys):
     # A superscript two is a digit to str.isdigit but not to int(), and
-    # fullwidth digits are digits to both; neither is a budget.
-    for budget in ("0", "\u00b2", "\uff11\uff10"):
+    # fullwidth digits are digits to both; neither is a budget.  --n takes the
+    # same type: int() would read "\u0663" as 3, "1_0" as 10, "+2" and " 2" as 2.
+    cases = [(["locality", "--setup", fixture_path("plaquette4.json"), "--budget"], v) for v in ("0", "\u00b2", "\uff11\uff10")]
+    cases += [(["enumerate", "--lattice", "square", "--n"], v) for v in ("0", "\u0663", "1_0", "+2", " 2")]
+    for argv, value in cases:
         with pytest.raises(SystemExit) as exc:
-            main(["locality", "--setup", fixture_path("plaquette4.json"), "--budget", budget])
+            main(argv + [value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")
-        assert f"argument --budget: must be an integer of at least 1, got {budget!r}" in err
+        assert f"argument {argv[-1]}: must be an integer of at least 1, got {value!r}" in err
 
 
 def _broken_chain(tmp_path, edit):

@@ -23,7 +23,7 @@ from toricgs.reduction import (
     verify_reduction_step,
     verify_relabeling,
 )
-from toricgs.surface import DegeneracyError, load_setup
+from toricgs.surface import DegeneracyError, EmbeddingError, load_setup
 from tests.test_graphs import random_simple_graph
 
 
@@ -199,6 +199,16 @@ def test_verify_relabeling_detects_wrong_map():
     assert not verify_relabeling(emb, emb, edge_map, vertex_map)
 
 
+def test_verify_relabeling_compares_labels_of_mixed_types():
+    emb = load_setup(fixture_path("tetriamond.json"))
+    edge_map = {q: q for q in emb.qubit_ids}
+    vertex_map = {v: v for v in emb.graph.vertices}
+    vertex_map[5] = vertex_map.pop(emb.graph.vertices[0])  # an int among tuples
+    assert not verify_relabeling(emb, emb, edge_map, vertex_map)
+    # the right image, but two qubits share one image
+    assert not verify_relabeling(emb, emb, edge_map | {1: 0}, {v: v for v in emb.graph.vertices})
+
+
 # -- chain verification -------------------------------------------------------
 
 
@@ -221,7 +231,7 @@ def test_bundled_chain_verifies(chain_spec, tmp_path):
 
 
 def test_verified_step_and_strictness_violation(chain_spec):
-    from toricgs.surface import Embedding, adjacency_relation, validate_embedding
+    from toricgs.surface import Embedding, adjacency_relation, face_masks, homology_rank
 
     step = chain_spec.steps[0]
     big = chain_spec.systems[step.system]
@@ -233,29 +243,29 @@ def test_verified_step_and_strictness_violation(chain_spec):
     )
     assert good == ()
 
-    # dropping a face from the reduced system removes vicinities that the big
-    # system still has: strictness must flag the lost pairs
-    found_violation = False
-    for drop in range(len(reduced_a.faces)):
-        faces = tuple(w for i, w in enumerate(reduced_a.faces) if i != drop)
-        try:
-            weakened = validate_embedding(
-                Embedding(reduced_a.graph, faces, reduced_a.closed, reduced_a.qubit_ids)
-            )
-        except Exception:
-            continue
-        violations = is_stricter(
-            adjacency_relation(big), adjacency_relation(weakened), weakened.qubit_ids
-        )
-        failures = verify_reduction_step(
-            big, step.a, step.b, weakened, reduced_b, step.leaf, certified | {weakened.digest()}
-        )
-        if violations:
-            found_violation = True
-            assert failures[0] == f"strictness violated towards reduced_a: {violations}"
-            break
-        assert not any(f.startswith("strictness") for f in failures)
-    assert found_violation
+    def weakened(faces):
+        emb = Embedding(reduced_a.graph, faces, reduced_a.closed, reduced_a.qubit_ids)
+        return emb, verify_reduction_step(big, step.a, step.b, emb, reduced_b, step.leaf, certified | {emb.digest()})
+
+    # Face 2 is the only face that can be dropped from a valid setup, and the
+    # hole it leaves makes the reduced system degenerate, so the step raises.
+    for drop in (0, 1, 3, 4):
+        with pytest.raises(EmbeddingError, match="do not appear on one or two faces"):
+            weakened(tuple(w for i, w in enumerate(reduced_a.faces) if i != drop))
+    holed = Embedding(reduced_a.graph, reduced_a.faces[:2] + reduced_a.faces[3:], False, reduced_a.qubit_ids)
+    assert homology_rank(holed) == 1
+    with pytest.raises(DegeneracyError, match=r"residual degeneracy 2\^1"):
+        weakened(holed.faces)
+
+    # Face 2 replaced by the closed walk of faces 0 + 2 (they share edge 4)
+    # pins a unique state, but loses the vicinities that face 2 alone gave.
+    faces = reduced_a.faces[:2] + ((0, 5, 10, 7, 1),) + reduced_a.faces[3:]
+    masks = face_masks(reduced_a)
+    emb, failures = weakened(faces)
+    assert face_masks(emb)[2] == masks[0] ^ masks[2] and homology_rank(emb) == 0
+    violations = is_stricter(adjacency_relation(big), adjacency_relation(emb), emb.qubit_ids)
+    assert violations == ((5, 11),)
+    assert failures[0] == f"strictness violated towards reduced_a: {violations}"
 
     # swapped outer/inner declaration is rejected outright
     with pytest.raises(GraphError):
@@ -479,3 +489,17 @@ def test_degenerate_base_is_rejected_before_its_search():
     ring = polyform_embedding([(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)], "square")
     with pytest.raises(DegeneracyError, match=r"residual degeneracy 2\^1"):
         reduction_chain(ChainSpec({"ring": ring}, (), ("ring",), ()), budget=1000)
+
+
+def test_degenerate_step_systems_are_rejected():
+    # Every system of the ring's chain keeps the hole.  Even with the reduced
+    # systems counted as certified, the first step raises instead of holding.
+    from toricgs.polyforms import polyform_embedding
+
+    ring = polyform_embedding([(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)], "square")
+    spec = derive_chain(ring)
+    step = spec.steps[0]
+    systems = [spec.systems[name] for name in (step.system, step.reduced_a, step.reduced_b)]
+    certified = {emb.digest() for emb in spec.systems.values()}
+    with pytest.raises(DegeneracyError, match=r"residual degeneracy 2\^1"):
+        verify_reduction_step(systems[0], step.a, step.b, *systems[1:], step.leaf, certified)

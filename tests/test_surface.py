@@ -20,6 +20,7 @@ from toricgs.surface import (
     dump_setup,
     homology_rank,
     load_setup,
+    locality_pair,
     loop_operators,
     one_point_double_plaquette,
     phi_graph,
@@ -124,9 +125,59 @@ def test_stabilizers_commute_for_all_enumerated_polyforms():
                         assert gens[i].commutes_with(gens[j])
 
 
-def test_homology_rank_requires_closed():
-    with pytest.raises(EmbeddingError):
-        homology_rank(single_plaquette(4))
+def _ring():
+    """The 8-cell square ring around a hole: open, with one unspanned cycle."""
+    from toricgs.polyforms import polyform_embedding
+
+    return polyform_embedding([(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)], "square")
+
+
+def test_homology_rank_on_open_setups():
+    assert homology_rank(single_plaquette(4)) == 0
+    assert homology_rank(load_setup(fixture_path("tetriamond.json"))) == 0
+    assert homology_rank(_ring()) == 1
+
+
+def test_homology_rank_decides_degeneracy_as_the_sector_tableau_does():
+    # locality_pair raises on an open setup with h > 0 and builds no tableau;
+    # sector_tableau learns the same from the rank of the rows it builds.
+    from toricgs.graphs import GraphError
+    from toricgs.reduction import derive_chain
+
+    def chain(emb):
+        try:
+            return list(derive_chain(emb).systems.values())
+        except GraphError:  # a single cell: its contraction would make a loop
+            return [emb]
+
+    setups = chain(_ring())
+    for lattice, n_max in (("square", 6), ("triangular", 7)):
+        for n in range(1, n_max + 1):
+            for emb in polyform_enumerate(n, lattice):
+                setups += chain(emb)
+    for side in range(2, 6):
+        torus = square_torus(side)
+        setups.append(torus)
+        for k in range(torus.n_qubits):
+            try:
+                setups.append(contract_embedding(torus, k))
+            except (GraphError, EmbeddingError):  # parallel edges of the 2x2 torus
+                pass
+    degenerate = 0
+    for emb in setups:
+        h = homology_rank(emb)
+        tab, deg = surface_stabilizer(emb)
+        assert tab.rank == emb.n_qubits - h and deg == 1 << h
+        errors = []
+        for check in (sector_tableau, locality_pair):
+            try:
+                check(emb)
+            except DegeneracyError as exc:
+                errors.append(str(exc))
+        assert len(errors) in (0, 2) and len(set(errors)) <= 1
+        assert bool(errors) == (not emb.closed and h > 0)
+        degenerate += bool(errors)
+    assert (len(setups), sum(e.closed for e in setups), degenerate) == (1107, 104, 9)
 
 
 # -- vicinity -----------------------------------------------------------------
@@ -292,10 +343,7 @@ def test_sector_and_rotated_tableaux_pass_the_public_check():
 
 def test_degenerate_open_instance_raises():
     # ring of 8 cells around a hole: the hole's cycle is not spanned by faces
-    from toricgs.polyforms import polyform_embedding
-
-    ring = [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
-    emb = polyform_embedding(ring, "square")
+    emb = _ring()
     validate_embedding(emb)
     _, deg = surface_stabilizer(emb)
     assert deg == 2
