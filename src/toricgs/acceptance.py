@@ -22,11 +22,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from . import polyforms
 from .fixture_files import fixture_path
 from .graphs import Multigraph, SimpleGraph, enumerate_spanning_trees, phi
+from .lazy_numpy import np
 from .lc import (
     canonical_key,
     certify_nonlocal,

@@ -3,7 +3,9 @@
 A labeled graph on n vertices is identified by its canonical key: the
 upper-triangle bits of the adjacency matrix packed row-major into one
 integer.  Orbits under local complementation are closed breadth-first over
-those keys by one numpy engine that works on native machine words.  Each
+those keys by one numpy engine that works on native machine words; numpy
+loads on the first orbit (see :mod:`toricgs.lazy_numpy`), and the rest of
+the module, the pairwise test included, is integer arithmetic.  Each
 frontier member carries its key as uint64 words and its adjacency rows as
 n-bit masks; a child's key is its parent's words XOR the flip pattern of the
 complemented neighbourhood, laid out by a plan fixed per n (for n <= 16, a
@@ -52,10 +54,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import gf2
 from .graphs import GraphError, SimpleGraph, local_complement_sequence
+from .lazy_numpy import np
 
 DEFAULT_ORBIT_BUDGET = 10**8
 DEFAULT_WITNESS_BUDGET = 24  # max free dimensions, i.e. 2^24 candidates
@@ -315,7 +316,7 @@ def _fingerprint(words: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(32))
 
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+_MIX = 0x9E3779B97F4A7C15  # a uint64 operand wherever it meets the key words
 
 
 def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:

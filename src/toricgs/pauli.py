@@ -12,17 +12,18 @@ transiently while multiplying.
 
 The dense oracle keeps full amplitude vectors (qubit ``j`` is bit ``j`` of the
 basis index) and is capped at 14 qubits, comfortably above the largest check
-needed anywhere in the package (9 qubits).
+needed anywhere in the package (9 qubits).  It is the only part of the module
+that uses numpy, which loads when the first state vector is built (see
+:mod:`toricgs.lazy_numpy`); strings and tableaux are integer bit masks.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import gf2
 from .graphs import SimpleGraph
+from .lazy_numpy import np
 
 STATE_VECTOR_MAX_QUBITS = 14
 STABILIZED_TOL = 1e-10  # largest amplitude change a stabilizer may make in is_stabilized

@@ -43,6 +43,11 @@ class DegeneracyError(ValueError):
     """The instance has residual ground-space degeneracy where 1 is required."""
 
 
+def _degenerate(h: int) -> DegeneracyError:
+    """The one report of a setup whose ground space has dimension 2^h, h > 0."""
+    return DegeneracyError(f"residual degeneracy 2^{h}: the instance does not pin a unique state")
+
+
 @dataclass(frozen=True)
 class Embedding:
     """A surface-code instance: multigraph, face walks, closed flag.
@@ -126,6 +131,7 @@ def _closed_walk(m: Multigraph, walk: Sequence[int]) -> Optional[list[int]]:
 def validate_embedding(e: Embedding) -> Embedding:
     """Check all embedding invariants; returns the input on success.
 
+    The carrier multigraph has at least one vertex and is connected.
     Closed surfaces: every edge lies on exactly two face walks (with
     multiplicity) and Euler's relation v + f - e = 2 - 2g holds for a
     non-negative integer genus that also matches the homology rank.
@@ -134,7 +140,9 @@ def validate_embedding(e: Embedding) -> Embedding:
     Its one caller is ``Embedding.__post_init__``, where the data enters.
     """
     m = e.graph
-    if m.n_vertices and not m.is_connected():
+    if not m.n_vertices:
+        raise EmbeddingError("the carrier multigraph has no vertices")
+    if not m.is_connected():
         raise EmbeddingError("the carrier multigraph must be connected")
     counts = [0] * m.n_edges
     for w in e.faces:
@@ -184,7 +192,7 @@ def homology_rank(e: Embedding) -> int:
     validated and its faces passed.
     """
     m = e.graph
-    cycle_dim = m.n_edges - m.n_vertices + 1 if m.n_vertices else 0  # connected, or empty
+    cycle_dim = m.n_edges - m.n_vertices + 1  # the carrier is connected and has a vertex
     return cycle_dim - gf2.rank(gf2.BitMatrix(face_masks(e), m.n_edges))
 
 
@@ -334,10 +342,7 @@ def sector_tableau(e: Embedding, tree: Optional[SpanningTree] = None) -> Tableau
                 pivots |= low
                 gens.append(PauliString._derived(n, 0, loop, 0))
     if len(gens) != n:
-        raise DegeneracyError(
-            f"residual degeneracy 2^{n - len(gens)}: the instance does not pin a "
-            "unique state"
-        )
+        raise _degenerate(n - len(gens))
     return Tableau(n, gens) if e.closed else tab
 
 
@@ -391,7 +396,7 @@ def locality_pair(e: Embedding) -> tuple[SimpleGraph, SimpleGraph]:
     :class:`DegeneracyError`, and no stabilizer tableau is built to find out.
     """
     if not e.closed and (h := homology_rank(e)):
-        raise DegeneracyError(f"residual degeneracy 2^{h}: the instance does not pin a unique state")
+        raise _degenerate(h)
     return phi_graph(e), adjacency_relation(e)
 
 

@@ -428,6 +428,46 @@ def test_console_script_entry_point(tmp_path):
     assert "[PASS]" in proc.stdout
 
 
+NUMPY_FREE = {
+    "import": ("-c", "import toricgs"),
+    "phi": ("-m", "toricgs.cli", "phi", "--setup", fixture_path("torus_3x3.json")),
+    "verify-thm1": ("-m", "toricgs.cli", "verify-thm1", "--setup", fixture_path("pentomino_plus.json")),
+    "lc-equiv": ("-m", "toricgs.cli", "lc-equiv", "--g", fixture_path("star5.graph.json"), "--h", fixture_path("complete5.graph.json")),
+    "enumerate": ("-m", "toricgs.cli", "enumerate", "--lattice", "triangular", "--n", "4"),
+}
+NUMPY_USING = {
+    "locality": ("-m", "toricgs.cli", "locality", "--setup", fixture_path("plaquette4.json")),
+    "lc-orbit": ("-m", "toricgs.cli", "lc-orbit", "--graph", fixture_path("path4.graph.json")),
+}
+
+
+def _runs_numpy(args) -> bool:
+    """Whether a fresh process with these arguments executes numpy.
+
+    ``-X importtime`` writes one stderr line per module whose code runs.
+    ``numpy`` itself may be a module object whose import is deferred, so
+    its first submodule, which only a real import runs, is what counts.
+    """
+    import subprocess, sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return "numpy._core" in imported
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_FREE))
+def test_commands_without_orbits_leave_numpy_unloaded(case):
+    assert not _runs_numpy(NUMPY_FREE[case])
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_USING))
+def test_commands_with_orbits_load_numpy(case):
+    assert _runs_numpy(NUMPY_USING[case])
+
+
 def test_reduce_failing_chain_exits_nonzero(capsys, tmp_path):
     def edit(spec):
         spec["base"] = []  # no exhaustive base: nothing can be certified
@@ -716,6 +756,8 @@ BAD_SETUPS = {
         "faces": [[0, 1, 2], [3, 4, 5]],
         "closed": False,
     },
+    "empty_open_carrier": {"vertices": [], "edges": [], "faces": [], "closed": False},
+    "empty_closed_carrier": {"vertices": [], "edges": [], "faces": [], "closed": True},
 }
 
 

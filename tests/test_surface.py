@@ -90,6 +90,12 @@ def test_disconnected_carrier_rejected():
         Embedding(m, ((0,), (1,)), closed=False)
 
 
+@pytest.mark.parametrize("closed", [False, True])
+def test_empty_setup_rejected(closed):
+    with pytest.raises(EmbeddingError, match="^the carrier multigraph has no vertices$"):
+        setup_from_dict({"vertices": [], "edges": [], "faces": [], "closed": closed})
+
+
 # -- stabilizers and degeneracy -----------------------------------------------
 
 
@@ -349,8 +355,11 @@ def test_degenerate_open_instance_raises():
     assert deg == 2
     tree = first_spanning_tree(emb.graph)
     for _ in range(2):  # the stored stabilizer must not turn a second call into a success
-        with pytest.raises(DegeneracyError, match="residual degeneracy 2\\^1"):
+        with pytest.raises(DegeneracyError, match="residual degeneracy 2\\^1") as sector_error:
             sector_tableau(emb, tree)
+        with pytest.raises(DegeneracyError) as pair_error:
+            locality_pair(emb)
+        assert str(sector_error.value) == str(pair_error.value)
         with pytest.raises(DegeneracyError):
             transform_to_graph_state(emb)
 
