@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional
 
 from . import polyforms
 from .fixture_files import fixture_path
-from .graphs import Multigraph, SimpleGraph, enumerate_spanning_trees, phi
+from .graphs import Multigraph, SimpleGraph, enumerate_spanning_trees, first_spanning_tree, phi
 from .lazy_numpy import np
 from .lc import (
     canonical_key,
@@ -206,7 +206,7 @@ def criterion_3_bipartite() -> CriterionResult:
     failures = 0
     for _ in range(500):
         m = random_connected_multigraph(rng)
-        tree = enumerate_spanning_trees(m)[0]
+        tree = first_spanning_tree(m)
         if not phi(m, tree).is_bipartite():
             failures += 1
     return _result(

@@ -12,9 +12,11 @@ positions double as qubit identifiers everywhere else in the package.
 
 from __future__ import annotations
 
+import operator
+from array import array
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from functools import cached_property, lru_cache
 
 from . import gf2
 
@@ -382,60 +384,251 @@ class SpanningTree:
         return self._root_masks[index[p]] ^ self._root_masks[index[q]]
 
 
-def _union(dsu: list[int], a: int, b: int) -> bool:
-    """Join the components of ``a`` and ``b`` in the union-find ``dsu``.
-
-    Finds halve their paths.  Returns whether the two were in different
-    components.
-    """
+def _find(dsu: list[int], a: int) -> int:
+    """The root of ``a`` in the union-find ``dsu``; the find halves its path."""
     while dsu[a] != a:
         dsu[a] = dsu[dsu[a]]
         a = dsu[a]
-    while dsu[b] != b:
-        dsu[b] = dsu[dsu[b]]
-        b = dsu[b]
+    return a
+
+
+def _union(dsu: list[int], a: int, b: int) -> bool:
+    """Join the components of ``a`` and ``b`` in the union-find ``dsu``.
+
+    Returns whether the two were in different components.
+    """
+    a, b = _find(dsu, a), _find(dsu, b)
     if a == b:
         return False
     dsu[a] = b
     return True
 
 
-def enumerate_spanning_trees(m: Multigraph) -> list[SpanningTree]:
-    """All spanning trees of ``m`` as edge-index subsets, in a fixed order.
+_TOP, _NONE = -1, -2  # child codes: the edge completes the tree / there is no such child
 
-    Edges are considered in index order with an include/exclude recursion;
-    parallel edges therefore yield distinct trees.  Suitable for hosts with
-    up to a few dozen edges.
+
+class SpanningTrees(Sequence):
+    """The spanning trees of a host, as a counted decision diagram over its edges.
+
+    Level ``k`` of the diagram decides edge ``k``.  A state at level ``k`` is
+    the partition into components of the frontier: the vertices that an edge
+    before ``k`` touched and an edge from ``k`` on still touches, listed in the
+    order the edges first touch them.  Each vertex that no edge before ``k``
+    touched is a component of its own.  In every state each block holds a
+    frontier vertex and the edges from ``k`` on join all components, so the
+    state fixes the set of completions.  Its include child takes edge ``k``
+    into the tree, which needs the endpoints in different components; its
+    exclude child leaves the edge out, which needs the edges after ``k`` to
+    still join every component.  Each state stores the number of trees below
+    its include child, so ``trees[i]`` follows one path of at most ``E``
+    steps and builds only the tree asked for.  A partition is a bytes string
+    of block labels, one per frontier vertex, numbered in order of first
+    appearance.
     """
-    if not m.is_connected():
-        raise GraphError("spanning trees require a connected multigraph")
-    n, e = m.n_vertices, m.n_edges
-    results: list[SpanningTree] = []
 
-    def rec(idx: int, chosen: list[int], dsu: list[int], comp: int):
-        # Edges idx.. join the comp components of dsu, so idx < e below.
-        if comp == 1:
-            results.append(SpanningTree._derived(m, frozenset(chosen)))
-            return
-        joined = list(dsu)
-        if not _union(joined, *m.edges[idx]):
-            # Edge idx closes a cycle, so the edges after it join the same components.
-            rec(idx + 1, chosen, dsu, comp)
-            return
-        rec(idx + 1, chosen + [idx], joined, comp - 1)
-        # Exclude edge idx, unless the edges after it no longer join the components.
-        rest = list(dsu)
-        if sum(_union(rest, *m.edges[k]) for k in range(idx + 1, e)) == comp - 1:
-            rec(idx + 1, chosen, dsu, comp)
+    __slots__ = ("host", "_root", "_include", "_exclude", "_below", "_len")
 
-    if n == 0:
-        return []
-    rec(0, [], list(range(n)), n)
-    return results
+    def __init__(self, host: Multigraph):
+        if not host.is_connected():
+            raise GraphError("spanning trees require a connected multigraph")
+        self.host = host
+        self._include: list[array] = []  # per level: each state's include child at the next level, or a code
+        self._exclude: list[array] = []
+        self._below: list[list[int]] = []  # per level: each state's count of trees that include the edge
+        if host.n_vertices <= 1:  # one vertex has one tree, with no edges; no vertex has none
+            self._root = _NONE if host.n_vertices == 0 else _TOP
+            self._len = host.n_vertices
+            return
+        self._root = 0
+        self._len = self._build()
+
+    def _build(self) -> int:
+        level = [b""]  # the states of the current level, by index
+        for a_at, b_at, fresh, drops, last_join, cut in _frontier_plan(self.host):
+            at_next: dict[bytes, int] = {}  # state at the next level -> its index there
+
+            def child(t: bytes) -> int:
+                for p in drops:  # descending, so each position is still where the plan put it
+                    block = t[p]
+                    if t.index(block) == p:  # the block's next member becomes its first
+                        last = max(t[p : t.index(block, p + 1)])  # the blocks first seen before that member
+                        t = (t[:p] + t[p + 1 :]).translate(_rotation(block, last))
+                    else:
+                        t = t[:p] + t[p + 1 :]
+                return at_next.setdefault(t, len(at_next))
+
+            include, exclude = array("i"), array("i")
+            for s in level:
+                t = s
+                if fresh:  # the endpoints first touched here are blocks of their own
+                    blocks = max(s) + 1 if s else 0
+                    t = s + bytes(range(blocks, blocks + fresh))
+                la, lb = t[a_at], t[b_at]
+                if la == lb:  # edge k closes a cycle: only the exclude child, which keeps every completion
+                    include.append(_NONE)
+                    exclude.append(child(t))
+                    continue
+                if last_join and max(t) == 1:
+                    include.append(_TOP)
+                else:
+                    include.append(child(t.translate(_merger(la, lb) if la < lb else _merger(lb, la))))
+                exclude.append(child(t) if cut is None or _joined(t, *cut) else _NONE)
+            self._include.append(include)
+            self._exclude.append(exclude)
+            level = list(at_next)
+        count: list[int] = []  # per state of the level below: its tree count
+        for include, exclude in zip(reversed(self._include), reversed(self._exclude)):
+            below = [1 if c == _TOP else 0 if c == _NONE else count[c] for c in include]
+            count = [n + (0 if c == _NONE else count[c]) for n, c in zip(below, exclude)]
+            self._below.append(below)
+        self._below.reverse()
+        return count[0]
+
+    @property
+    def n_states(self) -> int:
+        """The number of diagram states, which bounds the cost of building it."""
+        return sum(map(len, self._include))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._unrank(j) for j in range(self._len)[i])
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"spanning tree index out of range for {self._len} trees")
+        return self._unrank(i)
+
+    def _unrank(self, i: int) -> SpanningTree:
+        chosen = []
+        k, j = 0, self._root
+        while j != _TOP:
+            below = self._below[k][j]
+            if i < below:
+                chosen.append(k)
+                j = self._include[k][j]
+            else:
+                i -= below
+                j = self._exclude[k][j]
+            k += 1
+        return SpanningTree._derived(self.host, frozenset(chosen))
+
+    def __iter__(self) -> Iterator[SpanningTree]:
+        if self._root == _NONE:
+            return
+        host, includes, excludes = self.host, self._include, self._exclude
+        chosen: list[int] = []
+        pending = [(0, self._root, 0)]  # exclude children still to walk: level, state, len(chosen)
+        while pending:
+            k, j, size = pending.pop()
+            del chosen[size:]
+            while j != _TOP:
+                c, x = includes[k][j], excludes[k][j]
+                if c == _NONE:
+                    j = x
+                else:
+                    if x != _NONE:
+                        pending.append((k + 1, x, len(chosen)))
+                    chosen.append(k)
+                    j = c
+                k += 1
+            yield SpanningTree._derived(host, frozenset(chosen))
+
+
+def _frontier_plan(m: Multigraph) -> list[list]:
+    """Per edge ``k``, how :class:`SpanningTrees` turns a state at level ``k`` into its children.
+
+    A state is extended by the ``fresh`` endpoints that edge ``k`` touches
+    first, as new blocks at the end.  In that extended list the endpoints sit
+    at ``a_at`` and ``b_at``, and ``drops`` lists, descending, the positions of
+    those that no later edge touches.  ``last_join`` says that every vertex is
+    then touched, so an include that leaves two blocks completes the tree.
+    ``cut`` is None when the edges after ``k`` join the two endpoints;
+    otherwise it holds what :func:`_joined` needs to test, per state, whether
+    the blocks still join them: one getter per component of the edges after
+    ``k``, which reads the blocks at that component's positions, and the
+    components of the two endpoints.
+    """
+    first, last = {}, {}
+    for k, (a, b) in enumerate(m.edges):
+        for v in (a, b):
+            first.setdefault(v, k)
+            last[v] = k
+    touched = max(first.values())  # from this edge on, every vertex has been touched
+    plans, extended = [], []
+    frontier: list[int] = []
+    for k, (a, b) in enumerate(m.edges):
+        ext = frontier + [v for v in (a, b) if first[v] == k]
+        if len(ext) > 256:
+            raise GraphError("this edge order has a frontier of more than 256 vertices")
+        drops = sorted((ext.index(v) for v in (a, b) if last[v] == k), reverse=True)
+        plans.append([ext.index(a), ext.index(b), len(ext) - len(frontier), drops, k >= touched, None])
+        extended.append(ext)
+        frontier = [v for v in ext if last[v] != k]
+    dsu = list(range(m.n_vertices))  # joined by the edges after k, from the last edge back
+    for k in reversed(range(m.n_edges)):
+        a, b = (_find(dsu, v) for v in m.edges[k])
+        if a != b:  # the edges after k do not join the endpoints themselves
+            parts: dict[int, list[int]] = {}  # component root -> its positions
+            for p, v in enumerate(extended[k]):
+                parts.setdefault(_find(dsu, v), []).append(p)
+            getters = [operator.itemgetter(*ps, ps[0]) for ps in parts.values()]  # two items, so each returns a tuple
+            roots = list(parts)
+            plans[k][5] = (getters, roots.index(a), roots.index(b))
+        _union(dsu, *m.edges[k])
+    return plans
+
+
+@lru_cache(maxsize=1024)
+def _merger(x: int, y: int) -> bytes:
+    """The translation table that merges block ``y`` into block ``x < y`` and renumbers the blocks above ``y``."""
+    return bytes(x if c == y else c - (c > y) for c in range(256))
+
+
+@lru_cache(maxsize=1024)
+def _rotation(first: int, last: int) -> bytes:
+    """The translation table that renumbers block ``first`` as ``last`` and blocks ``first + 1 .. last`` one lower."""
+    return bytes(last if c == first else c - (first < c <= last) for c in range(256))
+
+
+def _joined(t: bytes, parts: list, a_part: int, b_part: int) -> bool:
+    """Whether blocks ``t`` join suffix component ``a_part`` to ``b_part``.
+
+    ``parts`` reads off the blocks at the positions of each component.
+    """
+    blocks = [set(part(t)) for part in parts]
+    reached, target = blocks[a_part], blocks[b_part]
+    rest = [b for c, b in enumerate(blocks) if c != a_part and c != b_part]
+    while reached.isdisjoint(target):  # grow by a component that shares a block with those reached
+        for i, other in enumerate(rest):
+            if not reached.isdisjoint(other):
+                reached |= rest.pop(i)
+                break
+        else:
+            return False
+    return True
+
+
+def enumerate_spanning_trees(m: Multigraph) -> Sequence[SpanningTree]:
+    """All spanning trees of ``m``, in the lexicographic order of their sorted edge-index lists.
+
+    The trees form an immutable sequence (:class:`SpanningTrees`) whose
+    length is their count; indexing, slicing and iteration build each tree
+    only when it is asked for.  Parallel edges yield distinct trees.  The
+    cost of the call grows with the number of states of the diagram, the
+    partitions of the edge order's frontier that occur, not with the number
+    of trees.  A frontier of more than 256 vertices raises ``GraphError``.
+    """
+    return SpanningTrees(m)
 
 
 def first_spanning_tree(m: Multigraph) -> SpanningTree:
     """The greedy lowest-edge-index spanning tree (deterministic, cheap)."""
+    if m.n_vertices == 0:
+        raise GraphError("a host with no vertices has no spanning tree")
     dsu = list(range(m.n_vertices))
     chosen = [k for k, (a, b) in enumerate(m.edges) if _union(dsu, a, b)]
     if len(chosen) != m.n_vertices - 1:

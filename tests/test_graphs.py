@@ -1,6 +1,9 @@
 """Graphs, spanning trees, local complementation and the tree map."""
 
 import hashlib
+import itertools
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +278,16 @@ def test_disconnected_host_rejected():
         first_spanning_tree(m)
 
 
+def test_frontier_beyond_256_vertices_rejected():
+    # Pairs first, then the links between them: before the links, every
+    # vertex but the two ends has been touched and still has an edge to come.
+    pairs = [(i, i + 1) for i in range(0, 600, 2)]
+    links = [(i, i + 1) for i in range(1, 599, 2)]
+    with pytest.raises(GraphError, match="frontier of more than 256 vertices"):
+        enumerate_spanning_trees(Multigraph(range(600), pairs + links))
+    assert len(enumerate_spanning_trees(Multigraph(range(256), pairs[:128] + links[:127]))) == 1
+
+
 def test_bad_tree_subset_rejected():
     m = Multigraph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(GraphError):
@@ -400,6 +413,159 @@ def test_enumeration_matches_kirchhoff_count():
             lap[b, a] -= 1
         expected = round(float(np.linalg.det(lap[1:, 1:])))
         assert len(enumerate_spanning_trees(m)) == expected
+
+
+def _matrix_tree_count(m):
+    """Kirchhoff's tree count, a cofactor of the Laplacian, by exact fraction-free (Bareiss) elimination."""
+    n = m.n_vertices
+    lap = [[0] * n for _ in range(n)]
+    for a, b in m.edges:
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    a = [row[1:] for row in lap[1:]]
+    size, sign, prev = n - 1, 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if size else 1
+
+
+def _brute_force_trees(m):
+    """Every (n - 1)-subset of edge indices that a union-find accepts, in lexicographic order."""
+    out = []
+    for subset in itertools.combinations(range(m.n_edges), m.n_vertices - 1):
+        parent = list(range(m.n_vertices))
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for k in subset:
+            a, b = (root(v) for v in m.edges[k])
+            if a == b:
+                break
+            parent[a] = b
+        else:
+            out.append(list(subset))
+    return out
+
+
+def test_trees_match_brute_force():
+    rng = np.random.default_rng(24)
+    total = 0
+    for _ in range(150):
+        m = random_connected_multigraph(rng, max_edges=10)
+        m = Multigraph(m.vertices, [m.endpoints(k) for k in rng.permutation(m.n_edges)])
+        trees = enumerate_spanning_trees(m)
+        expected = _brute_force_trees(m)
+        assert [sorted(t.tree_edges) for t in trees] == expected
+        assert [sorted(trees[i].tree_edges) for i in range(len(trees))] == expected
+        total += len(expected)
+    assert total > 1000
+
+
+def test_trees_are_counted_without_building_one(monkeypatch):
+    from toricgs.fixture_files import fixture_path
+    from toricgs.polyforms import polyform_enumerate
+    from toricgs.surface import load_setup
+
+    def no_tree(*args):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(SpanningTree, "_derived", no_tree)
+    shapes = [emb for n in range(1, 7) for emb in polyform_enumerate(n, "square")]
+    shapes += [emb for n in range(1, 8) for emb in polyform_enumerate(n, "triangular")]
+    shapes += [load_setup(fixture_path(f"{name}.json")) for name in ("torus_2x2", "torus_3x3")]
+    assert len(shapes) == 56 + 46 + 2
+    for emb in shapes:
+        assert len(enumerate_spanning_trees(emb.graph)) == _matrix_tree_count(emb.graph)
+    torus = enumerate_spanning_trees(shapes[-1].graph)
+    assert (len(torus), torus.n_states) == (11_664, 2_167)
+
+
+def test_tree_sequence_indexing():
+    from collections.abc import Sequence
+
+    m = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (0, 1)])
+    trees = enumerate_spanning_trees(m)
+    listed = list(trees)
+    n = len(listed)
+    assert isinstance(trees, Sequence) and n == len(trees) == _matrix_tree_count(m) == 24
+    assert [trees[i] for i in range(-n, 0)] == listed
+    assert trees[np.int64(5)] == listed[5]
+    for cut in (slice(None), slice(3, 11), slice(-4, None), slice(None, None, -3), slice(20, 2, -5), slice(9, 9)):
+        assert trees[cut] == tuple(listed[cut])
+    for i in (n, -n - 1, 10**6):
+        with pytest.raises(IndexError):
+            trees[i]
+    with pytest.raises(TypeError):
+        trees[1.0]
+    with pytest.raises(TypeError):
+        trees[0] = listed[0]
+    picks = random.Random(4).sample(trees, 10)
+    assert len(set(picks)) == 10 and all(t in listed for t in picks)
+    assert trees.index(listed[7]) == 7 and list(reversed(trees)) == listed[::-1]
+
+
+def test_first_enumerated_tree_is_the_greedy_tree():
+    rng = np.random.default_rng(28)
+    checked = 0
+    for _ in range(300):
+        m = random_multigraph(rng)
+        if m.n_vertices and m.is_connected():
+            assert enumerate_spanning_trees(m)[0] == first_spanning_tree(m)
+            checked += 1
+    assert checked > 50
+
+
+def test_host_without_vertices_has_no_tree():
+    m = Multigraph([], [])
+    assert m.is_connected()
+    assert len(enumerate_spanning_trees(m)) == 0 and list(enumerate_spanning_trees(m)) == []
+    with pytest.raises(GraphError, match="no vertices"):
+        first_spanning_tree(m)
+
+
+@pytest.mark.slow
+def test_torus_4x4_trees_counted_and_unranked_within_memory():
+    # 42,467,328 trees: far too many to list, yet the diagram counts them
+    # and builds any one by its index.  The child process's ru_maxrss
+    # (kilobytes on Linux) bounds the diagram's memory.
+    import os
+    import subprocess
+    import sys
+
+    from toricgs.surface import square_torus
+
+    script = (
+        "import random\n"
+        "from toricgs.graphs import SpanningTree, enumerate_spanning_trees\n"
+        "from toricgs.surface import square_torus\n"
+        "m = square_torus(4).graph\n"
+        "trees = enumerate_spanning_trees(m)\n"
+        "for i in random.Random(44).sample(range(len(trees)), 1000):\n"
+        "    tree = trees[i]\n"
+        "    if SpanningTree(m, tree.tree_edges) != tree:\n"
+        "        raise SystemExit(f'tree {i} fails the public check')\n"
+        "print(len(trees))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(graphs.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=env)
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert int(out) == 42_467_328 == _matrix_tree_count(square_torus(4).graph)
+    assert usage.ru_maxrss <= 150 * 1024
 
 
 def _bfs_path_masks(tree, p):
