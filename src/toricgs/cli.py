@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Every subcommand prints one JSON report to standard output, except that a
-``selftest`` that runs prints one line per criterion instead.  Each ``cmd_*`` function returns its exit status and its result, and
-:func:`main` alone builds the report around that result: the command, a
-SHA-256 digest of each input file that the subcommand's parser names in its
-``inputs`` default, and the result.  Reports contain no timestamps, so
-identical configurations produce byte-identical output.  Exit status is 0
+``selftest`` that runs prints one line per criterion instead.  Each
+``cmd_*`` function returns its exit status and its result, and :func:`main`
+alone builds the report around that result: the command, a SHA-256 digest of
+each input file that the subcommand's parser names in its ``inputs``
+default, and the result.  A subcommand reads each of those files once, so
+the digest is of the very bytes it parsed.  Reports contain no timestamps,
+so identical configurations produce byte-identical output.  Exit status is 0
 whenever the analysis completed (whatever the verdict), 1 on bad input or
 internal errors, and 2 when an enumeration budget was exhausted (verdict
 unknown); :func:`main` reports an exhausted orbit budget, except that
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -70,9 +73,17 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True, default=str))
 
 
-def _input_record(path: str) -> dict:
+def _read_input(args, name: str) -> str:
+    """The text of input file ``name``, read once and recorded in ``args.records`` with its digest.
+
+    The bytes are decoded as a file opened with ``encoding="utf-8"`` decodes
+    them, newlines translated, so a parse error reads as it would from the file.
+    """
+    path = getattr(args, name)
     with open(path, "rb") as fh:
-        return {"path": os.path.basename(path), "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        data = fh.read()
+    args.records[name] = {"path": os.path.basename(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
 def _csv_integers(text: str, flag: str) -> list[int]:
@@ -95,9 +106,8 @@ def _parse_tree(emb, tree_csv: Optional[str]) -> SpanningTree:
     return SpanningTree(emb.graph, frozenset(indices))
 
 
-def _load_graph_file(path: str) -> SimpleGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+def _load_graph(args, name: str) -> SimpleGraph:
+    return graph_from_dict(json.loads(_read_input(args, name)))
 
 
 def _write_out(path: Optional[str], content: str) -> None:
@@ -107,7 +117,7 @@ def _write_out(path: Optional[str], content: str) -> None:
 
 
 def cmd_phi(args) -> tuple[int, dict]:
-    emb = load_setup(args.setup)
+    emb = load_setup(args.setup, _read_input(args, "setup"))
     tree = _parse_tree(emb, args.tree)
     graph = phi_graph(emb, tree)
     result = {
@@ -125,7 +135,7 @@ def cmd_phi(args) -> tuple[int, dict]:
 
 
 def cmd_verify_thm1(args) -> tuple[int, dict]:
-    emb = load_setup(args.setup)
+    emb = load_setup(args.setup, _read_input(args, "setup"))
     tree = _parse_tree(emb, args.tree)
     _, degeneracy = surface_stabilizer(emb)
     res = transform_to_graph_state(emb, tree)
@@ -138,7 +148,7 @@ def cmd_verify_thm1(args) -> tuple[int, dict]:
 
 
 def cmd_lc_orbit(args) -> tuple[int, dict]:
-    graph = _load_graph_file(args.graph)
+    graph = _load_graph(args, "graph")
     orbit = lc_orbit(graph, budget=args.budget)
     result = {
         "status": "complete",
@@ -159,8 +169,8 @@ def cmd_lc_orbit(args) -> tuple[int, dict]:
 
 
 def cmd_lc_equiv(args) -> tuple[int, dict]:
-    g = _load_graph_file(args.g)
-    h = _load_graph_file(args.h)
+    g = _load_graph(args, "g")
+    h = _load_graph(args, "h")
     try:
         witness = lc_equivalent(g, h)
     except WitnessBudgetError as exc:
@@ -174,7 +184,7 @@ def cmd_lc_equiv(args) -> tuple[int, dict]:
 
 
 def cmd_locality(args) -> tuple[int, dict]:
-    graph, allowed = locality_pair(load_setup(args.setup))
+    graph, allowed = locality_pair(load_setup(args.setup, _read_input(args, "setup")))
     try:
         orbit = certify_nonlocal(graph, allowed, budget=args.budget)
     except OrbitBudgetError as exc:
@@ -193,7 +203,7 @@ def cmd_locality(args) -> tuple[int, dict]:
 
 
 def cmd_reduce(args) -> tuple[int, dict]:
-    spec = load_chain_spec(args.chain)
+    spec = load_chain_spec(args.chain, _read_input(args, "chain"))
     store = CertStore(args.certs) if args.certs else None
     report = reduction_chain(spec, budget=args.budget, store=store)
     return (EXIT_OK if report.ok else EXIT_ERROR), {
@@ -306,13 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one subcommand and print its report: the only place a report is built."""
     args = build_parser().parse_args(argv)
+    args.records = {}  # filled by _read_input as the subcommand reads its inputs
     try:
         try:
             code, result = args.func(args)
         except OrbitBudgetError as exc:
             code, result = EXIT_BUDGET, {"status": "budget-exceeded", "budget": exc.budget}
-        if result is not None:  # inputs are hashed after the run, so a bad input is the subcommand's error
-            inputs = {name: _input_record(getattr(args, name)) for name in args.inputs}
+        if result is not None:
+            inputs = {name: args.records[name] for name in args.inputs}
             _emit({"command": args.command, "inputs": inputs, "result": result})
         return code
     except (ValueError, OSError) as exc:  # GraphError, EmbeddingError, JSONDecodeError among them

@@ -10,8 +10,9 @@ frontier member carries its key as uint64 words and its adjacency rows as
 n-bit masks; a child's key is its parent's words XOR the flip pattern of the
 complemented neighbourhood, laid out by a plan fixed per n (for n <= 16, a
 table of all 2^n patterns, built once per process on first use).  Keys are
-deduplicated and looked up through one uint64 fingerprint each, the key
-itself when it fits one word, and every fingerprint match is confirmed on
+deduplicated and looked up through one uint64 fingerprint each.  A key
+that fits one word (n <= 11) is its own fingerprint, so a match is the key
+and its run holds it once; a wider key's fingerprint match is confirmed on
 the full words.  Whole generations are processed in fixed-size chunks of the
 frontier, and each member's parent and complemented vertex are recorded.
 An orbit keeps that record with its keys, as words that become integers
@@ -303,8 +304,10 @@ def _complemented_rows(rows: np.ndarray, origins: np.ndarray, plan: _Plan) -> tu
 def _fingerprint(words: np.ndarray) -> np.ndarray:
     """One uint64 per key: the key itself when it fits one word, else a multiply-xorshift mix.
 
-    Only speed depends on how well it spreads keys: every match is confirmed
-    on the full words.
+    A one-word fingerprint is the identity map, so equal fingerprints mean
+    equal keys and no match needs confirming.  For wider keys only speed
+    depends on how well the mix spreads them: every match is confirmed on
+    the full words.
     """
     if len(words) == 1:
         return words[0]
@@ -328,26 +331,37 @@ def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _distinct(fp: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct key, in ascending fingerprint order."""
+    """Index of the first occurrence of each distinct key, in ascending fingerprint order.
+
+    One-word keys are their own fingerprints, so equal fingerprints are
+    repeats; wider keys' repeats are confirmed on the words.
+    """
     order = fp.argsort()
     sfp = fp[order]
     starts = np.empty(len(fp), dtype=bool)
     starts[:1] = True
     np.not_equal(sfp[1:], sfp[:-1], out=starts[1:])
-    repeats = (~starts).nonzero()[0]
-    if len(repeats) and _differ(words.take(order[repeats], axis=1), words.take(order[repeats - 1], axis=1)).any():
-        # distinct keys share a fingerprint: dedupe on the full words instead
-        full = np.ascontiguousarray(words.T).view(np.dtype((np.void, 8 * len(words)))).ravel()
-        _, first = np.unique(full, return_index=True)
-        return first[np.argsort(fp[first], kind="stable")]
+    if len(words) > 1:
+        repeats = (~starts).nonzero()[0]
+        if len(repeats) and _differ(words.take(order[repeats], axis=1), words.take(order[repeats - 1], axis=1)).any():
+            # distinct keys share a fingerprint: dedupe on the full words instead
+            full = np.ascontiguousarray(words.T).view(np.dtype((np.void, 8 * len(words)))).ravel()
+            _, first = np.unique(full, return_index=True)
+            return first[np.argsort(fp[first], kind="stable")]
     return np.minimum.reduceat(order, starts.nonzero()[0]) if len(fp) else order
 
 
 def _in_run(run_fp: np.ndarray, run_words: np.ndarray, fp: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Which keys are in a non-empty run sorted by fingerprint: one search, every match confirmed on the words."""
+    """Which keys are in a non-empty run sorted by fingerprint: one search.
+
+    A match of one-word keys is the key itself; a match of wider keys is
+    confirmed on the words, walking on through a shared fingerprint.
+    """
     at = run_fp.searchsorted(fp)
     np.minimum(at, len(run_fp) - 1, out=at)
     found = run_fp[at] == fp
+    if len(words) == 1:
+        return found
     pending = found & _differ(run_words.take(at, axis=1), words)
     found ^= pending
     pending, step = pending.nonzero()[0], 1
@@ -365,10 +379,11 @@ def _in_run(run_fp: np.ndarray, run_words: np.ndarray, fp: np.ndarray, words: np
 class _KeySet:
     """The keys found so far for the next generation, as sorted runs merged like a binary counter.
 
-    Each run holds fingerprints in ascending order with their key words.
-    Runs are kept in decreasing size, so a generation of G keys has at most
-    log2(G) + 1 runs and each of its keys is merged O(log G) times.  No set
-    ever holds more than one generation.  That is enough because LC_u is an
+    Each run holds fingerprints in ascending order with their key words; a
+    one-word run's words are a view of its fingerprints, so it holds each
+    key once.  Runs are kept in decreasing size, so a generation of G keys
+    has at most log2(G) + 1 runs and each of its keys is merged O(log G)
+    times.  No set ever holds more than one generation.  That is enough because LC_u is an
     involution (it keeps N(u), so it toggles the same pairs twice): if a
     child K = LC_u M of a member M of generation d lay in generation e, then
     M = LC_u K would put d at most e + 1.  So K lies in generation d - 1, d
@@ -397,7 +412,8 @@ class _KeySet:
 def _merge(fp: np.ndarray, words: np.ndarray, new_fp: np.ndarray, new_words: np.ndarray) -> tuple:
     """Merge two runs sorted by fingerprint by scattering each into its merged positions.
 
-    Returns the merged run and which of its keys came from the first run.
+    Returns the merged run and which of its keys came from the first run.  A
+    one-word run moves its fingerprints alone: its words are a view of them.
     """
     at = fp.searchsorted(new_fp, side="right") + np.arange(len(new_fp))
     new = np.zeros(len(fp) + len(new_fp), dtype=bool)
@@ -406,11 +422,19 @@ def _merge(fp: np.ndarray, words: np.ndarray, new_fp: np.ndarray, new_words: np.
     merged_fp = np.empty(len(old), dtype=fp.dtype)
     merged_fp[at] = new_fp
     merged_fp[old] = fp
+    if len(words) == 1:
+        return merged_fp, merged_fp[None], old
     merged_words = np.empty((len(words), len(old)), dtype=words.dtype)
     for merged, w, new_w in zip(merged_words, words, new_words):
         merged[at] = new_w
         merged[old] = w
     return merged_fp, merged_words, old
+
+
+def _select(fp: np.ndarray, words: np.ndarray, which: np.ndarray) -> tuple:
+    """The keys at ``which`` (indices or a mask) as fingerprints and words; one-word words view the fingerprints."""
+    fp = fp[which]
+    return fp, fp[None] if len(words) == 1 else words[:, which]
 
 
 def _key_ints(words: np.ndarray) -> list[int]:
@@ -449,13 +473,14 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     child's key is its parent's words XOR the flip pattern of the
     complemented neighbourhood; a new member's rows come from its parent's
     rows.  Keys are deduplicated and looked up by one uint64 fingerprint per
-    key, every match confirmed on the full words.  Each generation lists its
-    new members in path order: by the position of the parent in the previous
-    generation, then by the complemented vertex.  The ``parent * n + vertex``
-    origin of a member therefore spells its shortest, lexicographically
-    least path.  The frontier is complemented in chunks of ``_CHUNK``
-    members, and the budget is checked after each chunk against the distinct
-    keys found so far.
+    key.  A one-word key (n <= 11) is its own fingerprint: a match needs no
+    confirming, and the runs hold it once.  A wider key's match is confirmed
+    on the full words.  Each generation lists its new members in path order:
+    by the position of the parent in the previous generation, then by the
+    complemented vertex.  The ``parent * n + vertex`` origin of a member
+    therefore spells its shortest, lexicographically least path.  The
+    frontier is complemented in chunks of ``_CHUNK`` members, and the budget
+    is checked after each chunk against the distinct keys found so far.
 
     Lookups touch only the neighbouring generations.  LC_u keeps N(u), so
     applying it twice toggles the same pairs twice: it is an involution.  If
@@ -531,15 +556,14 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
                 hit_path = _path(origins, start * n + int(at[hit]), n)
                 break
             if start == 0 and origins:  # lookups begin: the run moves on one generation
-                near_words = near_words.compress(near_last, axis=1)
-                near_fp, near_words, near_prev = _merge(near_fp[near_last], near_words, *found.run())
+                near_fp, near_words, near_prev = _merge(*_select(near_fp, near_words, near_last), *found.run())
                 near_last = ~near_prev
             fp = _fingerprint(cand)
             first = _distinct(fp, cand)
-            fp, words = fp[first], cand.take(first, axis=1)
+            fp, words = _select(fp, cand, first)
             for run in [(near_fp, near_words), *found.runs]:
                 new = ~_in_run(*run, fp, words)
-                fp, words, first = fp[new], words[:, new], first[new]
+                (fp, words), first = _select(fp, words, new), first[new]
             found.add(fp, words)
             stored += len(first)
             if stored > budget:

@@ -291,11 +291,17 @@ class ChainReport:
         return not self.failures
 
 
-def load_chain_spec(path) -> ChainSpec:
-    """Read a chain specification; bad data, an unknown key or an unknown system name raises ``ValueError``."""
+def load_chain_spec(path, text: Optional[str] = None) -> ChainSpec:
+    """Read a chain specification; bad data, an unknown key or an unknown system name raises ``ValueError``.
+
+    ``text``, when given, is the contents of the file at ``path`` already
+    read; system files are still read relative to ``path``.
+    """
     base_dir = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    if text is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    data = json.loads(text)
 
     def listed(key: str) -> list:  # an absent entry is an empty array
         return array_at(data, key) if key in data else []

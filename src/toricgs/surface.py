@@ -443,10 +443,12 @@ def setup_from_dict(data: dict) -> Embedding:
         raise EmbeddingError(f"malformed setup data: {exc}") from exc
 
 
-def load_setup(path) -> Embedding:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return setup_from_dict(data)
+def load_setup(path, text: Optional[str] = None) -> Embedding:
+    """Read the setup file at ``path``; ``text``, when given, is its contents already read."""
+    if text is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return setup_from_dict(json.loads(text))
 
 
 def dump_setup(e: Embedding, path) -> None:

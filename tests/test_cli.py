@@ -1,12 +1,14 @@
 """Command-line interface: reports, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from toricgs import cli, lc
+from toricgs import cli, lc, surface
 from toricgs.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main
 from toricgs.fixture_files import fixture_path
 from toricgs.graphs import GraphError, SimpleGraph
@@ -389,6 +391,27 @@ def test_enumerate_writes_fixtures(capsys, tmp_path):
     assert report["result"]["count"] == 2
     assert len(report["result"]["files"]) == 2
     assert (tmp_path / "square_3_0.json").exists()
+
+
+def test_report_hashes_the_bytes_it_parsed(capsys, monkeypatch, tmp_path):
+    # The setup file is rewritten right after it is parsed: the verdict and
+    # the digest in the report must both be of the bytes that were parsed.
+    setup = tmp_path / "setup.json"
+    parsed = Path(fixture_path("plaquette4.json")).read_bytes()
+    other = Path(fixture_path("pentomino_plus.json")).read_bytes()
+    setup.write_bytes(parsed)
+    setup_from_dict = surface.setup_from_dict
+
+    def parse_then_rewrite(data):
+        emb = setup_from_dict(data)
+        setup.write_bytes(other)
+        return emb
+
+    monkeypatch.setattr(surface, "setup_from_dict", parse_then_rewrite)
+    code, report = run_json(capsys, "locality", "--setup", str(setup))
+    assert code == EXIT_OK and setup.read_bytes() == other
+    assert report["inputs"]["setup"] == {"path": "setup.json", "sha256": hashlib.sha256(parsed).hexdigest()}
+    assert report["result"]["verdict"] == "local"  # plaquette4; the plus pentomino is nonlocal
 
 
 def test_error_exit_code_on_missing_file(capsys):

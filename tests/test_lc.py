@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,8 @@ from toricgs.lc import (
     lc_orbit,
     verify_witness,
 )
-from toricgs.surface import adjacency_relation, load_setup, phi_graph
+from toricgs.polyforms import enumerate_polyforms, polyform_embedding
+from toricgs.surface import adjacency_relation, load_setup, locality_pair, phi_graph, setup_from_dict
 from tests.test_graphs import random_simple_graph
 
 
@@ -149,12 +151,20 @@ def first_local_in_path_order(paths, allowed):
 
 
 def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
-    # A two-bit fingerprint makes most distinct keys collide, within a chunk
-    # and against the keys already found; every match must still be resolved
-    # on the full words, never merged and never raised.
-    monkeypatch.setattr(lc, "_fingerprint", lambda words: words[-1] & np.uint64(3))
+    # A two-bit fingerprint makes most distinct keys of two words or more
+    # collide, within a chunk and against the keys already found; every
+    # match must still be resolved on the full words, never merged and never
+    # raised.  A one-word key is its own fingerprint and cannot collide; the
+    # reference-closure tests cover it.
+    fingerprint = lc._fingerprint
+
+    def two_bits(words):
+        return fingerprint(words) if len(words) == 1 else words[-1] & np.uint64(3)
+
+    monkeypatch.setattr(lc, "_fingerprint", two_bits)
     rng = np.random.default_rng(48)
-    cases = [random_simple_graph(rng, int(rng.integers(2, 8))) for _ in range(12)]
+    # sparse graphs on 12 to 16 vertices: keys of two words, classes of up to about 1,000
+    cases = [random_graph(rng, int(rng.integers(12, 17)), 0.06) for _ in range(12)]
     cases += [  # keys of two words: 66 and 91 bits
         SimpleGraph.from_edges(range(12), [(0, 11), (11, 1), (1, 10), (10, 0), (2, 9), (9, 3)]),
         SimpleGraph.from_edges(range(14), [(0, 13), (13, 12), (12, 1), (1, 11), (2, 10), (10, 3), (3, 9), (9, 2)]),
@@ -168,7 +178,7 @@ def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
     for g in cases:
         paths = assert_matches_reference(g)
         for _ in range(3):
-            allowed = random_simple_graph(rng, g.n)
+            allowed = random_graph(rng, g.n, 0.8)  # dense enough to hold sparse members
             orbit = certify_nonlocal(g, allowed)
             assert (orbit.hit_key, orbit.hit_path) == first_local_in_path_order(paths, allowed)
             assert orbit.complete == (orbit.hit_key is None)
@@ -598,3 +608,43 @@ def test_budget_count_is_pinned_per_chunk():
     with pytest.raises(OrbitBudgetError) as exc:
         certify_nonlocal(phi_graph(emb), adjacency_relation(emb), budget=100_000)
     assert (exc.value.budget, exc.value.reached) == (100_000, 101_599)
+
+
+def reordered_setups(emb, rng, orders):
+    """``orders`` copies of a setup, each with its edges in a seeded random order."""
+    data = emb.to_dict()
+    for _ in range(orders):
+        perm = rng.sample(range(len(data["edges"])), len(data["edges"]))  # position k holds edge perm[k]
+        where = {old: new for new, old in enumerate(perm)}
+        yield setup_from_dict({
+            "vertices": data["vertices"],
+            "edges": [data["edges"][old] for old in perm],
+            "faces": [[where[k] for k in face] for face in data["faces"]],
+            "closed": data["closed"],
+            "qubit_ids": [data["qubit_ids"][old] for old in perm],
+        })
+
+
+def test_locality_outcomes_are_pinned_at_census_scale():
+    # Every polyform of 1-5 squares and 1-5 triangles and two fixtures, each
+    # under three edge orders: keys of one word (up to 11 qubits) and of two.
+    # One digest over every search's outcome and stored paths pins the
+    # dedupe, the lookups and the path order together.
+    setups = [
+        polyform_embedding(shape, lattice)
+        for lattice in ("square", "triangular")
+        for cells in range(1, 6)
+        for shape in enumerate_polyforms(cells, lattice)
+    ]
+    setups += [load_setup(fixture_path(f"{name}.json")) for name in ("torus_2x2", "reduced_8qubit")]
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+    searches = 0
+    for emb in setups:
+        for reordered in reordered_setups(emb, rng, 3):
+            orbit = certify_nonlocal(*locality_pair(reordered))
+            outcome = (orbit.complete, orbit.size, orbit.generations, orbit.hit_key, orbit.hit_path)
+            digest.update(f"{outcome};{list(orbit.paths().items())}|".encode())
+            searches += 1
+    assert searches == 3 * 33
+    assert digest.hexdigest() == "0762a0b37c2963f0a32dcdb4bed6ae6727ae7b86bf824615e7791fb0e5f2432e"
