@@ -4,9 +4,10 @@ Every subcommand prints one JSON report to standard output, except that a
 ``selftest`` that runs prints one line per criterion instead.  Each
 ``cmd_*`` function returns its exit status and its result, and :func:`main`
 alone builds the report around that result: the command, a SHA-256 digest of
-each input file that the subcommand's parser names in its ``inputs``
-default, and the result.  A subcommand reads each of those files once, so
-the digest is of the very bytes it parsed.  Reports contain no timestamps,
+each input file the subcommand read, and the result: ``reduce`` reads its
+chain and each system file the chain names, as ``systems.<name>``.  A
+subcommand reads each of those files once, so the digest is of the very
+bytes it parsed.  Reports contain no timestamps,
 so identical configurations produce byte-identical output.  Exit status is 0
 whenever the analysis completed (whatever the verdict), 1 on bad input or
 internal errors, and 2 when an enumeration budget was exhausted (verdict
@@ -73,13 +74,14 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True, default=str))
 
 
-def _read_input(args, name: str) -> str:
-    """The text of input file ``name``, read once and recorded in ``args.records`` with its digest.
+def _read_input(args, name: str, path: Optional[str] = None) -> str:
+    """The text of input ``name``, read once and recorded in ``args.records`` with its digest.
 
-    The bytes are decoded as a file opened with ``encoding="utf-8"`` decodes
+    The file is the one at ``path``, by default the argument ``name``.  The
+    bytes are decoded as a file opened with ``encoding="utf-8"`` decodes
     them, newlines translated, so a parse error reads as it would from the file.
     """
-    path = getattr(args, name)
+    path = getattr(args, name) if path is None else path
     with open(path, "rb") as fh:
         data = fh.read()
     args.records[name] = {"path": os.path.basename(path), "sha256": hashlib.sha256(data).hexdigest()}
@@ -203,7 +205,9 @@ def cmd_locality(args) -> tuple[int, dict]:
 
 
 def cmd_reduce(args) -> tuple[int, dict]:
-    spec = load_chain_spec(args.chain, _read_input(args, "chain"))
+    spec = load_chain_spec(
+        args.chain, _read_input(args, "chain"), lambda name, path: _read_input(args, f"systems.{name}", path)
+    )
     store = CertStore(args.certs) if args.certs else None
     report = reduction_chain(spec, budget=args.budget, store=store)
     return (EXIT_OK if report.ok else EXIT_ERROR), {
@@ -269,46 +273,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", help="CSV of spanning-tree edge indices")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--out", help="write the graph/DOT here as well")
-    p.set_defaults(func=cmd_phi, inputs=("setup",))
+    p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("verify-thm1", help="span check of the rotated stabilizer")
     p.add_argument("--setup", required=True, help="setup JSON file")
     p.add_argument("--tree", help="CSV of spanning-tree edge indices")
-    p.set_defaults(func=cmd_verify_thm1, inputs=("setup",))
+    p.set_defaults(func=cmd_verify_thm1)
 
     p = sub.add_parser("lc-orbit", help="enumerate a graph's complementation class")
     with_budget(p)
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--paths", action="store_true", help="track complementation paths")
     p.add_argument("--out", help="dump hex keys (and paths) to this file")
-    p.set_defaults(func=cmd_lc_orbit, inputs=("graph",))
+    p.set_defaults(func=cmd_lc_orbit)
 
     p = sub.add_parser("lc-equiv", help="pairwise equivalence witness")
     p.add_argument("--g", required=True, help="first graph JSON file")
     p.add_argument("--h", required=True, help="second graph JSON file")
-    p.set_defaults(func=cmd_lc_equiv, inputs=("g", "h"))
+    p.set_defaults(func=cmd_lc_equiv)
 
     p = sub.add_parser("locality", help="local / nonlocal / unknown verdict")
     with_budget(p)
     p.add_argument("--setup", required=True, help="setup JSON file")
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.set_defaults(func=cmd_locality, inputs=("setup",))
+    p.set_defaults(func=cmd_locality)
 
     p = sub.add_parser("reduce", help="verify a reduction chain")
     with_budget(p)
     p.add_argument("--chain", required=True, help="chain specification JSON")
     p.add_argument("--certs", help="certificate store directory")
-    p.set_defaults(func=cmd_reduce, inputs=("chain",))
+    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("enumerate", help="enumerate polyform setups")
     p.add_argument("--lattice", choices=tuple(LATTICES), required=True)
     p.add_argument("--n", type=_at_least_one, required=True, help="number of cells")
     p.add_argument("--out", help="directory for the setup files")
-    p.set_defaults(func=cmd_enumerate, inputs=())
+    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--only", help="CSV of criterion numbers to run")
-    p.set_defaults(func=cmd_selftest, inputs=())
+    p.set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -323,8 +327,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         except OrbitBudgetError as exc:
             code, result = EXIT_BUDGET, {"status": "budget-exceeded", "budget": exc.budget}
         if result is not None:
-            inputs = {name: args.records[name] for name in args.inputs}
-            _emit({"command": args.command, "inputs": inputs, "result": result})
+            _emit({"command": args.command, "inputs": args.records, "result": result})
         return code
     except (ValueError, OSError) as exc:  # GraphError, EmbeddingError, JSONDecodeError among them
         _emit({"command": args.command, "error": str(exc)})

@@ -13,19 +13,20 @@ table of all 2^n patterns, built once per process on first use).  Keys are
 deduplicated and looked up through one uint64 fingerprint each.  A key
 that fits one word (n <= 11) is its own fingerprint, so a match is the key
 and its run holds it once; a wider key's fingerprint match is confirmed on
-the full words.  Whole generations are processed in fixed-size chunks of the
-frontier, and each member's parent and complemented vertex are recorded.
+the full words.  Each generation is closed in batches of four chunks, one
+numpy step each; the chunk is the unit of the budget and of what a stopped
+search stores.  Each member's parent and complemented vertex are recorded.
 An orbit keeps that record with its keys, as words that become integers
 when its members are first read; :meth:`LcOrbit.paths` spells every path
 from it.  Adjacency rows are single words, so orbits are limited to 64
 vertices; a larger graph raises ``ValueError``.  A locality search,
 :func:`certify_nonlocal`, is the same closure with the allowed-edge mask as
-its stop test: it tests each chunk's children before deduplicating them and
+its stop test: it tests each batch's children before deduplicating them and
 stops at the first local one, so a stopped orbit's members are the keys
-found before the hit.  It returns the orbit alone, whose ``complete`` flag
-is the verdict, and it replays every local hit it finds from the seed graph
-with the pure-Python complementation of :mod:`toricgs.graphs` before
-returning it.
+found in the chunks before the hit's.  It returns the orbit alone, whose
+``complete`` flag is the verdict, and it replays every local hit it finds
+from the seed graph with the pure-Python complementation of
+:mod:`toricgs.graphs` before returning it.
 
 Two facts about local complementation (LC) cut the work of a closure.  LC_v
 is an involution: it keeps N(v), so applying it twice toggles each pair in
@@ -61,7 +62,7 @@ from .lazy_numpy import np
 
 DEFAULT_ORBIT_BUDGET = 10**8
 DEFAULT_WITNESS_BUDGET = 24  # max free dimensions, i.e. 2^24 candidates
-_CHUNK = 512  # frontier members complemented per numpy step
+_CHUNK = 512  # frontier members per budget count; a numpy step closes a batch of four
 MAX_ORBIT_VERTICES = 64  # adjacency rows are single machine words
 _TABLE_MAX_N = 16  # flips of every neighbourhood tabulated up to here: at most 1 MB, for n = 16
 _TABLE_BLOCK = 4096  # neighbourhoods per step of a table build, so its temporaries stay small
@@ -280,24 +281,26 @@ def _children(words: np.ndarray, rows: np.ndarray, keep: np.ndarray, plan: _Plan
     return children, at
 
 
-def _complemented_rows(rows: np.ndarray, origins: np.ndarray, plan: _Plan) -> tuple:
+def _complemented_rows(rows: np.ndarray, origins: np.ndarray, plan: _Plan, step: int) -> tuple:
     """Rows after complementing member ``origin // n`` of ``rows`` at ``v = origin % n``, and their keep masks.
 
     A member's keep mask holds the vertices above v and the neighbours of v:
     the complementations of the member that can give a new key, before the
-    degree test of :func:`_children`.  Origins are taken ``_CHUNK`` at a
-    time and written into the results, so no temporary holds a generation.
+    degree test of :func:`_children`.  Origins are taken ``step`` (one
+    batch) at a time, and each batch is written with ``out=`` into results
+    allocated once for the generation: no temporary holds a generation, and
+    no concatenation copies one.
     """
     complemented = np.empty((len(origins), plan.n), dtype=plan.dtype)
     keep = np.empty(len(origins), dtype=plan.dtype)
-    for start in range(0, len(origins), _CHUNK):
-        chunk = origins[start : start + _CHUNK]
-        parent, vertex = np.divmod(chunk, plan.n)
-        nbr = rows.ravel()[chunk]
+    for start in range(0, len(origins), step):
+        batch = origins[start : start + step]
+        parent, vertex = np.divmod(batch, plan.n)
+        nbr = rows.ravel()[batch]
         column = nbr[:, None]
         flips = (column ^ plan.bits) * (column >> plan.vertices & 1)
-        np.bitwise_xor(rows[parent], flips, out=complemented[start : start + _CHUNK])
-        np.bitwise_or(plan.after[vertex], nbr, out=keep[start : start + _CHUNK])
+        np.bitwise_xor(rows[parent], flips, out=complemented[start : start + step])
+        np.bitwise_or(plan.after[vertex], nbr, out=keep[start : start + step])
     return complemented, keep
 
 
@@ -383,7 +386,8 @@ class _KeySet:
     one-word run's words are a view of its fingerprints, so it holds each
     key once.  Runs are kept in decreasing size, so a generation of G keys
     has at most log2(G) + 1 runs and each of its keys is merged O(log G)
-    times.  No set ever holds more than one generation.  That is enough because LC_u is an
+    times.  :meth:`run` makes the one run that serves generation d, then d - 1.
+    No set ever holds more than one generation.  That is enough because LC_u is an
     involution (it keeps N(u), so it toggles the same pairs twice): if a
     child K = LC_u M of a member M of generation d lay in generation e, then
     M = LC_u K would put d at most e + 1.  So K lies in generation d - 1, d
@@ -398,22 +402,21 @@ class _KeySet:
         if len(fp) == 0:
             return
         while self.runs and len(self.runs[-1][0]) <= len(fp):
-            fp, words, _ = _merge(*self.runs.pop(), fp, words)
+            fp, words = _merge(*self.runs.pop(), fp, words)
         self.runs.append((fp, words))
 
     def run(self) -> tuple:
         """All the keys, at least one, as one run; the set is left empty."""
         fp, words = self.runs.pop()
         while self.runs:
-            fp, words, _ = _merge(*self.runs.pop(), fp, words)
+            fp, words = _merge(*self.runs.pop(), fp, words)
         return fp, words
 
 
 def _merge(fp: np.ndarray, words: np.ndarray, new_fp: np.ndarray, new_words: np.ndarray) -> tuple:
-    """Merge two runs sorted by fingerprint by scattering each into its merged positions.
+    """Merge two runs sorted by fingerprint into one, by scattering each into its merged positions.
 
-    Returns the merged run and which of its keys came from the first run.  A
-    one-word run moves its fingerprints alone: its words are a view of them.
+    A one-word run moves its fingerprints alone: its words are a view of them.
     """
     at = fp.searchsorted(new_fp, side="right") + np.arange(len(new_fp))
     new = np.zeros(len(fp) + len(new_fp), dtype=bool)
@@ -423,12 +426,12 @@ def _merge(fp: np.ndarray, words: np.ndarray, new_fp: np.ndarray, new_words: np.
     merged_fp[at] = new_fp
     merged_fp[old] = fp
     if len(words) == 1:
-        return merged_fp, merged_fp[None], old
+        return merged_fp, merged_fp[None]
     merged_words = np.empty((len(words), len(old)), dtype=words.dtype)
     for merged, w, new_w in zip(merged_words, words, new_words):
         merged[at] = new_w
         merged[old] = w
-    return merged_fp, merged_words, old
+    return merged_fp, merged_words
 
 
 def _select(fp: np.ndarray, words: np.ndarray, which: np.ndarray) -> tuple:
@@ -479,17 +482,22 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     by the position of the parent in the previous generation, then by the
     complemented vertex.  The ``parent * n + vertex`` origin of a member
     therefore spells its shortest, lexicographically least path.  The
-    frontier is complemented in chunks of ``_CHUNK`` members, and the budget
-    is checked after each chunk against the distinct keys found so far.
+    frontier is closed in batches of ``4 * _CHUNK`` members, one numpy step
+    each, and the chunk of ``_CHUNK`` members stays the unit of the budget:
+    a new key counts in the chunk of its first occurrence, and a batch that
+    passes the budget raises with the count after its first chunk that
+    crossed it, as a closure of one chunk at a time would.  So the work
+    done past the budget is bounded by one batch.
 
     Lookups touch only the neighbouring generations.  LC_u keeps N(u), so
     applying it twice toggles the same pairs twice: it is an involution.  If
     a child K = LC_u M of a member M of generation d lay in generation e,
     then M = LC_u K would give d <= e + 1, and breadth-first order gives
-    e <= d + 1.  So a chunk's distinct children are looked up in one run
-    sorted by fingerprint that holds generations d - 1 and d, merged once
-    per generation, and in a :class:`_KeySet` of the keys found so far for
-    d + 1.  Older generations keep only their key words, one array each.
+    e <= d + 1.  So a batch's distinct children are looked up in two runs
+    sorted by fingerprint, one for generation d - 1 and one for d (the run
+    its :class:`_KeySet` merged when d was first complemented), and in a
+    :class:`_KeySet` of the keys found so far for d + 1.  Older generations
+    keep only their key words, one array each.
 
     Children that cannot be new are not built.  Let member M come from its
     parent P by complementing at v, so N(v) is the same in P and M.  LC_u
@@ -512,10 +520,12 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     vertices above v and the neighbours of v, comes with its rows; the seed
     keeps every vertex.
 
-    With ``local_mask``, each chunk's children are tested before they are
+    With ``local_mask``, each batch's children are tested before they are
     deduplicated, and the search stops at the first child with no edge
-    outside the mask.  That child is the first local member in path order,
-    and its chunk is not stored, so it counts against no budget.
+    outside the mask: the first local member in path order.  A hit in chunk
+    c of a batch stores exactly the new keys of the chunks before c, none
+    when c is the batch's first, and counts them against the budget as
+    above.  The hit's chunk is never stored, so it counts against no budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -532,45 +542,50 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     rows = np.array([g.rows], dtype=plan.dtype)
     keep = np.array([(1 << n) - 1], dtype=plan.dtype)  # the seed has no parent to skip
     generations = [frontier]  # the keys of each generation, in path order
-    # generations d - 1 and d as one run sorted by fingerprint, and which of its keys are in d
-    near_fp, near_words, near_last = _fingerprint(frontier), frontier, np.ones(1, dtype=bool)
+    near = [(_fingerprint(frontier), frontier)]  # generations d - 1 and d, each one run sorted by fingerprint
     found = _KeySet()  # the keys of generation d + 1 found so far
     stored = 1
     origins = []  # per generation after the seed: parent * n + vertex of each member
     no_origins = np.empty(0, dtype=np.intp)
+    batch, chunk = 4 * _CHUNK, n * _CHUNK  # members per numpy step; origins per budget chunk
     hit_key = hit_path = None
     if _first_inside(frontier, outside) is not None:
         hit_key, hit_path = seed_key, ()
     while hit_key is None and frontier.shape[1]:
         if origins:  # one generation on: the frontier's rows and keep masks
-            rows, keep = _complemented_rows(rows, origins[-1], plan)
+            rows, keep = _complemented_rows(rows, origins[-1], plan, batch)
         new_words, new_origins = [frontier[:, :0]], [no_origins]
-        for start in range(0, frontier.shape[1], _CHUNK):
-            chunk = slice(start, start + _CHUNK)
-            cand, at = _children(frontier[:, chunk], rows[chunk], keep[chunk], plan)
+        for start in range(0, frontier.shape[1], batch):
+            step = slice(start, start + batch)
+            cand, at = _children(frontier[:, step], rows[step], keep[step], plan)
             hit = _first_inside(cand, outside)
             if hit is not None:
                 # The first local child in path order ends the search.  It is
                 # new: a generation that found a local key would have stopped there.
                 hit_key = _key_ints(cand[:, hit : hit + 1])[0]
                 hit_path = _path(origins, start * n + int(at[hit]), n)
-                break
-            if start == 0 and origins:  # lookups begin: the run moves on one generation
-                near_fp, near_words, near_prev = _merge(*_select(near_fp, near_words, near_last), *found.run())
-                near_last = ~near_prev
+                before = at.searchsorted(at[hit] // chunk * chunk)  # the children of the chunks before the hit's
+                if not before:
+                    break
+                cand, at = cand[:, :before], at[:before]
+            if start == 0 and origins:  # lookups begin: the runs move on one generation
+                near = [near[-1], found.run()]
             fp = _fingerprint(cand)
             first = _distinct(fp, cand)
             fp, words = _select(fp, cand, first)
-            for run in [(near_fp, near_words), *found.runs]:
+            for run in [*near, *found.runs]:
                 new = ~_in_run(*run, fp, words)
                 (fp, words), first = _select(fp, words, new), first[new]
             found.add(fp, words)
+            if stored + len(first) > budget:  # the count after the first chunk that crossed the budget
+                counts = stored + np.bincount(at[first] // chunk).cumsum()
+                raise OrbitBudgetError(budget, int(counts[(counts > budget).argmax()]))
             stored += len(first)
-            if stored > budget:
-                raise OrbitBudgetError(budget, stored)
             first.sort()
             new_words.append(cand.take(first, axis=1))
             new_origins.append(at[first] + start * n)
+            if hit_key is not None:
+                break
         frontier = np.concatenate(new_words, axis=1)
         generations.append(frontier)
         origins.append(np.concatenate(new_origins))

@@ -35,7 +35,7 @@ import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .graphs import (
     GraphError,
@@ -291,16 +291,23 @@ class ChainReport:
         return not self.failures
 
 
-def load_chain_spec(path, text: Optional[str] = None) -> ChainSpec:
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def load_chain_spec(path, text: Optional[str] = None, read: Optional[Callable[[str, str], str]] = None) -> ChainSpec:
     """Read a chain specification; bad data, an unknown key or an unknown system name raises ``ValueError``.
 
     ``text``, when given, is the contents of the file at ``path`` already
-    read; system files are still read relative to ``path``.
+    read.  System files are read relative to ``path``; ``read``, when given,
+    reads each one: it is called once per system file with the system's name
+    and the file's path, and returns the text to parse.
     """
     base_dir = os.path.dirname(os.path.abspath(path))
     if text is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(path)
+    read = read or (lambda name, file: _read_text(file))
     data = json.loads(text)
 
     def listed(key: str) -> list:  # an absent entry is an empty array
@@ -312,8 +319,7 @@ def load_chain_spec(path, text: Optional[str] = None) -> ChainSpec:
         for name, entry in data["systems"].items():
             if "file" in entry:
                 only_keys(entry, ("file",))
-                with open(os.path.join(base_dir, entry["file"]), "r", encoding="utf-8") as fh:
-                    systems[name] = setup_from_dict(json.load(fh))
+                systems[name] = setup_from_dict(json.loads(read(name, os.path.join(base_dir, entry["file"]))))
             else:
                 systems[name] = setup_from_dict(entry)
         steps = []

@@ -643,6 +643,29 @@ def _failed_reduce(capsys, tmp_path, edit):
     return report["result"]
 
 
+def test_reduce_report_hashes_every_system_file(capsys, tmp_path):
+    # The chain names 17 system files.  The report lists each of them beside
+    # the chain, with the digest of the bytes parsed, so rewriting one
+    # system file changes the report's inputs though the chain is the same.
+    chain = _broken_chain(tmp_path, lambda spec: None)
+    systems = json.loads(Path(chain).read_text())["systems"]
+    code, before = run_json(capsys, "reduce", "--chain", chain)
+    assert code == EXIT_OK and len(systems) == 17
+    assert before["inputs"] == {
+        "chain": {"path": "broken_chain.json", "sha256": hashlib.sha256(Path(chain).read_bytes()).hexdigest()},
+        **{
+            f"systems.{name}": {"path": entry["file"], "sha256": hashlib.sha256((tmp_path / entry["file"]).read_bytes()).hexdigest()}
+            for name, entry in systems.items()
+        },
+    }
+    s8 = tmp_path / systems["s8"]["file"]
+    s8.write_text(json.dumps(json.loads(s8.read_text()), indent=1))  # the same setup in other bytes
+    code, after = run_json(capsys, "reduce", "--chain", chain)
+    assert code == EXIT_OK and after["result"] == before["result"]
+    assert after["inputs"]["systems.s8"]["sha256"] == hashlib.sha256(s8.read_bytes()).hexdigest()
+    assert {k: v for k, v in after["inputs"].items() if v != before["inputs"][k]} == {"systems.s8": after["inputs"]["systems.s8"]}
+
+
 def test_reduce_chain_without_systems_is_an_error_report(capsys, tmp_path):
     chain = _broken_chain(tmp_path, lambda spec: spec.pop("systems"))
     code, report = run_json(capsys, "reduce", "--chain", chain)

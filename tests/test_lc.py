@@ -191,33 +191,40 @@ def random_graph(rng, n, p):
     return SimpleGraph.from_edges(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
-def reference_search(g, paths, allowed, chunk):
-    """The stopped locality search, read off the reference closure ``paths`` of ``g``.
+def reference_stop(paths, allowed, chunk):
+    """Where the locality search stops, read off the reference closure ``paths``.
 
     ``allowed`` must hold a member of the class.  Returns the first local
     member in path order, its path, the generation that holds it, and the
     keys stored before the search stopped: those of the earlier generations,
     and the new keys of the hit's generation whose parents lie in chunks of
     ``chunk`` parents before the hit parent's chunk.  Then the hit parent's
-    position in its generation, and how often the hit occurs among the
-    children of that generation.
+    position in its generation.
     """
     hit_key, hit_path = first_local_in_path_order(paths, allowed)
     depth = len(hit_path)
     if depth == 0:
-        return hit_key, (), 0, [hit_key], None, 1
-    parents = [p for p in paths.values() if len(p) == depth - 1]
-    index = {p: i for i, p in enumerate(parents)}
+        return hit_key, (), 0, [hit_key], None
+    index = {p: i for i, p in enumerate(p for p in paths.values() if len(p) == depth - 1)}
     at = index[hit_path[:-1]]
     stored = [
         k for k, p in paths.items()
         if len(p) < depth or len(p) == depth and index[p[:-1]] < at // chunk * chunk
     ]
+    return hit_key, hit_path, depth, sorted(stored), at
+
+
+def reference_search(g, paths, allowed, chunk):
+    """:func:`reference_stop`, then how often the hit occurs among the children of its generation's parents."""
+    hit_key, hit_path, depth, stored, at = reference_stop(paths, allowed, chunk)
+    if depth == 0:
+        return hit_key, (), 0, stored, None, 1
     by_path = {p: k for k, p in paths.items()}
     children = [
-        canonical_key(local_complement(graph_from_key(by_path[p], g.labels), v)) for p in parents for v in g.labels
+        canonical_key(local_complement(graph_from_key(by_path[p], g.labels), v))
+        for p in paths.values() if len(p) == depth - 1 for v in g.labels
     ]
-    return hit_key, hit_path, depth, sorted(stored), at, children.count(hit_key)
+    return hit_key, hit_path, depth, stored, at, children.count(hit_key)
 
 
 def stored_paths(paths, stored):
@@ -227,13 +234,15 @@ def stored_paths(paths, stored):
 
 
 def test_local_search_stops_at_its_first_local_child(monkeypatch):
-    # Chunks of two parents give many frontiers of several chunks.  Each
-    # allowed graph holds a random member of the class, so most searches
-    # stop deep in the class.  The hit is the first local child in (parent,
-    # vertex) order, and nothing from the hit's chunk on is stored.
+    # Chunks of two parents, so batches of eight, give many frontiers of
+    # several batches.  Each allowed graph holds a random member of the
+    # class, so most searches stop deep in the class.  The hit is the first
+    # local child in (parent, vertex) order, and nothing from the hit's chunk
+    # on is stored, even when chunks before it in its batch are.
     monkeypatch.setattr(lc, "_CHUNK", 2)
     rng = np.random.default_rng(49)
     past_first_chunk = twice = 0
+    seen = Counter()  # the batch paths the reference equality covers
     for _ in range(40):
         n = int(rng.integers(3, 8))
         g = random_graph(rng, n, 0.5)
@@ -249,12 +258,17 @@ def test_local_search_stops_at_its_first_local_child(monkeypatch):
         assert list(orbit.paths().items()) == stored_paths(paths, stored)
         past_first_chunk += at is not None and at >= 2
         twice += copies >= 2
+        seen += batch_paths(paths, generations, at, 2)
         # the budget counts the stored keys only: the hit's own chunk is never stored
         assert certify_nonlocal(g, allowed, budget=len(stored)).hit_path == hit_path
         if len(stored) > 1:
-            with pytest.raises(OrbitBudgetError):
+            with pytest.raises(OrbitBudgetError) as exc:
                 certify_nonlocal(g, allowed, budget=len(stored) - 1)
+            reached, crossing = reference_reached(paths, len(stored) - 1, 2)
+            assert exc.value.reached == reached
+            seen["crossing in a later chunk of its batch"] += crossing % 4 != 0
     assert past_first_chunk >= 10 and twice >= 5
+    assert min(seen.values()) >= 5 and len(seen) == 3, seen
 
 
 def pendant_graph(rng, n, core):
@@ -281,17 +295,31 @@ def pendant_graph(rng, n, core):
 
 
 def reference_reached(paths, budget, chunk):
-    """The stored-key count that ends a closure with ``budget``: the count after the first chunk past it."""
+    """The stored-key count that ends a closure with ``budget``: the count after the first chunk past it, and that chunk's index in its generation."""
     reached, depth = 1, 1
-    while reached <= budget:
+    while True:
         parents = {p: i for i, p in enumerate(p for p in paths.values() if len(p) == depth - 1)}
         by_chunk = Counter(parents[p[:-1]] // chunk for p in paths.values() if len(p) == depth)
         for c in sorted(by_chunk):
             reached += by_chunk[c]
             if reached > budget:
-                break
+                return reached, c
         depth += 1
-    return reached
+
+
+def batch_paths(paths, generations, at, chunk):
+    """Which paths through batches of four chunks a search of the reference closure ``paths`` takes.
+
+    The search complements ``generations`` generations and stops at a hit
+    whose parent is at ``at`` in the last of them, or at none when ``at`` is
+    None.  Counts the generations of two batches or more, and whether the
+    hit lies in a chunk that is not its batch's first.
+    """
+    sizes = Counter(len(p) for p in paths.values())
+    return Counter({
+        "generation of several batches": sum(sizes[d] > 4 * chunk for d in range(generations)),
+        "hit in a later chunk of its batch": at is not None and at // chunk % 4 != 0,
+    })
 
 
 def test_skipped_children_change_nothing(monkeypatch):
@@ -299,10 +327,12 @@ def test_skipped_children_change_nothing(monkeypatch):
     # vertex that made the member, at vertices of degree at most one, and
     # at non-neighbours of that vertex below it.  Graphs full of isolated
     # vertices, leaves and pendant paths make all three common.  Chunks of
-    # two members spread each generation over many chunks, so the budget
-    # count, which is taken per chunk, is checked too.
+    # two members, in batches of eight, spread each generation over many
+    # chunks and batches, so the budget count, which is taken per chunk, is
+    # checked too.
     monkeypatch.setattr(lc, "_CHUNK", 2)
     rng = np.random.default_rng(57)
+    seen = Counter()  # the batch paths the reference equality covers
     built = [0, 0]  # children built, and members complemented times n
     children = lc._children
 
@@ -324,20 +354,31 @@ def test_skipped_children_change_nothing(monkeypatch):
         assert orbit.generations == max(map(len, paths.values())) + 1
         assert orbit.members == sorted(paths)
         assert list(orbit.paths().items()) == list(paths.items())
+        seen += batch_paths(paths, orbit.generations, None, 2)
+        if len(paths) > 1:  # crossed mid-class, where later chunks of the batch often hold new keys
+            with pytest.raises(OrbitBudgetError) as exc:
+                lc_orbit(g, budget=len(paths) // 2)
+            reached, crossing = reference_reached(paths, len(paths) // 2, 2)
+            assert exc.value.reached == reached
+            seen["crossing in a later chunk of its batch"] += crossing % 4 != 0
         member = graph_from_key(list(paths)[int(rng.integers(len(paths)))], g.labels)
         allowed = SimpleGraph(g.labels, [a | b for a, b in zip(member.rows, random_graph(rng, g.n, 0.2).rows)])
-        hit_key, hit_path, generations, stored, _, _ = reference_search(g, paths, allowed, 2)
+        hit_key, hit_path, generations, stored, at = reference_stop(paths, allowed, 2)
         orbit = certify_nonlocal(g, allowed)
         assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
             hit_key, hit_path, generations, stored,
         )
         assert list(orbit.paths().items()) == stored_paths(paths, stored)
+        seen += batch_paths(paths, generations, at, 2)
         if len(stored) > 1:
             with pytest.raises(OrbitBudgetError) as exc:
                 certify_nonlocal(g, allowed, budget=len(stored) - 1)
-            assert exc.value.reached == reference_reached(paths, len(stored) - 1, 2)
+            reached, crossing = reference_reached(paths, len(stored) - 1, 2)
+            assert exc.value.reached == reached
+            seen["crossing in a later chunk of its batch"] += crossing % 4 != 0
         hits += len(hit_path) > 1
     assert hits >= 10
+    assert min(seen.values()) >= 5 and len(seen) == 3, seen
     assert 2 * built[0] < built[1]  # most complementations are skipped
 
 
@@ -356,6 +397,26 @@ def test_local_search_past_the_first_full_chunk():
     assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
         hit_key, hit_path, generations, stored,
     )
+
+
+def test_local_search_past_the_first_full_batch():
+    # A class of 34,252 members on 11 vertices: generation 5 has 3,646
+    # members, and the hit's parent is the 3,073rd, in the third chunk of
+    # 512 of the second batch of four chunks.  The new keys of that batch's
+    # first two chunks are stored, and those of its third chunk are not.
+    g = random_graph(np.random.default_rng(53), 11, 0.5)
+    paths = lc_orbit(g).paths()
+    allowed = graph_from_key(next(k for k, p in paths.items() if p == (5, 2, 1, 10, 4, 0)), g.labels)
+    hit_key, hit_path, generations, stored, at = reference_stop(paths, allowed, lc._CHUNK)
+    assert (hit_path, at, len(stored)) == ((5, 2, 1, 10, 4, 0), 3072, 11_475)
+    orbit = certify_nonlocal(g, allowed)
+    assert not orbit.complete
+    assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
+        hit_key, hit_path, generations, stored,
+    )
+    with pytest.raises(OrbitBudgetError) as exc:
+        certify_nonlocal(g, allowed, budget=len(stored) - 1)
+    assert exc.value.reached == reference_reached(paths, len(stored) - 1, lc._CHUNK)[0]
 
 
 def test_orbit_limited_to_64_vertices():
@@ -608,6 +669,21 @@ def test_budget_count_is_pinned_per_chunk():
     with pytest.raises(OrbitBudgetError) as exc:
         certify_nonlocal(phi_graph(emb), adjacency_relation(emb), budget=100_000)
     assert (exc.value.budget, exc.value.reached) == (100_000, 101_599)
+
+
+def test_budget_count_is_pinned_at_each_chunk_of_a_batch():
+    # Generation 5 of torus_3x3 has 58,910 members.  These budgets are
+    # crossed in its chunks at 6,144, 6,656, 7,168 and 7,680: the four chunks
+    # of one batch.  Each count is the one a closure of one chunk at a time
+    # reaches, so a batch raises at the chunk that crossed its budget.
+    emb = load_setup(fixture_path("torus_3x3.json"))
+    graph, allowed = phi_graph(emb), adjacency_relation(emb)
+    reached = {}
+    for budget in (107_000, 110_000, 112_000, 114_000):
+        with pytest.raises(OrbitBudgetError) as exc:
+            certify_nonlocal(graph, allowed, budget=budget)
+        reached[budget] = exc.value.reached
+    assert reached == {107_000: 109_028, 110_000: 111_600, 112_000: 113_704, 114_000: 115_809}
 
 
 def reordered_setups(emb, rng, orders):
