@@ -21,18 +21,8 @@ from .graphs import (
     phi,
     to_dot,
 )
-from .lc import (
-    CertificateError,
-    LcOrbit,
-    LcWitness,
-    OrbitBudgetError,
-    WitnessBudgetError,
-    canonical_key,
-    certify_nonlocal,
-    lc_equivalent,
-    lc_orbit,
-    verify_witness,
-)
+from .lc import CertificateError, LcOrbit, OrbitBudgetError, canonical_key, certify_nonlocal, lc_orbit
+from .lc_system import LcWitness, WitnessBudgetError, lc_equivalent, verify_witness
 from .pauli import (
     PauliString,
     StateVector,

@@ -26,13 +26,8 @@ from . import polyforms
 from .fixture_files import fixture_path
 from .graphs import Multigraph, SimpleGraph, enumerate_spanning_trees, first_spanning_tree, phi
 from .lazy_numpy import np
-from .lc import (
-    canonical_key,
-    certify_nonlocal,
-    graph_from_key,
-    lc_equivalent,
-    lc_orbit,
-)
+from .lc import canonical_key, certify_nonlocal, graph_from_key, lc_orbit
+from .lc_system import lc_equivalent
 from .pauli import (
     Tableau,
     apply_hadamard,

@@ -9,8 +9,9 @@ chain and each system file the chain names, as ``systems.<name>``.  A
 subcommand reads each of those files once, so the digest is of the very
 bytes it parsed.  Reports contain no timestamps,
 so identical configurations produce byte-identical output.  Exit status is 0
-whenever the analysis completed (whatever the verdict), 1 on bad input or
-internal errors, and 2 when an enumeration budget was exhausted (verdict
+whenever the analysis completed (whatever the verdict), 1 on bad input,
+internal errors or a reader that closed standard output early (then nothing
+more is written), and 2 when an enumeration budget was exhausted (verdict
 unknown); :func:`main` reports an exhausted orbit budget, except that
 ``locality`` reports it as the verdict "unknown".  A reduction chain that
 fails one of its hypotheses aborts and exits 1, since an unverified chain is
@@ -43,16 +44,8 @@ from .graphs import (
     graph_to_dict,
     to_dot,
 )
-from .lc import (
-    DEFAULT_ORBIT_BUDGET,
-    CertificateError,
-    OrbitBudgetError,
-    WitnessBudgetError,
-    certify_nonlocal,
-    lc_equivalent,
-    lc_orbit,
-    verify_witness,
-)
+from .lc import DEFAULT_ORBIT_BUDGET, CertificateError, OrbitBudgetError, certify_nonlocal, lc_orbit
+from .lc_system import WitnessBudgetError, lc_equivalent, verify_witness
 from .polyforms import LATTICES, enumerate_polyforms, polyform_embedding
 from .reduction import CertStore, load_chain_spec, reduction_chain
 from .surface import (
@@ -71,7 +64,7 @@ EXIT_BUDGET = 2
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True, default=str))
+    print(json.dumps(report, indent=2, sort_keys=True, default=str), flush=True)
 
 
 def _read_input(args, name: str, path: Optional[str] = None) -> str:
@@ -329,6 +322,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if result is not None:
             _emit({"command": args.command, "inputs": args.records, "result": result})
         return code
+    except BrokenPipeError:  # the reader closed standard output, so no report can reach it
+        with open(os.devnull, "w") as devnull:  # so the flush at exit writes nowhere
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_ERROR
     except (ValueError, OSError) as exc:  # GraphError, EmbeddingError, JSONDecodeError among them
         _emit({"command": args.command, "error": str(exc)})
         return EXIT_ERROR

@@ -1,11 +1,11 @@
-"""Local-complementation classes: orbit enumeration, pairwise test, locality.
+"""Local-complementation classes: orbit enumeration and the locality search.
 
 A labeled graph on n vertices is identified by its canonical key: the
 upper-triangle bits of the adjacency matrix packed row-major into one
 integer.  Orbits under local complementation are closed breadth-first over
 those keys by one numpy engine that works on native machine words; numpy
 loads on the first orbit (see :mod:`toricgs.lazy_numpy`), and the rest of
-the module, the pairwise test included, is integer arithmetic.  Each
+the module is integer arithmetic.  Each
 frontier member carries its key as uint64 words and its adjacency rows as
 n-bit masks; a child's key is its parent's words XOR the flip pattern of the
 complemented neighbourhood, laid out by a plan fixed per n (for n <= 16, a
@@ -36,16 +36,7 @@ are distinct and not adjacent: neither changes the other's neighbourhood.
 So the children of a member that cannot be new are not built (see
 :func:`_orbit_vector` for both proofs).
 
-The pairwise equivalence test is algebraic: two adjacency matrices are
-LC-equivalent iff diagonal matrices A, B, C, D over GF(2) exist with
-(Gamma B + D) Gamma' + (Gamma A + C) = 0 and the pointwise determinant
-condition a_i d_i + b_i c_i = 1.  The linear part is n^2 equations, one per
-matrix entry (i, j) at bit i*n + j, in the 4n diagonal unknowns.  It is built
-as its 4n column words straight from the adjacency rows, every column a
-shift or a small product of one row, and ``gf2.nullspace`` reduces those
-columns to the canonical nullspace basis.  The affine solution space is then
-walked in Gray-code order so that each candidate differs from the previous
-one by a single basis vector.
+The pairwise equivalence test, which enumerates no orbit, is in :mod:`toricgs.lc_system`.
 """
 
 from __future__ import annotations
@@ -56,12 +47,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from . import gf2
-from .graphs import GraphError, SimpleGraph, local_complement_sequence
+from .graphs import SimpleGraph, local_complement_sequence
 from .lazy_numpy import np
 
+# Kept because perfbench/workloads.py calls lc.lc_equivalent and lc.verify_witness,
+# and perfbench/tracer.py traces lc.lc_equivalent.
+from .lc_system import lc_equivalent, verify_witness  # noqa: F401
+
 DEFAULT_ORBIT_BUDGET = 10**8
-DEFAULT_WITNESS_BUDGET = 24  # max free dimensions, i.e. 2^24 candidates
 _CHUNK = 512  # frontier members per budget count; a numpy step closes a batch of four
 MAX_ORBIT_VERTICES = 64  # adjacency rows are single machine words
 _TABLE_MAX_N = 16  # flips of every neighbourhood tabulated up to here: at most 1 MB, for n = 16
@@ -80,17 +73,6 @@ class OrbitBudgetError(RuntimeError):
 
 class CertificateError(ValueError):
     """A required certificate (nonlocality, LC witness or local path) is missing or does not verify."""
-
-
-class WitnessBudgetError(RuntimeError):
-    """Solution-space enumeration too large; equivalence undecided."""
-
-    def __init__(self, free_dim: int, budget: int):
-        super().__init__(
-            f"witness search space has {free_dim} free dimensions (budget {budget})"
-        )
-        self.free_dim = free_dim
-        self.budget = budget
 
 
 def canonical_key(g: SimpleGraph) -> int:
@@ -610,128 +592,6 @@ def lc_orbit(g: SimpleGraph, budget: int = DEFAULT_ORBIT_BUDGET) -> LcOrbit:
     large", never "not found".
     """
     return _orbit_vector(g, budget)
-
-
-@dataclass(frozen=True)
-class LcWitness:
-    """Diagonals (a, b, c, d) certifying LC-equivalence of a graph pair."""
-
-    n: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def diagonals(self) -> dict[str, list[int]]:
-        return {
-            "a": gf2.bits(self.a, self.n),
-            "b": gf2.bits(self.b, self.n),
-            "c": gf2.bits(self.c, self.n),
-            "d": gf2.bits(self.d, self.n),
-        }
-
-    def determinant_ok(self) -> bool:
-        full = (1 << self.n) - 1
-        return ((self.a & self.d) ^ (self.b & self.c)) == full
-
-
-def _require_same_labels(g: SimpleGraph, h: SimpleGraph) -> None:
-    if g.labels != h.labels:
-        raise GraphError("graphs must share the same ordered labeled vertex set")
-
-
-def _diagonal_system_columns(g: SimpleGraph, h: SimpleGraph) -> list[int]:
-    """The 4n columns (a | b | c | d) of the diagonal system, over its n^2 equations.
-
-    Equation (i, j) of the matrix identity sits at bit i*n + j and reads
-    Gamma_ij a_j + sum_k Gamma_ik Gamma'_kj b_k + [i=j] c_i + Gamma'_ij d_i = 0.
-    With ``spread`` holding bit i*n for each G-neighbour i of k, column a_k is
-    ``spread << k`` and column b_k is ``h.rows[k]`` repeated at every such
-    offset, which is the product ``h.rows[k] * spread`` (the n-bit blocks do
-    not overlap).
-    """
-    n = g.n
-    a, b = [], []
-    for k in range(n):
-        spread = 0
-        gk = g.rows[k]
-        while gk:
-            low = gk & -gk
-            spread |= 1 << (low.bit_length() - 1) * n
-            gk ^= low
-        a.append(spread << k)
-        b.append(h.rows[k] * spread)
-    c = [1 << i * (n + 1) for i in range(n)]
-    d = [h.rows[i] << i * n for i in range(n)]
-    return a + b + c + d
-
-
-def _witness_from_packed(n: int, w: int) -> LcWitness:
-    mask = (1 << n) - 1
-    return LcWitness(n, w & mask, (w >> n) & mask, (w >> 2 * n) & mask, (w >> 3 * n) & mask)
-
-
-def lc_equivalent(g: SimpleGraph, h: SimpleGraph) -> Optional[LcWitness]:
-    """Decide LC-equivalence of two labeled graphs via the diagonal system.
-
-    Returns the first witness in deterministic order, or ``None`` when no
-    solution of the linear system satisfies the determinant condition.
-    Raises :class:`WitnessBudgetError` when the affine solution space has
-    more than ``DEFAULT_WITNESS_BUDGET`` free dimensions (never guesses).
-    """
-    _require_same_labels(g, h)
-    n = g.n
-    if n == 0:
-        return LcWitness(0, 0, 0, 0, 0)
-    mask = (1 << n) - 1
-    if g.rows == h.rows:
-        return LcWitness(n, mask, 0, 0, mask)
-
-    basis = gf2.nullspace(_diagonal_system_columns(g, h))
-    k = len(basis)
-    if k > DEFAULT_WITNESS_BUDGET:
-        raise WitnessBudgetError(k, DEFAULT_WITNESS_BUDGET)
-
-    # Gray-code walk: candidate i and i+1 differ by exactly one basis vector.
-    cand = 0
-    if _nonlinear_ok(cand, n, mask):
-        return _witness_from_packed(n, cand)
-    for i in range(1, 1 << k):
-        cand ^= basis[(i & -i).bit_length() - 1]
-        if _nonlinear_ok(cand, n, mask):
-            return _witness_from_packed(n, cand)
-    return None
-
-
-def _nonlinear_ok(w: int, n: int, mask: int) -> bool:
-    a = w & mask
-    b = (w >> n) & mask
-    c = (w >> 2 * n) & mask
-    d = (w >> 3 * n) & mask
-    return ((a & d) ^ (b & c)) == mask
-
-
-def verify_witness(g: SimpleGraph, h: SimpleGraph, w: LcWitness) -> bool:
-    """Independent recheck: substitute the witness into the matrix identity."""
-    _require_same_labels(g, h)
-    n = g.n
-    if w.n != n or not w.determinant_ok():
-        return False
-    gamma = g.adjacency_matrix()
-    gamma_p = h.adjacency_matrix()
-
-    def diag(bits_word: int) -> gf2.BitMatrix:
-        return gf2.BitMatrix([(1 << i) * ((bits_word >> i) & 1) for i in range(n)], n)
-
-    gb = gamma.matmul(diag(w.b))
-    left = gf2.BitMatrix(
-        [gb.rows[i] ^ diag(w.d).rows[i] for i in range(n)], n
-    ).matmul(gamma_p)
-    ga = gamma.matmul(diag(w.a))
-    residual = [
-        left.rows[i] ^ ga.rows[i] ^ diag(w.c).rows[i] for i in range(n)
-    ]
-    return all(r == 0 for r in residual)
 
 
 def certify_nonlocal(

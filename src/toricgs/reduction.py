@@ -50,7 +50,8 @@ from .graphs import (
     local_complement_sequence,
     only_keys,
 )
-from .lc import DEFAULT_ORBIT_BUDGET, CertificateError, certify_nonlocal, lc_equivalent
+from .lc import DEFAULT_ORBIT_BUDGET, CertificateError, certify_nonlocal
+from .lc_system import lc_equivalent
 from .surface import Embedding, contract_embedding, locality_pair, phi_graph, setup_from_dict
 
 

@@ -451,6 +451,18 @@ def test_console_script_entry_point(tmp_path):
     assert "[PASS]" in proc.stdout
 
 
+def test_reader_closing_standard_output_early_is_quiet():
+    # The report (about 140 kB) overfills the pipe, so the reader's close
+    # after one line reaches the writer mid-report: exit 1, nothing on stderr.
+    import subprocess, sys
+
+    argv = ["enumerate", "--lattice", "square", "--n", "8"]
+    with subprocess.Popen([sys.executable, "-m", "toricgs.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", EXIT_ERROR)
+
+
 NUMPY_FREE = {
     "import": ("-c", "import toricgs"),
     "phi": ("-m", "toricgs.cli", "phi", "--setup", fixture_path("torus_3x3.json")),

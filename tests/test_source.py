@@ -25,3 +25,23 @@ def test_readme_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert "True 828\n" in capsys.readouterr().out
+
+
+def imported_modules(path):
+    """The modules a source file imports, the package's own as ``toricgs.<name>``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "toricgs" + (f".{node.module}" if node.module else "") if node.level else node.module
+            found.update(f"{module}.{alias.name}" if module == "toricgs" else module for alias in node.names)
+    return found
+
+
+def test_lc_system_imports_nothing_of_the_orbit_search():
+    # An independent certificate checker may rest on this module alone: of
+    # the package it reads gf2 and graphs only, so never lc, lazy_numpy or numpy.
+    imports = imported_modules(SRC / "lc_system.py")
+    assert {m for m in imports if m.split(".")[0] in ("toricgs", "numpy")} == {"toricgs.gf2", "toricgs.graphs"}
+    assert "toricgs.gf2" not in imported_modules(SRC / "lc.py")
