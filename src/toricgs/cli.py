@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lc-orbit", help="enumerate a graph's complementation class")
     with_budget(p)
     p.add_argument("--graph", required=True, help="graph JSON file")
-    p.add_argument("--paths", action="store_true", help="track complementation paths")
+    p.add_argument("--paths", action="store_true", help="add each member's path to the --out dump; no effect without --out")
     p.add_argument("--out", help="dump hex keys (and paths) to this file")
     p.set_defaults(func=cmd_lc_orbit)
 
@@ -326,7 +326,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         with open(os.devnull, "w") as devnull:  # so the flush at exit writes nowhere
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_ERROR
-    except (ValueError, OSError) as exc:  # GraphError, EmbeddingError, JSONDecodeError among them
+    except (ValueError, OSError, RecursionError) as exc:  # GraphError, EmbeddingError, JSONDecodeError, deep nesting
         _emit({"command": args.command, "error": str(exc)})
         return EXIT_ERROR
 

@@ -841,6 +841,27 @@ def test_unknown_keys_are_named_in_one_error_report(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("depth", [900, 100_000])
+@pytest.mark.parametrize("command", ["locality", "lc-orbit", "lc-equiv", "reduce"])
+def test_deeply_nested_input_gives_one_error_report(capsys, tmp_path, command, depth):
+    # A first vertex label nested 900 arrays deep passes the JSON decoder and
+    # exhausts the recursion limit in freeze; 100,000 arrays exhaust it in the
+    # decoder.  Either way the input is bad, not the program.
+    label = "[" * depth + "0" + "]" * depth
+    setup = json.dumps(_square()).replace('"vertices": [0,', f'"vertices": [{label},', 1)
+    graph = json.dumps({"vertices": [0, 1], "edges": []}).replace('"vertices": [0,', f'"vertices": [{label},', 1)
+    if command == "reduce":
+        chain = _broken_chain(tmp_path, lambda spec: None)
+        (tmp_path / json.loads(Path(chain).read_text())["systems"]["s0"]["file"]).write_text(setup)
+        argv = ["--chain", chain]
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(setup if command == "locality" else graph)
+        flags = {"locality": ["--setup"], "lc-orbit": ["--graph"], "lc-equiv": ["--g", "--h"]}[command]
+        argv = [arg for flag in flags for arg in (flag, str(path))]
+    assert run_error(capsys, command, *argv).startswith("maximum recursion depth exceeded")
+
+
 def test_local_hit_within_the_budget_is_a_verdict(capsys, tmp_path):
     # The search stores 6 keys before the chunk that holds the hit of
     # square_3_1, and never stores that chunk: budget 6 gives the replayed
