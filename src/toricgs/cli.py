@@ -42,6 +42,7 @@ from .graphs import (
     first_spanning_tree,
     graph_from_dict,
     graph_to_dict,
+    parse_json,
     to_dot,
 )
 from .lc import DEFAULT_ORBIT_BUDGET, CertificateError, OrbitBudgetError, certify_nonlocal, lc_orbit
@@ -102,7 +103,7 @@ def _parse_tree(emb, tree_csv: Optional[str]) -> SpanningTree:
 
 
 def _load_graph(args, name: str) -> SimpleGraph:
-    return graph_from_dict(json.loads(_read_input(args, name)))
+    return graph_from_dict(parse_json(_read_input(args, name)))
 
 
 def _write_out(path: Optional[str], content: str) -> None:
@@ -326,7 +327,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         with open(os.devnull, "w") as devnull:  # so the flush at exit writes nowhere
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_ERROR
-    except (ValueError, OSError, RecursionError) as exc:  # GraphError, EmbeddingError, JSONDecodeError, deep nesting
+    except (ValueError, OSError) as exc:  # GraphError, EmbeddingError, JSONDecodeError among them
         _emit({"command": args.command, "error": str(exc)})
         return EXIT_ERROR
 

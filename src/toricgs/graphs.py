@@ -12,6 +12,8 @@ positions double as qubit identifiers everywhere else in the package.
 
 from __future__ import annotations
 
+import json
+import operator
 from array import array
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
@@ -348,9 +350,25 @@ class SpanningTree:
         return t
 
     @cached_property
-    def _root_masks(self) -> dict[int, int]:
-        """Vertex -> the mask of the tree edges on its path to vertex 0 (built by the first :meth:`path_mask`)."""
-        return _search_masks(self.host, self.tree_edges)
+    def _root_masks(self) -> tuple[int, ...]:
+        """Per vertex, the mask of the tree edges on its path to vertex 0 (built by the first :meth:`path_mask`)."""
+        host = self.host
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(host.n_vertices)]
+        for k in self.tree_edges:
+            a, b = host.edges[k]
+            adj[a].append((b, k))
+            adj[b].append((a, k))
+        masks = [0] * host.n_vertices
+        seen = [True] + [False] * (host.n_vertices - 1)
+        queue = [0]
+        while queue:
+            i = queue.pop()
+            for j, k in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    masks[j] = masks[i] | 1 << k
+                    queue.append(j)
+        return tuple(masks)
 
     @cached_property
     def deleted_edges(self) -> tuple[int, ...]:
@@ -365,23 +383,6 @@ class SpanningTree:
         """
         index = self.host._index
         return self._root_masks[index[p]] ^ self._root_masks[index[q]]
-
-
-def _search_masks(host: Multigraph, edges: Iterable[int]) -> dict[int, int]:
-    """Vertex -> the mask of the edges on its path to vertex 0 in a breadth-first tree over ``edges``."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(host.n_vertices)]
-    for k in edges:
-        a, b = host.edges[k]
-        adj[a].append((b, k))
-        adj[b].append((a, k))
-    masks = {0: 0}
-    queue = [0]
-    for i in queue:  # the loop reads the vertices it appends
-        for j, k in adj[i]:
-            if j not in masks:
-                masks[j] = masks[i] | 1 << k
-                queue.append(j)
-    return masks
 
 
 def _find(dsu: list[int], a: int) -> int:
@@ -404,23 +405,27 @@ def _union(dsu: list[int], a: int, b: int) -> bool:
     return True
 
 
-_TOP, _NONE = -1, -2  # child codes: the edge completes the tree / no spanning tree lies below
+_TOP, _NONE = -1, -2  # child codes: the edge completes the tree / there is no such child
+_LABELS = bytes(range(256))  # block labels; a state numbers its blocks from 0 in order of first appearance
 
 
 class SpanningTrees(Sequence):
     """The spanning trees of a host, as a counted decision diagram over its edges.
 
-    Level ``k`` decides edge ``k``.  A state there partitions the frontier,
-    the vertices that an edge before ``k`` touched and an edge from ``k`` on
-    still touches, listed in the order the edges first touch them, as a
-    bytes string of block labels numbered in order of first appearance.  The
-    include child merges the blocks of the edge's endpoints, and there is
-    none when they are already joined; a bridge, which every spanning tree
-    holds, has no exclude child.  A child in which a vertex leaves as the
-    last of its block is ``_NONE``: that component is sealed.  Once every
-    vertex has been touched, a child with one block is ``_TOP``.  Each state
-    stores the number of trees below its include child, so ``trees[i]``
-    follows one path of at most ``E`` steps and builds only that tree.
+    Level ``k`` of the diagram decides edge ``k``.  A state at level ``k`` is
+    the partition into components of the frontier: the vertices that an edge
+    before ``k`` touched and an edge from ``k`` on still touches, listed in the
+    order the edges first touch them.  Each vertex that no edge before ``k``
+    touched is a component of its own.  In every state each block holds a
+    frontier vertex and the edges from ``k`` on join all components, so the
+    state fixes the set of completions.  Its include child takes edge ``k``
+    into the tree, which needs the endpoints in different components; its
+    exclude child leaves the edge out, which needs the edges after ``k`` to
+    still join every component.  Each state stores the number of trees below
+    its include child, so ``trees[i]`` follows one path of at most ``E``
+    steps and builds only the tree asked for.  A partition is a bytes string
+    of block labels, one per frontier vertex, numbered in order of first
+    appearance.
     """
 
     __slots__ = ("host", "_include", "_exclude", "_below", "_len")
@@ -435,45 +440,37 @@ class SpanningTrees(Sequence):
         if host.n_vertices <= 1:  # one vertex has one tree, with no edges; no vertex has none
             self._len = host.n_vertices
             return
-        masks = _search_masks(host, range(host.n_edges))
-        on_cycle = 0  # the union of the cycles that each edge closes with its tree path; the others are bridges
-        for k, (a, b) in enumerate(host.edges):
-            on_cycle |= masks[a] ^ masks[b] ^ 1 << k  # nothing for a tree edge, whose tree path is itself
-        last = {v: k for k, edge in enumerate(host.edges) for v in edge}
-        untouched = host.n_vertices
-        frontier: list[int] = []
         level = [b""]  # the states of the current level, by index
-        for k, (a, b) in enumerate(host.edges):
-            fresh = [v for v in (a, b) if v not in frontier]
-            frontier += fresh
-            untouched -= len(fresh)
-            if len(frontier) > 256:
-                raise GraphError("this edge order has a frontier of more than 256 vertices")
-            a_at, b_at = frontier.index(a), frontier.index(b)
-            drops = sorted((p for p in (a_at, b_at) if last[frontier[p]] == k), reverse=True)
-            tail = bytes((255, 254)[: len(fresh)])  # new endpoints as blocks of their own, on labels no state uses
+        for a_at, b_at, fresh, drops, last_join, cut in _frontier_plan(host):
             at_next: dict[bytes, int] = {}  # state at the next level -> its index there
 
-            def child(t: bytes) -> int:
-                if not untouched and t.count(t[0]) == len(t):  # one block
-                    return _TOP
-                for p in drops:  # descending, so each position is still where it was
-                    if t.count(t[p]) == 1:  # the vertex leaves as the last of its block, sealing that component
-                        return _NONE
+            def child(t: bytes, merged: bool) -> int:
+                for p in drops:  # descending, so each position is still where the plan put it
                     t = t[:p] + t[p + 1 :]
-                first: dict[int, int] = {}  # block label -> its number in order of first appearance
-                return at_next.setdefault(bytes([first.setdefault(c, len(first)) for c in t]), len(at_next))
+                if merged or drops:  # the order of first appearance may have changed
+                    order = bytes(dict.fromkeys(t))
+                    t = t.translate(bytes.maketrans(order, _LABELS[: len(order)]))
+                return at_next.setdefault(t, len(at_next))
 
             include, exclude = array("i"), array("i")
             for s in level:
-                t = s + tail
+                t = s
+                if fresh:  # the endpoints first touched here are blocks of their own
+                    blocks = max(s) + 1 if s else 0
+                    t = s + _LABELS[blocks : blocks + fresh]
                 la, lb = t[a_at], t[b_at]
-                include.append(_NONE if la == lb else child(t.replace(bytes([lb]), bytes([la]))))
-                exclude.append(child(t) if on_cycle >> k & 1 else _NONE)
+                if la == lb:  # edge k closes a cycle: only the exclude child, which keeps every completion
+                    include.append(_NONE)
+                    exclude.append(child(t, False))
+                    continue
+                if last_join and max(t) == 1:
+                    include.append(_TOP)
+                else:
+                    include.append(child(t.replace(bytes([lb]), bytes([la])), True))
+                exclude.append(child(t, False) if cut is None or _joined(t, *cut) else _NONE)
             self._include.append(include)
             self._exclude.append(exclude)
             level = list(at_next)
-            frontier = [v for v in frontier if last[v] != k]
         count: list[int] = []  # per state of the level below: its tree count
         for include, exclude in zip(reversed(self._include), reversed(self._exclude)):
             below = [1 if c == _TOP else 0 if c == _NONE else count[c] for c in include]
@@ -508,6 +505,69 @@ class SpanningTrees(Sequence):
                 j = self._exclude[k][j]
             k += 1
         return SpanningTree._derived(self.host, frozenset(chosen))
+
+
+def _frontier_plan(m: Multigraph) -> list[list]:
+    """Per edge ``k``, how :class:`SpanningTrees` turns a state at level ``k`` into its children.
+
+    A state is extended by the ``fresh`` endpoints that edge ``k`` touches
+    first, as new blocks at the end.  In that extended list the endpoints sit
+    at ``a_at`` and ``b_at``, and ``drops`` lists, descending, the positions of
+    those that no later edge touches.  ``last_join`` says that every vertex is
+    then touched, so an include that leaves two blocks completes the tree.
+    ``cut`` is None when the edges after ``k`` join the two endpoints;
+    otherwise it holds what :func:`_joined` needs to test, per state, whether
+    the blocks still join them: one getter per component of the edges after
+    ``k``, which reads the blocks at that component's positions, and the
+    components of the two endpoints.  The whole plan is made before any
+    state, so a frontier too wide is rejected before the states can multiply.
+    """
+    first, last = {}, {}
+    for k, (a, b) in enumerate(m.edges):
+        for v in (a, b):
+            first.setdefault(v, k)
+            last[v] = k
+    touched = max(first.values())  # from this edge on, every vertex has been touched
+    plans, extended = [], []
+    frontier: list[int] = []
+    for k, (a, b) in enumerate(m.edges):
+        ext = frontier + [v for v in (a, b) if first[v] == k]
+        if len(ext) > 256:
+            raise GraphError("this edge order has a frontier of more than 256 vertices")
+        drops = sorted((ext.index(v) for v in (a, b) if last[v] == k), reverse=True)
+        plans.append([ext.index(a), ext.index(b), len(ext) - len(frontier), drops, k >= touched, None])
+        extended.append(ext)
+        frontier = [v for v in ext if last[v] != k]
+    dsu = list(range(m.n_vertices))  # joined by the edges after k, from the last edge back
+    for k in reversed(range(m.n_edges)):
+        a, b = (_find(dsu, v) for v in m.edges[k])
+        if a != b:  # the edges after k do not join the endpoints themselves
+            parts: dict[int, list[int]] = {}  # component root -> its positions
+            for p, v in enumerate(extended[k]):
+                parts.setdefault(_find(dsu, v), []).append(p)
+            getters = [operator.itemgetter(*ps, ps[0]) for ps in parts.values()]  # two items, so each returns a tuple
+            roots = list(parts)
+            plans[k][5] = (getters, roots.index(a), roots.index(b))
+        _union(dsu, *m.edges[k])
+    return plans
+
+
+def _joined(t: bytes, parts: list, a_part: int, b_part: int) -> bool:
+    """Whether blocks ``t`` join suffix component ``a_part`` to ``b_part``.
+
+    ``parts`` reads off the blocks at the positions of each component.
+    """
+    blocks = [set(part(t)) for part in parts]
+    reached, target = blocks[a_part], blocks[b_part]
+    rest = [b for c, b in enumerate(blocks) if c != a_part and c != b_part]
+    while reached.isdisjoint(target):  # grow by a component that shares a block with those reached
+        for i, other in enumerate(rest):
+            if not reached.isdisjoint(other):
+                reached |= rest.pop(i)
+                break
+        else:
+            return False
+    return True
 
 
 def enumerate_spanning_trees(m: Multigraph) -> Sequence[SpanningTree]:
@@ -558,10 +618,21 @@ def graph_to_dict(g: SimpleGraph) -> dict:
     return {"vertices": list(g.labels), "edges": [list(e) for e in g.edges()]}
 
 
+def parse_json(text: str):
+    """The JSON value in ``text``; nesting too deep for the decoder is bad input, a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"input nested too deep: {exc}") from None
+
+
 def freeze(value):
     """Nested JSON lists as nested tuples, so labels read from files are hashable."""
     if isinstance(value, list):
-        return tuple(freeze(v) for v in value)
+        try:
+            return tuple(freeze(v) for v in value)
+        except RecursionError:  # bad input, not a fault of the program
+            raise GraphError("input nested too deep: a label exceeds the recursion limit") from None
     return value
 
 

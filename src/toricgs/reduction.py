@@ -49,6 +49,7 @@ from .graphs import (
     local_complement,
     local_complement_sequence,
     only_keys,
+    parse_json,
 )
 from .lc import DEFAULT_ORBIT_BUDGET, CertificateError, certify_nonlocal
 from .lc_system import lc_equivalent
@@ -309,7 +310,7 @@ def load_chain_spec(path, text: Optional[str] = None, read: Optional[Callable[[s
     if text is None:
         text = _read_text(path)
     read = read or (lambda name, file: _read_text(file))
-    data = json.loads(text)
+    data = parse_json(text)
 
     def listed(key: str) -> list:  # an absent entry is an empty array
         return array_at(data, key) if key in data else []
@@ -320,7 +321,7 @@ def load_chain_spec(path, text: Optional[str] = None, read: Optional[Callable[[s
         for name, entry in data["systems"].items():
             if "file" in entry:
                 only_keys(entry, ("file",))
-                systems[name] = setup_from_dict(json.loads(read(name, os.path.join(base_dir, entry["file"]))))
+                systems[name] = setup_from_dict(parse_json(read(name, os.path.join(base_dir, entry["file"]))))
             else:
                 systems[name] = setup_from_dict(entry)
         steps = []

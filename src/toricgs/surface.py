@@ -30,6 +30,7 @@ from .graphs import (
     integers,
     label_pair,
     only_keys,
+    parse_json,
     phi,
 )
 from .pauli import PauliString, Tableau, conjugate_hadamard, is_graph_stabilizer
@@ -448,7 +449,7 @@ def load_setup(path, text: Optional[str] = None) -> Embedding:
     if text is None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return setup_from_dict(json.loads(text))
+    return setup_from_dict(parse_json(text))
 
 
 def dump_setup(e: Embedding, path) -> None:
