@@ -219,18 +219,24 @@ def _bit_positions(word: int) -> Iterable[int]:
 
 def local_complement(g: SimpleGraph, v: Label) -> SimpleGraph:
     """Toggle all edges among the neighbours of ``v``; everything else is kept."""
-    i = g.position(v)
-    m = g.rows[i]
     rows = list(g.rows)
-    for u in _bit_positions(m):
-        rows[u] ^= m ^ (1 << u)
+    _complement_at(rows, g.position(v))
     return SimpleGraph._derived(g.labels, rows)
 
 
 def local_complement_sequence(g: SimpleGraph, seq: Iterable[Label]) -> SimpleGraph:
-    for v in seq:
-        g = local_complement(g, v)
-    return g
+    """Complement at each vertex of ``seq`` in turn; every label is resolved to its position before the first step."""
+    rows = list(g.rows)
+    for i in [g.position(v) for v in seq]:
+        _complement_at(rows, i)
+    return SimpleGraph._derived(g.labels, rows)
+
+
+def _complement_at(rows: list[int], i: int) -> None:
+    """Toggle, in ``rows``, every pair of neighbours of position ``i``."""
+    m = rows[i]
+    for u in _bit_positions(m):
+        rows[u] ^= m ^ (1 << u)
 
 
 class Multigraph:

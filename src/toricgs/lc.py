@@ -5,28 +5,30 @@ upper-triangle bits of the adjacency matrix packed row-major into one
 integer.  Orbits under local complementation are closed breadth-first over
 those keys by one numpy engine that works on native machine words; numpy
 loads on the first orbit (see :mod:`toricgs.lazy_numpy`), and the rest of
-the module is integer arithmetic.  Each
-frontier member carries its key as uint64 words and its adjacency rows as
-n-bit masks; a child's key is its parent's words XOR the flip pattern of the
-complemented neighbourhood, laid out by a plan fixed per n (for n <= 16, a
-table of all 2^n patterns, built once per process on first use).  Keys are
-deduplicated and looked up through one uint64 fingerprint each.  A key
-that fits one word (n <= 11) is its own fingerprint, so a match is the key
-and its run holds it once; a wider key's fingerprint match is confirmed on
-the full words.  Each generation is closed in batches of four chunks, one
-numpy step each; the chunk is the unit of the budget and of what a stopped
-search stores.  Each member's parent and complemented vertex are recorded.
-An orbit keeps that record with its keys, as words that become integers
-when its members are first read; :meth:`LcOrbit.paths` spells every path
-from it.  Adjacency rows are single words, so orbits are limited to 64
-vertices; a larger graph raises ``ValueError``.  A locality search,
-:func:`certify_nonlocal`, is the same closure with the allowed-edge mask as
-its stop test: it tests each batch's children before deduplicating them and
-stops at the first local one, so a stopped orbit's members are the keys
-found in the chunks before the hit's.  It returns the orbit alone, whose
-``complete`` flag is the verdict, and it replays every local hit it finds
-from the seed graph with the pure-Python complementation of
-:mod:`toricgs.graphs` before returning it.
+the module is integer arithmetic.  Each frontier member carries its key as
+uint64 words and its adjacency rows as n-bit masks; a child's key is its
+parent's words XOR the flip pattern of the complemented neighbourhood, laid
+out by a plan fixed per n (for n <= 16, a table of all 2^n patterns, built
+once per process on first use).  Keys are deduplicated and looked up
+through one uint64 fingerprint each.  A key that fits one word (n <= 11) is
+its own fingerprint, so a match is the key and its run holds it once; a
+wider key's fingerprint match is confirmed on the full words, only where
+the fingerprints matched.  Each generation is closed in batches of four
+chunks, one numpy step each; the chunk is the unit of the budget and of
+what a stopped search stores.  Most generations hold a few hundred keys, so
+a step is written for few numpy calls: keys are taken by index, and each
+reduction over the words is one 2-D ufunc call.  Each member's parent and
+complemented vertex are recorded.  An orbit keeps that record with its
+keys, as words that become integers when its members are first read;
+:meth:`LcOrbit.paths` spells every path from it.  Adjacency rows are single
+words, so orbits are limited to 64 vertices; a larger graph raises
+``ValueError``.  A locality search, :func:`certify_nonlocal`, is the same
+closure with the allowed-edge mask as its stop test: it tests each batch's
+children before deduplicating them and stops at the first local one, so a
+stopped orbit's members are the keys found in the chunks before the hit's.
+It returns the orbit alone, whose ``complete`` flag is the verdict, and it
+replays every local hit it finds from the seed graph with the pure-Python
+complementation of :mod:`toricgs.graphs` before returning it.
 
 Two facts about local complementation (LC) cut the work of a closure.  LC_v
 is an involution: it keeps N(v), so applying it twice toggles each pair in
@@ -268,21 +270,20 @@ def _complemented_rows(rows: np.ndarray, origins: np.ndarray, plan: _Plan, step:
 
     A member's keep mask holds the vertices above v and the neighbours of v:
     the complementations of the member that can give a new key, before the
-    degree test of :func:`_children`.  Origins are taken ``step`` (one
-    batch) at a time, and each batch is written with ``out=`` into results
-    allocated once for the generation: no temporary holds a generation, and
-    no concatenation copies one.
+    degree test of :func:`_children`.  The generation is written ``step``
+    origins at a time with ``out=`` into results allocated once for it: no
+    temporary holds a generation, and no concatenation copies one.
     """
     complemented = np.empty((len(origins), plan.n), dtype=plan.dtype)
     keep = np.empty(len(origins), dtype=plan.dtype)
     for start in range(0, len(origins), step):
-        batch = origins[start : start + step]
-        parent, vertex = np.divmod(batch, plan.n)
-        nbr = rows.ravel()[batch]
+        batch = slice(start, start + step)
+        parent, vertex = np.divmod(origins[batch], plan.n)
+        nbr = rows.take(origins[batch])  # row v of each parent: N(v), kept by the complementation
         column = nbr[:, None]
         flips = (column ^ plan.bits) * (column >> plan.vertices & 1)
-        np.bitwise_xor(rows[parent], flips, out=complemented[start : start + step])
-        np.bitwise_or(plan.after[vertex], nbr, out=keep[start : start + step])
+        np.bitwise_xor(rows.take(parent, axis=0), flips, out=complemented[batch])
+        np.bitwise_or(plan.after.take(vertex), nbr, out=keep[batch])
     return complemented, keep
 
 
@@ -296,23 +297,25 @@ def _fingerprint(words: np.ndarray) -> np.ndarray:
     """
     if len(words) == 1:
         return words[0]
-    h = words[0] * _MIX
+    mix, shift, fold = _mix_constants()
+    h = words[0] * mix
     for w in words[1:]:
-        h ^= h >> np.uint64(29)
+        h ^= h >> shift
         h ^= w
-        h *= _MIX
-    return h ^ (h >> np.uint64(32))
+        h *= mix
+    h ^= h >> fold
+    return h
 
 
-_MIX = 0x9E3779B97F4A7C15  # a uint64 operand wherever it meets the key words
+@functools.cache
+def _mix_constants() -> tuple:
+    """The fingerprint's multiplier and shifts as uint64 scalars, built on first use (numpy loads lazily)."""
+    return np.uint64(0x9E3779B97F4A7C15), np.uint64(29), np.uint64(32)
 
 
 def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Which keys (columns) of two word arrays differ; one pass per word."""
-    out = a[0] != b[0]
-    for wa, wb in zip(a[1:], b[1:]):
-        out |= wa != wb
-    return out
+    """Which keys (columns) of two word arrays differ: one reduction over the words."""
+    return np.logical_or.reduce(a != b, axis=0)
 
 
 def _distinct(fp: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -322,13 +325,15 @@ def _distinct(fp: np.ndarray, words: np.ndarray) -> np.ndarray:
     repeats; wider keys' repeats are confirmed on the words.
     """
     order = fp.argsort()
-    sfp = fp[order]
+    sfp = fp.take(order)
     starts = np.empty(len(fp), dtype=bool)
     starts[:1] = True
     np.not_equal(sfp[1:], sfp[:-1], out=starts[1:])
     if len(words) > 1:
-        repeats = (~starts).nonzero()[0]
-        if len(repeats) and _differ(words.take(order[repeats], axis=1), words.take(order[repeats - 1], axis=1)).any():
+        repeats = np.logical_not(starts).nonzero()[0]  # sorted positions sharing the fingerprint before them
+        if len(repeats) and (
+            words.take(order.take(repeats), axis=1) != words.take(order.take(repeats - 1), axis=1)
+        ).any():
             # distinct keys share a fingerprint: dedupe on the full words instead
             full = np.ascontiguousarray(words.T).view(np.dtype((np.void, 8 * len(words)))).ravel()
             _, first = np.unique(full, return_index=True)
@@ -339,25 +344,27 @@ def _distinct(fp: np.ndarray, words: np.ndarray) -> np.ndarray:
 def _in_run(run_fp: np.ndarray, run_words: np.ndarray, fp: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Which keys are in a non-empty run sorted by fingerprint: one search.
 
-    A match of one-word keys is the key itself; a match of wider keys is
-    confirmed on the words, walking on through a shared fingerprint.
+    A match of one-word keys is the key itself.  A match of wider keys is
+    confirmed on the words, only where the fingerprints matched, walking on
+    through a run of keys that share the fingerprint.
     """
     at = run_fp.searchsorted(fp)
-    np.minimum(at, len(run_fp) - 1, out=at)
-    found = run_fp[at] == fp
+    found = run_fp.take(at, mode="clip") == fp  # a key above the whole run is compared with its last
     if len(words) == 1:
         return found
-    pending = found & _differ(run_words.take(at, axis=1), words)
-    found ^= pending
-    pending, step = pending.nonzero()[0], 1
+    match = found.nonzero()[0]
+    pending = match[_differ(run_words.take(at.take(match), axis=1), words.take(match, axis=1))]
+    found[pending] = False
+    at = at.take(pending)
     while len(pending):  # fingerprint shared with another key: walk on through its run
-        at_next = at[pending] + step
-        pending, at_next = pending[at_next < len(run_fp)], at_next[at_next < len(run_fp)]
-        same_fp = run_fp[at_next] == fp[pending]
-        pending, at_next = pending[same_fp], at_next[same_fp]
-        differ = _differ(run_words.take(at_next, axis=1), words.take(pending, axis=1))
+        at += 1
+        inside = at < len(run_fp)
+        pending, at = pending[inside], at[inside]
+        same_fp = run_fp.take(at) == fp.take(pending)
+        pending, at = pending[same_fp], at[same_fp]
+        differ = _differ(run_words.take(at, axis=1), words.take(pending, axis=1))
         found[pending[~differ]] = True
-        pending, step = pending[differ], step + 1
+        pending, at = pending[differ], at[differ]
     return found
 
 
@@ -417,9 +424,13 @@ def _merge(fp: np.ndarray, words: np.ndarray, new_fp: np.ndarray, new_words: np.
 
 
 def _select(fp: np.ndarray, words: np.ndarray, which: np.ndarray) -> tuple:
-    """The keys at ``which`` (indices or a mask) as fingerprints and words; one-word words view the fingerprints."""
-    fp = fp[which]
-    return fp, fp[None] if len(words) == 1 else words[:, which]
+    """The keys at the indices ``which`` as fingerprints and words.
+
+    A one-word key's words are a view of its fingerprints, so only the
+    fingerprints are taken.
+    """
+    fp = fp.take(which)
+    return fp, fp[None] if len(words) == 1 else words.take(which, axis=1)
 
 
 def _key_ints(words: np.ndarray) -> list[int]:
@@ -439,14 +450,12 @@ def _key_words(key: int, nwords: int) -> np.ndarray:
 
 
 def _first_inside(words: np.ndarray, outside: Optional[np.ndarray]) -> Optional[int]:
-    """Position of the first key with no bit in ``outside`` (one mask word per key word), if any."""
-    if outside is None:
+    """Position of the first key with no bit in ``outside`` (a column of one mask word per key word), if any."""
+    if outside is None or not words.shape[1]:
         return None
-    inside = words[0] & outside[0] == 0
-    for w, o in zip(words[1:], outside[1:]):
-        inside &= w & o == 0
-    hits = inside.nonzero()[0]
-    return int(hits[0]) if len(hits) else None
+    leaks = np.logical_or.reduce(words & outside, axis=0)
+    first = leaks.argmin()
+    return None if leaks[first] else int(first)
 
 
 def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None) -> LcOrbit:
@@ -470,6 +479,13 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     passes the budget raises with the count after its first chunk that
     crossed it, as a closure of one chunk at a time would.  So the work
     done past the budget is bounded by one batch.
+
+    Most generations of a census-size search hold a few hundred keys, so a
+    batch pays more for its numpy calls than for its work, and a step makes
+    as few calls as it can: keys are taken by index, never through a 2-D
+    mask; a wider key's fingerprint match is confirmed on the words only
+    where it matched; a generation of one part is not concatenated; and a
+    local seed returns before any array but its own key is built.
 
     Lookups touch only the neighbouring generations.  LC_u keeps N(u), so
     applying it twice toggles the same pairs twice: it is an involution.  If
@@ -515,12 +531,13 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     if n > MAX_ORBIT_VERTICES:
         raise ValueError(f"orbit enumeration is limited to {MAX_ORBIT_VERTICES} vertices, got {n}")
     plan = _plan(n)
-    outside = None
-    if local_mask is not None:
-        outside = _key_words(((1 << (n * (n - 1) // 2)) - 1) & ~local_mask, plan.nwords).ravel()
-
     seed_key = _pack_rows(g.rows, n)
     frontier = _key_words(seed_key, plan.nwords)
+    outside = hit_key = hit_path = None
+    if local_mask is not None:
+        if not seed_key & ~local_mask:  # a local seed: nothing is searched
+            return LcOrbit(g.labels, seed_key, frontier, [], seed_key, ())
+        outside = _key_words(((1 << (n * (n - 1) // 2)) - 1) & ~local_mask, plan.nwords)
     rows = np.array([g.rows], dtype=plan.dtype)
     keep = np.array([(1 << n) - 1], dtype=plan.dtype)  # the seed has no parent to skip
     generations = [frontier]  # the keys of each generation, in path order
@@ -530,13 +547,11 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     origins = []  # per generation after the seed: parent * n + vertex of each member
     no_origins = np.empty(0, dtype=np.intp)
     batch, chunk = 4 * _CHUNK, n * _CHUNK  # members per numpy step; origins per budget chunk
-    hit_key = hit_path = None
-    if _first_inside(frontier, outside) is not None:
-        hit_key, hit_path = seed_key, ()
     while hit_key is None and frontier.shape[1]:
-        if origins:  # one generation on: the frontier's rows and keep masks
+        if origins:  # one generation on: the frontier's rows and keep masks, and the runs
             rows, keep = _complemented_rows(rows, origins[-1], plan, batch)
-        new_words, new_origins = [frontier[:, :0]], [no_origins]
+            near = [near[-1], found.run()]
+        new_words, new_origins = [], []
         for start in range(0, frontier.shape[1], batch):
             step = slice(start, start + batch)
             cand, at = _children(frontier[:, step], rows[step], keep[step], plan)
@@ -550,28 +565,33 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
                 if not before:
                     break
                 cand, at = cand[:, :before], at[:before]
-            if start == 0 and origins:  # lookups begin: the runs move on one generation
-                near = [near[-1], found.run()]
             fp = _fingerprint(cand)
             first = _distinct(fp, cand)
             fp, words = _select(fp, cand, first)
             for run in [*near, *found.runs]:
-                new = ~_in_run(*run, fp, words)
-                (fp, words), first = _select(fp, words, new), first[new]
+                new = np.logical_not(_in_run(*run, fp, words)).nonzero()[0]
+                (fp, words), first = _select(fp, words, new), first.take(new)
             found.add(fp, words)
             if stored + len(first) > budget:  # the count after the first chunk that crossed the budget
-                counts = stored + np.bincount(at[first] // chunk).cumsum()
+                counts = stored + np.bincount(at.take(first) // chunk).cumsum()
                 raise OrbitBudgetError(budget, int(counts[(counts > budget).argmax()]))
             stored += len(first)
             first.sort()
             new_words.append(cand.take(first, axis=1))
-            new_origins.append(at[first] + start * n)
+            new_origins.append(at.take(first) + start * n)
             if hit_key is not None:
                 break
-        frontier = np.concatenate(new_words, axis=1)
+        frontier = _joined(new_words, frontier[:, :0])
         generations.append(frontier)
-        origins.append(np.concatenate(new_origins))
-    return LcOrbit(g.labels, seed_key, np.concatenate(generations, axis=1), origins, hit_key, hit_path)
+        origins.append(_joined(new_origins, no_origins))
+    return LcOrbit(g.labels, seed_key, _joined(generations, None), origins, hit_key, hit_path)
+
+
+def _joined(parts: list, empty: Optional[np.ndarray]) -> np.ndarray:
+    """The arrays in ``parts`` side by side along their last axis: one part is not copied, and none gives ``empty``."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts, axis=-1) if parts else empty
 
 
 def _path(origins: list, origin: int, n: int) -> tuple:

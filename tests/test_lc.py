@@ -146,6 +146,11 @@ def first_local_in_path_order(paths, allowed):
     return next(((k, p) for k, p in paths.items() if not k & outside), (None, None))
 
 
+def two_bit_fingerprint(words):
+    """A collision-prone fingerprint for keys of two words or more: the low two bits of the last word."""
+    return words[-1] & np.uint64(3)
+
+
 def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
     # A two-bit fingerprint makes most distinct keys of two words or more
     # collide, within a chunk and against the keys already found; every
@@ -155,7 +160,7 @@ def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
     fingerprint = lc._fingerprint
 
     def two_bits(words):
-        return fingerprint(words) if len(words) == 1 else words[-1] & np.uint64(3)
+        return fingerprint(words) if len(words) == 1 else two_bit_fingerprint(words)
 
     monkeypatch.setattr(lc, "_fingerprint", two_bits)
     rng = np.random.default_rng(48)
@@ -180,6 +185,52 @@ def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
             assert orbit.complete == (orbit.hit_key is None)
             hits += orbit.hit_key is not None and len(orbit.hit_path) > 1
     assert hits >= 5
+
+
+def key_tuples(words):
+    return [tuple(column) for column in words.T.tolist()]
+
+
+@pytest.mark.parametrize("nwords", [2, 3])
+@pytest.mark.parametrize("fingerprint", [lc._fingerprint, two_bit_fingerprint])
+def test_distinct_and_in_run_match_brute_force(nwords, fingerprint):
+    # Words drawn from 0..3 give many repeated keys; the two-bit hook also
+    # gives many distinct keys with equal fingerprints.
+    rng = np.random.default_rng(10 * nwords + (fingerprint is two_bit_fingerprint))
+    for size in (0, 1, 5, 40, 300):
+        words = rng.integers(0, 4, (nwords, size)).astype(np.uint64)
+        keys, fp = key_tuples(words), fingerprint(words)
+        first = lc._distinct(fp, words)
+        assert sorted(first.tolist()) == [i for i, k in enumerate(keys) if k not in keys[:i]]
+        ascending = fp.take(first)
+        assert (ascending[1:] >= ascending[:-1]).all()
+        if not size:
+            continue
+        # A run: some of the distinct keys, sorted by fingerprint.
+        members = first[rng.random(len(first)) < 0.5] if len(first) > 1 else first
+        run_words = words.take(members, axis=1)
+        run_fp = fingerprint(run_words)
+        order = run_fp.argsort(kind="stable")
+        run_fp, run_words = run_fp.take(order), run_words.take(order, axis=1)
+        inside = set(key_tuples(run_words))
+        found = lc._in_run(run_fp, run_words, fp, words)
+        assert found.tolist() == [k in inside for k in keys]
+        if fingerprint is two_bit_fingerprint and size == 300:
+            shared = [k not in inside and fp[i] in run_fp for i, k in enumerate(keys)]
+            assert any(shared)  # a fingerprint match whose words differ
+
+
+def test_select_takes_keys_by_index():
+    rng = np.random.default_rng(30)
+    for nwords in (1, 2, 3):
+        words = rng.integers(0, 1 << 20, (nwords, 50)).astype(np.uint64)
+        fp = lc._fingerprint(words)
+        which = (rng.random(50) < 0.5).nonzero()[0]
+        selected_fp, selected_words = lc._select(fp, words, which)
+        assert selected_fp.tolist() == fp[which].tolist()
+        assert selected_words.tolist() == words[:, which].tolist()
+        if nwords == 1:  # one-word keys come back as a view of their fingerprints
+            assert selected_words.base is selected_fp
 
 
 def random_graph(rng, n, p):
