@@ -73,7 +73,7 @@ class CriterionResult:
 
 
 def _result(number: int, title: str, started: float, passed: bool, details: str) -> CriterionResult:
-    return CriterionResult(number, title, passed, time.time() - started, details)
+    return CriterionResult(number, title, passed, time.perf_counter() - started, details)
 
 
 # -- helpers ----------------------------------------------------------------
@@ -154,7 +154,7 @@ def _random_leaf_graph(rng: np.random.Generator, n: int) -> Optional[LeafGraph]:
 
 
 def criterion_1_single_plaquette() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     plq = single_plaquette(4)
     res = transform_to_graph_state(plq)
     degrees = sorted(res.graph.degree(v) for v in res.graph.labels)
@@ -164,7 +164,7 @@ def criterion_1_single_plaquette() -> CriterionResult:
     for q in sorted(res.hadamard_qubits):
         state = apply_hadamard(state, q)
     oracle_ok = is_stabilized(state, tab)
-    passed = star_ok and res.verified and oracle_ok and (time.time() - t0) < 1.0
+    passed = star_ok and res.verified and oracle_ok and (time.perf_counter() - t0) < 1.0
     return _result(
         1,
         "single plaquette: star graph, span check, dense oracle",
@@ -175,7 +175,7 @@ def criterion_1_single_plaquette() -> CriterionResult:
 
 
 def criterion_2_disconnection_and_hexagon() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     dbl = one_point_double_plaquette()
     trees = enumerate_spanning_trees(dbl.graph)
     disconnected = all(not phi(dbl.graph, t).is_connected() for t in trees)
@@ -185,7 +185,7 @@ def criterion_2_disconnection_and_hexagon() -> CriterionResult:
         sorted(phi(hexagon.graph, t).degree(v) for v in range(6)) == [1] * 5 + [5]
         for t in hex_trees
     )
-    passed = disconnected and star6 and (time.time() - t0) < 1.0
+    passed = disconnected and star6 and (time.perf_counter() - t0) < 1.0
     return _result(
         2,
         "one-point double plaquette disconnects; hexagon gives a 6-star",
@@ -196,7 +196,7 @@ def criterion_2_disconnection_and_hexagon() -> CriterionResult:
 
 
 def criterion_3_bipartite() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     failures = 0
     for _ in range(500):
@@ -230,7 +230,7 @@ def tree_independence_pool() -> list[tuple[str, Multigraph]]:
 
 
 def criterion_4_tree_independence() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked = 0
     failures = []
     for name, m in tree_independence_pool():
@@ -250,7 +250,7 @@ def criterion_4_tree_independence() -> CriterionResult:
 
 
 def criterion_5_cross_oracle(full_six: bool = False) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     mismatches = 0
     pairs = 0
@@ -305,10 +305,10 @@ def criterion_5_cross_oracle(full_six: bool = False) -> CriterionResult:
 
 
 def criterion_6_tetriamond() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     emb = polyforms.polyform_embedding(polyforms.triangle_tetriamond_cells(), "triangular")
     orbit = certify_nonlocal(*locality_pair(emb))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return _result(
         6,
         "9-qubit triangular setup: full orbit, no local representative",
@@ -319,7 +319,7 @@ def criterion_6_tetriamond() -> CriterionResult:
 
 
 def criterion_7_eight_qubit_base() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     emb = load_setup(fixture_path("reduced_8qubit.json"))
     orbit = certify_nonlocal(*locality_pair(emb))
     return _result(
@@ -332,10 +332,10 @@ def criterion_7_eight_qubit_base() -> CriterionResult:
 
 
 def criterion_8_pentomino_chain() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = load_chain_spec(fixture_path("chain/pentomino_chain.json"))
     report = reduction_chain(spec)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     pent_nonlocal = report.verdicts.get("s0") == "nonlocal"
     passed = report.ok and pent_nonlocal and elapsed <= 300.0
     largest = max(e.n_qubits for e in spec.systems.values())
@@ -351,7 +351,7 @@ def criterion_8_pentomino_chain() -> CriterionResult:
 
 
 def criterion_9_polyomino_counts() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     counts = [len(polyforms.enumerate_polyforms(n, "square")) for n in range(1, 6)]
     return _result(
         9,
@@ -363,7 +363,7 @@ def criterion_9_polyomino_counts() -> CriterionResult:
 
 
 def criterion_10_stabilizer_arithmetic() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, deg_plaquette = surface_stabilizer(single_plaquette(4))
     torus = square_torus(2)
     stab, deg_torus = surface_stabilizer(torus)
@@ -395,7 +395,7 @@ def criterion_10_stabilizer_arithmetic() -> CriterionResult:
 
 
 def criterion_11_leaf_suites() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
 
     # Leaf exchange fixes every class as a set.

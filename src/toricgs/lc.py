@@ -13,8 +13,8 @@ once per process on first use).  Keys are deduplicated and looked up
 through one uint64 fingerprint each.  A key that fits one word (n <= 11) is
 its own fingerprint, so a match is the key and its run holds it once; a
 wider key's fingerprint match is confirmed on the full words, only where
-the fingerprints matched.  Each generation is closed in batches of four
-chunks, one numpy step each; the chunk is the unit of the budget and of
+the fingerprints matched.  Each generation is closed in batches of 2,048
+members, one numpy step each; the batch is the unit of the budget and of
 what a stopped search stores.  Most generations hold a few hundred keys, so
 a step is written for few numpy calls: keys are taken by index, and each
 reduction over the words is one 2-D ufunc call.  Each member's parent and
@@ -25,7 +25,7 @@ words, so orbits are limited to 64 vertices; a larger graph raises
 ``ValueError``.  A locality search, :func:`certify_nonlocal`, is the same
 closure with the allowed-edge mask as its stop test: it tests each batch's
 children before deduplicating them and stops at the first local one, so a
-stopped orbit's members are the keys found in the chunks before the hit's.
+stopped orbit's members are the keys found in the batches before the hit's.
 It returns the orbit alone, whose ``complete`` flag is the verdict, and it
 replays every local hit it finds from the seed graph with the pure-Python
 complementation of :mod:`toricgs.graphs` before returning it.
@@ -57,7 +57,7 @@ from .lazy_numpy import np
 from .lc_system import lc_equivalent, verify_witness  # noqa: F401
 
 DEFAULT_ORBIT_BUDGET = 10**8
-_CHUNK = 512  # frontier members per budget count; a numpy step closes a batch of four
+_BATCH = 2048  # frontier members per numpy step: the unit of the budget and of a stopped search's store
 MAX_ORBIT_VERTICES = 64  # adjacency rows are single machine words
 _TABLE_MAX_N = 16  # flips of every neighbourhood tabulated up to here: at most 1 MB, for n = 16
 _TABLE_BLOCK = 4096  # neighbourhoods per step of a table build, so its temporaries stay small
@@ -65,7 +65,10 @@ _BLOCK = 1024  # keys converted to integers or hashed at a time, so no whole-orb
 
 
 class OrbitBudgetError(RuntimeError):
-    """Orbit enumeration exceeded the member budget; verdict unknown."""
+    """Orbit enumeration exceeded the member budget; verdict unknown.
+
+    ``reached`` counts the stored keys after the batch that crossed the budget.
+    """
 
     def __init__(self, budget: int, reached: int):
         super().__init__(f"orbit budget of {budget} keys exceeded (reached {reached})")
@@ -119,8 +122,8 @@ class LcOrbit:
     complete, and its ``members`` are the whole class, exactly when no local
     hit stopped it.  An orbit stopped at a local hit holds the keys found
     before the hit: the seed, every generation before the hit's, and the new
-    keys of the hit's generation from the frontier chunks before the hit's
-    chunk; the hit itself is among them only when it is the seed.  The keys
+    keys of the hit's generation from the frontier batches before the hit's
+    batch; the hit itself is among them only when it is the seed.  The keys
     are held as the engine's words and converted to ascending integers when
     ``members`` is first read, so a stopped search whose caller reads only
     its hit converts nothing else.  The orbit keeps the record its search
@@ -265,19 +268,19 @@ def _children(words: np.ndarray, rows: np.ndarray, keep: np.ndarray, plan: _Plan
     return children, at
 
 
-def _complemented_rows(rows: np.ndarray, origins: np.ndarray, plan: _Plan, step: int) -> tuple:
+def _complemented_rows(rows: np.ndarray, origins: np.ndarray, plan: _Plan) -> tuple:
     """Rows after complementing member ``origin // n`` of ``rows`` at ``v = origin % n``, and their keep masks.
 
     A member's keep mask holds the vertices above v and the neighbours of v:
     the complementations of the member that can give a new key, before the
-    degree test of :func:`_children`.  The generation is written ``step``
+    degree test of :func:`_children`.  The generation is written ``_BATCH``
     origins at a time with ``out=`` into results allocated once for it: no
     temporary holds a generation, and no concatenation copies one.
     """
     complemented = np.empty((len(origins), plan.n), dtype=plan.dtype)
     keep = np.empty(len(origins), dtype=plan.dtype)
-    for start in range(0, len(origins), step):
-        batch = slice(start, start + step)
+    for start in range(0, len(origins), _BATCH):
+        batch = slice(start, start + _BATCH)
         parent, vertex = np.divmod(origins[batch], plan.n)
         nbr = rows.take(origins[batch])  # row v of each parent: N(v), kept by the complementation
         column = nbr[:, None]
@@ -473,12 +476,11 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     by the position of the parent in the previous generation, then by the
     complemented vertex.  The ``parent * n + vertex`` origin of a member
     therefore spells its shortest, lexicographically least path.  The
-    frontier is closed in batches of ``4 * _CHUNK`` members, one numpy step
-    each, and the chunk of ``_CHUNK`` members stays the unit of the budget:
-    a new key counts in the chunk of its first occurrence, and a batch that
-    passes the budget raises with the count after its first chunk that
-    crossed it, as a closure of one chunk at a time would.  So the work
-    done past the budget is bounded by one batch.
+    frontier is closed in batches of ``_BATCH`` members, one numpy step
+    each, and the batch is the unit of the budget: a new key counts in the
+    batch of its first occurrence, and a batch that passes the budget raises
+    with the count after it.  So the work done past the budget is bounded by
+    one batch.
 
     Most generations of a census-size search hold a few hundred keys, so a
     batch pays more for its numpy calls than for its work, and a step makes
@@ -514,16 +516,15 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     None of these is the first occurrence in path order of a key of
     generation d + 1, nor the first local child: P and M were tested when
     they were found.  So the skips change no member, generation, origin,
-    path, hit or per-chunk budget count.  Each member's keep mask, the
+    path, hit or per-batch budget count.  Each member's keep mask, the
     vertices above v and the neighbours of v, comes with its rows; the seed
     keeps every vertex.
 
     With ``local_mask``, each batch's children are tested before they are
     deduplicated, and the search stops at the first child with no edge
-    outside the mask: the first local member in path order.  A hit in chunk
-    c of a batch stores exactly the new keys of the chunks before c, none
-    when c is the batch's first, and counts them against the budget as
-    above.  The hit's chunk is never stored, so it counts against no budget.
+    outside the mask: the first local member in path order.  Nothing of the
+    hit's batch is stored, so it counts against no budget: a stopped orbit
+    holds the keys of the batches before it.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -546,14 +547,13 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
     stored = 1
     origins = []  # per generation after the seed: parent * n + vertex of each member
     no_origins = np.empty(0, dtype=np.intp)
-    batch, chunk = 4 * _CHUNK, n * _CHUNK  # members per numpy step; origins per budget chunk
     while hit_key is None and frontier.shape[1]:
         if origins:  # one generation on: the frontier's rows and keep masks, and the runs
-            rows, keep = _complemented_rows(rows, origins[-1], plan, batch)
+            rows, keep = _complemented_rows(rows, origins[-1], plan)
             near = [near[-1], found.run()]
         new_words, new_origins = [], []
-        for start in range(0, frontier.shape[1], batch):
-            step = slice(start, start + batch)
+        for start in range(0, frontier.shape[1], _BATCH):
+            step = slice(start, start + _BATCH)
             cand, at = _children(frontier[:, step], rows[step], keep[step], plan)
             hit = _first_inside(cand, outside)
             if hit is not None:
@@ -561,10 +561,7 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
                 # new: a generation that found a local key would have stopped there.
                 hit_key = _key_ints(cand[:, hit : hit + 1])[0]
                 hit_path = _path(origins, start * n + int(at[hit]), n)
-                before = at.searchsorted(at[hit] // chunk * chunk)  # the children of the chunks before the hit's
-                if not before:
-                    break
-                cand, at = cand[:, :before], at[:before]
+                break
             fp = _fingerprint(cand)
             first = _distinct(fp, cand)
             fp, words = _select(fp, cand, first)
@@ -572,15 +569,12 @@ def _orbit_vector(g: SimpleGraph, budget: int, local_mask: Optional[int] = None)
                 new = np.logical_not(_in_run(*run, fp, words)).nonzero()[0]
                 (fp, words), first = _select(fp, words, new), first.take(new)
             found.add(fp, words)
-            if stored + len(first) > budget:  # the count after the first chunk that crossed the budget
-                counts = stored + np.bincount(at.take(first) // chunk).cumsum()
-                raise OrbitBudgetError(budget, int(counts[(counts > budget).argmax()]))
             stored += len(first)
+            if stored > budget:
+                raise OrbitBudgetError(budget, stored)
             first.sort()
             new_words.append(cand.take(first, axis=1))
             new_origins.append(at.take(first) + start * n)
-            if hit_key is not None:
-                break
         frontier = _joined(new_words, frontier[:, :0])
         generations.append(frontier)
         origins.append(_joined(new_origins, no_origins))
@@ -622,13 +616,13 @@ def certify_nonlocal(
     Returns the orbit, which carries the verdict: ``g`` is nonlocal exactly
     when the orbit is ``complete``.  Otherwise the orbit records the first
     local member in path order in ``hit_key`` and its path in ``hit_path``,
-    and its ``members`` are only the keys found before the hit (see
-    :class:`LcOrbit`).  A local hit is replayed before it is returned, by the
-    pure-Python ``local_complement_sequence`` on ``g`` labelled by position,
-    so independently of the engine's key words and masks; a replay that
-    misses the hit's graph or leaves ``allowed`` raises
+    and its ``members`` are only the keys found in the batches before the
+    hit's (see :class:`LcOrbit`).  A local hit is replayed before it is
+    returned, by the pure-Python ``local_complement_sequence`` on ``g``
+    labelled by position, so independently of the engine's key words and
+    masks; a replay that misses the hit's graph or leaves ``allowed`` raises
     :class:`CertificateError`.  Raises :class:`OrbitBudgetError` when the
-    keys found before a hit exceed the budget.
+    keys found in the batches before a hit's exceed the budget.
     """
     allowed = allowed.in_order(g.labels)
     orbit = _orbit_vector(g, budget, _pack_rows(allowed.rows, g.n))

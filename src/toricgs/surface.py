@@ -414,8 +414,7 @@ def contract_embedding(e: Embedding, edge_index: int) -> Embedding:
         if len(shrunk) != len(w):  # the face contained the contracted edge
             if len(shrunk) < 2:
                 raise EmbeddingError("contracting would leave a face with < 2 edges")
-        if shrunk:
-            new_faces.append(shrunk)
+        new_faces.append(shrunk)  # never empty: face walks are not, and a shrunk one kept two edges
     remap = {k: (k if k < edge_index else k - 1) for k in range(e.graph.n_edges)}
     new_faces = tuple(tuple(remap[k] for k in w) for w in new_faces)
     new_ids = tuple(q for k, q in enumerate(e.qubit_ids) if k != edge_index)

@@ -6,6 +6,8 @@ behind the ``slow`` marker; the default criterion 5 run is exhaustive through
 5 vertices and structured at 6 (see ``toricgs.acceptance``).
 """
 
+import itertools
+
 import pytest
 
 from toricgs import acceptance
@@ -22,6 +24,15 @@ def test_criterion(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_criteria_time_themselves_on_a_monotonic_clock(monkeypatch):
+    # A wall clock that steps an hour at every read would fail criterion 1's
+    # one-second gate; the criteria read the monotonic performance counter.
+    hours = itertools.count(0, 3600)
+    monkeypatch.setattr(acceptance.time, "time", lambda: next(hours))
+    result = acceptance.criterion_1_single_plaquette()
+    assert result.passed and result.elapsed < 1.0, result.line()
 
 
 # class size of every system of the pentomino reduction chain

@@ -326,7 +326,7 @@ def test_locality_pins_complementations_of_local_polyforms(capsys, tmp_path):
 
 
 def test_locality_unknown_on_budget_beyond_one_key_word(capsys):
-    # 18 qubits: three-word keys; the budget is checked per frontier chunk
+    # 18 qubits: three-word keys; the budget is checked per frontier batch
     code, report = run_json(
         capsys, "locality", "--setup", fixture_path("torus_3x3.json"), "--budget", "100000"
     )
@@ -864,8 +864,8 @@ def test_deeply_nested_input_gives_one_error_report(capsys, tmp_path, command, d
 
 
 def test_local_hit_within_the_budget_is_a_verdict(capsys, tmp_path):
-    # The search stores 6 keys before the chunk that holds the hit of
-    # square_3_1, and never stores that chunk: budget 6 gives the replayed
+    # The search stores 6 keys before the batch that holds the hit of
+    # square_3_1, and never stores that batch: budget 6 gives the replayed
     # local verdict, budget 5 runs out before the hit's generation.
     run_cli(capsys, "enumerate", "--lattice", "square", "--n", "3", "--out", str(tmp_path))
     setup = str(tmp_path / "square_3_1.json")

@@ -153,7 +153,7 @@ def two_bit_fingerprint(words):
 
 def test_orbit_is_exact_under_fingerprint_collisions(monkeypatch):
     # A two-bit fingerprint makes most distinct keys of two words or more
-    # collide, within a chunk and against the keys already found; every
+    # collide, within a batch and against the keys already found; every
     # match must still be resolved on the full words, never merged and never
     # raised.  A one-word key is its own fingerprint and cannot collide; the
     # reference-closure tests cover it.
@@ -238,14 +238,14 @@ def random_graph(rng, n, p):
     return SimpleGraph.from_edges(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
-def reference_stop(paths, allowed, chunk):
+def reference_stop(paths, allowed, batch):
     """Where the locality search stops, read off the reference closure ``paths``.
 
     ``allowed`` must hold a member of the class.  Returns the first local
     member in path order, its path, the generation that holds it, and the
     keys stored before the search stopped: those of the earlier generations,
-    and the new keys of the hit's generation whose parents lie in chunks of
-    ``chunk`` parents before the hit parent's chunk.  Then the hit parent's
+    and the new keys of the hit's generation whose parents lie in batches of
+    ``batch`` parents before the hit parent's batch.  Then the hit parent's
     position in its generation.
     """
     hit_key, hit_path = first_local_in_path_order(paths, allowed)
@@ -256,14 +256,14 @@ def reference_stop(paths, allowed, chunk):
     at = index[hit_path[:-1]]
     stored = [
         k for k, p in paths.items()
-        if len(p) < depth or len(p) == depth and index[p[:-1]] < at // chunk * chunk
+        if len(p) < depth or len(p) == depth and index[p[:-1]] < at // batch * batch
     ]
     return hit_key, hit_path, depth, sorted(stored), at
 
 
-def reference_search(g, paths, allowed, chunk):
+def reference_search(g, paths, allowed, batch):
     """:func:`reference_stop`, then how often the hit occurs among the children of its generation's parents."""
-    hit_key, hit_path, depth, stored, at = reference_stop(paths, allowed, chunk)
+    hit_key, hit_path, depth, stored, at = reference_stop(paths, allowed, batch)
     if depth == 0:
         return hit_key, (), 0, stored, None, 1
     by_path = {p: k for k, p in paths.items()}
@@ -281,14 +281,14 @@ def stored_paths(paths, stored):
 
 
 def test_local_search_stops_at_its_first_local_child(monkeypatch):
-    # Chunks of two parents, so batches of eight, give many frontiers of
-    # several batches.  Each allowed graph holds a random member of the
-    # class, so most searches stop deep in the class.  The hit is the first
-    # local child in (parent, vertex) order, and nothing from the hit's chunk
-    # on is stored, even when chunks before it in its batch are.
-    monkeypatch.setattr(lc, "_CHUNK", 2)
+    # Batches of eight parents give many frontiers of several batches.  Each
+    # allowed graph holds a random member of the class, so most searches
+    # stop deep in the class.  The hit is the first local child in (parent,
+    # vertex) order, and nothing from the hit's batch on is stored, even
+    # when batches before it in its generation are.
+    monkeypatch.setattr(lc, "_BATCH", 8)
     rng = np.random.default_rng(49)
-    past_first_chunk = twice = 0
+    twice = 0
     seen = Counter()  # the batch paths the reference equality covers
     for _ in range(40):
         n = int(rng.integers(3, 8))
@@ -296,26 +296,26 @@ def test_local_search_stops_at_its_first_local_child(monkeypatch):
         paths = reference_closure(g)
         member = graph_from_key(list(paths)[int(rng.integers(len(paths)))], g.labels)
         allowed = SimpleGraph(g.labels, [a | b for a, b in zip(member.rows, random_graph(rng, n, 0.2).rows)])
-        hit_key, hit_path, generations, stored, at, copies = reference_search(g, paths, allowed, 2)
+        hit_key, hit_path, generations, stored, at, copies = reference_search(g, paths, allowed, 8)
         orbit = certify_nonlocal(g, allowed)
         assert not orbit.complete
         assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
             hit_key, hit_path, generations, stored,
         )
         assert list(orbit.paths().items()) == stored_paths(paths, stored)
-        past_first_chunk += at is not None and at >= 2
         twice += copies >= 2
-        seen += batch_paths(paths, generations, at, 2)
-        # the budget counts the stored keys only: the hit's own chunk is never stored
+        seen += batch_paths(paths, generations, at, 8)
+        # the budget counts the stored keys only: the hit's own batch is never stored
         assert certify_nonlocal(g, allowed, budget=len(stored)).hit_path == hit_path
         if len(stored) > 1:
             with pytest.raises(OrbitBudgetError) as exc:
                 certify_nonlocal(g, allowed, budget=len(stored) - 1)
-            reached, crossing = reference_reached(paths, len(stored) - 1, 2)
+            reached, crossing = reference_reached(paths, len(stored) - 1, 8)
             assert exc.value.reached == reached
-            seen["crossing in a later chunk of its batch"] += crossing % 4 != 0
-    assert past_first_chunk >= 10 and twice >= 5
+            seen["crossing in a batch after its generation's first"] += crossing != 0
+    assert twice >= 5
     assert min(seen.values()) >= 5 and len(seen) == 3, seen
+    assert seen["hit in a batch after its generation's first"] >= 10, seen
 
 
 def pendant_graph(rng, n, core):
@@ -341,31 +341,31 @@ def pendant_graph(rng, n, core):
     return SimpleGraph.from_edges(range(n), [(order[a], order[b]) for a, b in edges])
 
 
-def reference_reached(paths, budget, chunk):
-    """The stored-key count that ends a closure with ``budget``: the count after the first chunk past it, and that chunk's index in its generation."""
+def reference_reached(paths, budget, batch):
+    """The stored-key count that ends a closure with ``budget``: the count after the first batch past it, and that batch's index in its generation."""
     reached, depth = 1, 1
     while True:
         parents = {p: i for i, p in enumerate(p for p in paths.values() if len(p) == depth - 1)}
-        by_chunk = Counter(parents[p[:-1]] // chunk for p in paths.values() if len(p) == depth)
-        for c in sorted(by_chunk):
-            reached += by_chunk[c]
+        by_batch = Counter(parents[p[:-1]] // batch for p in paths.values() if len(p) == depth)
+        for b in sorted(by_batch):
+            reached += by_batch[b]
             if reached > budget:
-                return reached, c
+                return reached, b
         depth += 1
 
 
-def batch_paths(paths, generations, at, chunk):
-    """Which paths through batches of four chunks a search of the reference closure ``paths`` takes.
+def batch_paths(paths, generations, at, batch):
+    """Which paths through batches of ``batch`` members a search of the reference closure ``paths`` takes.
 
     The search complements ``generations`` generations and stops at a hit
     whose parent is at ``at`` in the last of them, or at none when ``at`` is
     None.  Counts the generations of two batches or more, and whether the
-    hit lies in a chunk that is not its batch's first.
+    hit lies in a batch that is not its generation's first.
     """
     sizes = Counter(len(p) for p in paths.values())
     return Counter({
-        "generation of several batches": sum(sizes[d] > 4 * chunk for d in range(generations)),
-        "hit in a later chunk of its batch": at is not None and at // chunk % 4 != 0,
+        "generation of several batches": sum(sizes[d] > batch for d in range(generations)),
+        "hit in a batch after its generation's first": at is not None and at >= batch,
     })
 
 
@@ -373,11 +373,10 @@ def test_skipped_children_change_nothing(monkeypatch):
     # Complementations that cannot give a new key are never built: at the
     # vertex that made the member, at vertices of degree at most one, and
     # at non-neighbours of that vertex below it.  Graphs full of isolated
-    # vertices, leaves and pendant paths make all three common.  Chunks of
-    # two members, in batches of eight, spread each generation over many
-    # chunks and batches, so the budget count, which is taken per chunk, is
-    # checked too.
-    monkeypatch.setattr(lc, "_CHUNK", 2)
+    # vertices, leaves and pendant paths make all three common.  Batches of
+    # eight members spread each generation over many batches, so the budget
+    # count, which is taken per batch, is checked too.
+    monkeypatch.setattr(lc, "_BATCH", 8)
     rng = np.random.default_rng(57)
     seen = Counter()  # the batch paths the reference equality covers
     built = [0, 0]  # children built, and members complemented times n
@@ -401,61 +400,51 @@ def test_skipped_children_change_nothing(monkeypatch):
         assert orbit.generations == max(map(len, paths.values())) + 1
         assert orbit.members == sorted(paths)
         assert list(orbit.paths().items()) == list(paths.items())
-        seen += batch_paths(paths, orbit.generations, None, 2)
-        if len(paths) > 1:  # crossed mid-class, where later chunks of the batch often hold new keys
+        seen += batch_paths(paths, orbit.generations, None, 8)
+        if len(paths) > 1:  # crossed mid-class, where later batches of a generation often hold new keys
             with pytest.raises(OrbitBudgetError) as exc:
                 lc_orbit(g, budget=len(paths) // 2)
-            reached, crossing = reference_reached(paths, len(paths) // 2, 2)
+            reached, crossing = reference_reached(paths, len(paths) // 2, 8)
             assert exc.value.reached == reached
-            seen["crossing in a later chunk of its batch"] += crossing % 4 != 0
+            seen["crossing in a batch after its generation's first"] += crossing != 0
         member = graph_from_key(list(paths)[int(rng.integers(len(paths)))], g.labels)
         allowed = SimpleGraph(g.labels, [a | b for a, b in zip(member.rows, random_graph(rng, g.n, 0.2).rows)])
-        hit_key, hit_path, generations, stored, at = reference_stop(paths, allowed, 2)
+        hit_key, hit_path, generations, stored, at = reference_stop(paths, allowed, 8)
         orbit = certify_nonlocal(g, allowed)
         assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
             hit_key, hit_path, generations, stored,
         )
         assert list(orbit.paths().items()) == stored_paths(paths, stored)
-        seen += batch_paths(paths, generations, at, 2)
+        seen += batch_paths(paths, generations, at, 8)
         if len(stored) > 1:
             with pytest.raises(OrbitBudgetError) as exc:
                 certify_nonlocal(g, allowed, budget=len(stored) - 1)
-            reached, crossing = reference_reached(paths, len(stored) - 1, 2)
+            reached, crossing = reference_reached(paths, len(stored) - 1, 8)
             assert exc.value.reached == reached
-            seen["crossing in a later chunk of its batch"] += crossing % 4 != 0
+            seen["crossing in a batch after its generation's first"] += crossing != 0
         hits += len(hit_path) > 1
     assert hits >= 10
     assert min(seen.values()) >= 5 and len(seen) == 3, seen
     assert 2 * built[0] < built[1]  # most complementations are skipped
 
 
-def test_local_search_past_the_first_full_chunk():
-    # A class of 5,008 members on 10 vertices: generation 4 has 582 members,
-    # and the hit's parent is the 535th, in the second chunk of 512.  The
-    # full orbit's paths, checked against the reference closure above, are
-    # the oracle here.
-    g = random_graph(np.random.default_rng(56), 10, 0.5)
-    paths = lc_orbit(g).paths()
-    allowed = graph_from_key(next(k for k, p in paths.items() if p == (8, 2, 4, 6, 9)), g.labels)
-    hit_key, hit_path, generations, stored, at, copies = reference_search(g, paths, allowed, lc._CHUNK)
-    assert (hit_path, at, copies) == ((8, 2, 4, 6, 9), 534, 2)
-    orbit = certify_nonlocal(g, allowed)
-    assert not orbit.complete
-    assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
-        hit_key, hit_path, generations, stored,
-    )
-
-
-def test_local_search_past_the_first_full_batch():
-    # A class of 34,252 members on 11 vertices: generation 5 has 3,646
-    # members, and the hit's parent is the 3,073rd, in the third chunk of
-    # 512 of the second batch of four chunks.  The new keys of that batch's
-    # first two chunks are stored, and those of its third chunk are not.
+@pytest.fixture(scope="module")
+def seed_53_class():
+    """A class of 34,252 members on 11 vertices, its paths, and an allowed graph that holds one member of generation 6."""
     g = random_graph(np.random.default_rng(53), 11, 0.5)
     paths = lc_orbit(g).paths()
     allowed = graph_from_key(next(k for k, p in paths.items() if p == (5, 2, 1, 10, 4, 0)), g.labels)
-    hit_key, hit_path, generations, stored, at = reference_stop(paths, allowed, lc._CHUNK)
-    assert (hit_path, at, len(stored)) == ((5, 2, 1, 10, 4, 0), 3072, 11_475)
+    return g, paths, allowed
+
+
+def test_local_search_past_the_first_full_batch(seed_53_class):
+    # Generation 5 has 3,646 members, and the hit's parent is the 3,073rd,
+    # in the second batch of 2,048.  The new keys of the first batch are
+    # stored, and those of the hit's batch are not.  The full orbit's paths,
+    # checked against the reference closure above, are the oracle here.
+    g, paths, allowed = seed_53_class
+    hit_key, hit_path, generations, stored, at = reference_stop(paths, allowed, lc._BATCH)
+    assert (hit_path, at, len(stored)) == ((5, 2, 1, 10, 4, 0), 3072, 9_695)
     orbit = certify_nonlocal(g, allowed)
     assert not orbit.complete
     assert (orbit.hit_key, orbit.hit_path, orbit.generations, orbit.members) == (
@@ -463,7 +452,15 @@ def test_local_search_past_the_first_full_batch():
     )
     with pytest.raises(OrbitBudgetError) as exc:
         certify_nonlocal(g, allowed, budget=len(stored) - 1)
-    assert exc.value.reached == reference_reached(paths, len(stored) - 1, lc._CHUNK)[0]
+    assert exc.value.reached == reference_reached(paths, len(stored) - 1, lc._BATCH)[0]
+
+
+def test_budget_crossed_only_in_the_hit_batch_keeps_the_verdict(seed_53_class):
+    # The hit's batch would take the stored keys from 9,695 past 10,000, but
+    # nothing of it is stored, so the search returns its local hit.
+    g, _, allowed = seed_53_class
+    orbit = certify_nonlocal(g, allowed, budget=10_000)
+    assert (orbit.hit_path, orbit.size) == ((5, 2, 1, 10, 4, 0), 9_695)
 
 
 def test_orbit_limited_to_64_vertices():
@@ -604,30 +601,21 @@ def test_local_search_beyond_one_key_word():
     assert orbit.member_graph(orbit.hit_key).is_subgraph_of(allowed)
 
 
-def test_budget_count_is_pinned_per_chunk():
-    # The budget is checked after each chunk, so a search that runs out
-    # reports the keys stored after the chunk that crossed it.  torus_3x3
-    # (18 qubits) has no verdict at this budget; the count it reaches pins
-    # the chunk order, the dedupe and the lookups together.
-    emb = load_setup(fixture_path("torus_3x3.json"))
-    with pytest.raises(OrbitBudgetError) as exc:
-        certify_nonlocal(phi_graph(emb), adjacency_relation(emb), budget=100_000)
-    assert (exc.value.budget, exc.value.reached) == (100_000, 101_599)
-
-
-def test_budget_count_is_pinned_at_each_chunk_of_a_batch():
-    # Generation 5 of torus_3x3 has 58,910 members.  These budgets are
-    # crossed in its chunks at 6,144, 6,656, 7,168 and 7,680: the four chunks
-    # of one batch.  Each count is the one a closure of one chunk at a time
-    # reaches, so a batch raises at the chunk that crossed its budget.
+def test_budget_count_is_pinned_per_batch():
+    # The budget is checked after each batch, so a search that runs out
+    # reports the keys stored after the batch that crossed it.  torus_3x3
+    # (18 qubits) has no verdict at these budgets; the counts it reaches pin
+    # the batch order, the dedupe and the lookups together.  Generation 5
+    # has 58,910 members; the last four budgets are all crossed in one of
+    # its batches, so they reach one count.
     emb = load_setup(fixture_path("torus_3x3.json"))
     graph, allowed = phi_graph(emb), adjacency_relation(emb)
     reached = {}
-    for budget in (107_000, 110_000, 112_000, 114_000):
+    for budget in (100_000, 107_000, 110_000, 112_000, 114_000):
         with pytest.raises(OrbitBudgetError) as exc:
             certify_nonlocal(graph, allowed, budget=budget)
         reached[budget] = exc.value.reached
-    assert reached == {107_000: 109_028, 110_000: 111_600, 112_000: 113_704, 114_000: 115_809}
+    assert reached == {100_000: 106_384, 107_000: 115_809, 110_000: 115_809, 112_000: 115_809, 114_000: 115_809}
 
 
 def reordered_setups(emb, rng, orders):
