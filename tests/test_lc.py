@@ -601,21 +601,31 @@ def test_local_search_beyond_one_key_word():
     assert orbit.member_graph(orbit.hit_key).is_subgraph_of(allowed)
 
 
-def test_budget_count_is_pinned_per_batch():
-    # The budget is checked after each batch, so a search that runs out
-    # reports the keys stored after the batch that crossed it.  torus_3x3
-    # (18 qubits) has no verdict at these budgets; the counts it reaches pin
-    # the batch order, the dedupe and the lookups together.  Generation 5
-    # has 58,910 members; the last four budgets are all crossed in one of
-    # its batches, so they reach one count.
+def test_budget_count_is_pinned_per_chunk():
+    # The budget is checked after each batch, the engine's one unit of work
+    # (it was once a 512-member chunk), so a search that runs out reports the
+    # keys stored after the batch that crossed it.  torus_3x3 (18 qubits) has
+    # no verdict at this budget; the count it reaches pins the batch order,
+    # the dedupe and the lookups together.
+    emb = load_setup(fixture_path("torus_3x3.json"))
+    with pytest.raises(OrbitBudgetError) as exc:
+        certify_nonlocal(phi_graph(emb), adjacency_relation(emb), budget=100_000)
+    assert (exc.value.budget, exc.value.reached) == (100_000, 106_384)
+
+
+def test_budget_count_is_pinned_at_each_chunk_of_a_batch():
+    # Generation 5 of torus_3x3 has 58,910 members.  These budgets are
+    # crossed at members 6,144, 6,656, 7,168 and 7,680 of it, four
+    # 512-member steps inside one batch.  The budget is counted per batch,
+    # so all four reach the count stored at that batch's end.
     emb = load_setup(fixture_path("torus_3x3.json"))
     graph, allowed = phi_graph(emb), adjacency_relation(emb)
     reached = {}
-    for budget in (100_000, 107_000, 110_000, 112_000, 114_000):
+    for budget in (107_000, 110_000, 112_000, 114_000):
         with pytest.raises(OrbitBudgetError) as exc:
             certify_nonlocal(graph, allowed, budget=budget)
         reached[budget] = exc.value.reached
-    assert reached == {100_000: 106_384, 107_000: 115_809, 110_000: 115_809, 112_000: 115_809, 114_000: 115_809}
+    assert reached == {107_000: 115_809, 110_000: 115_809, 112_000: 115_809, 114_000: 115_809}
 
 
 def reordered_setups(emb, rng, orders):
