@@ -36,8 +36,6 @@ from .pauli import (
 )
 from .polyforms import enumerate_polyforms, polyform_embedding, polyform_enumerate
 from .reduction import (
-    Certificate,
-    CertStore,
     LeafGraph,
     classify,
     derive_chain,

@@ -48,7 +48,7 @@ from .graphs import (
 from .lc import DEFAULT_ORBIT_BUDGET, CertificateError, OrbitBudgetError, certify_nonlocal, lc_orbit
 from .lc_system import WitnessBudgetError, lc_equivalent, verify_witness
 from .polyforms import LATTICES, enumerate_polyforms, polyform_embedding
-from .reduction import CertStore, load_chain_spec, reduction_chain
+from .reduction import load_chain_spec, reduction_chain
 from .surface import (
     adjacency_relation,
     dump_setup,
@@ -202,8 +202,7 @@ def cmd_reduce(args) -> tuple[int, dict]:
     spec = load_chain_spec(
         args.chain, _read_input(args, "chain"), lambda name, path: _read_input(args, f"systems.{name}", path)
     )
-    store = CertStore(args.certs) if args.certs else None
-    report = reduction_chain(spec, budget=args.budget, store=store)
+    report = reduction_chain(spec, budget=args.budget)
     return (EXIT_OK if report.ok else EXIT_ERROR), {
         "ok": report.ok,
         "verdicts": dict(sorted(report.verdicts.items())),
@@ -234,7 +233,10 @@ def cmd_enumerate(args) -> tuple[int, dict]:
 
 def cmd_selftest(args) -> tuple[int, None]:
     """Print one line per criterion and a summary line; there is no JSON report."""
-    results = acceptance.run_all(_csv_integers(args.only, "--only") if args.only else None)
+    numbers = None if args.only is None else _csv_integers(args.only, "--only")
+    if numbers is not None and not numbers:
+        raise ValueError(f"--only names no criterion, got {args.only!r}")
+    results = acceptance.run_all(numbers)
     for res in results:
         print(res.line())
     failed = [res.number for res in results if not res.passed]
@@ -295,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="verify a reduction chain")
     with_budget(p)
     p.add_argument("--chain", required=True, help="chain specification JSON")
-    p.add_argument("--certs", help="certificate store directory")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("enumerate", help="enumerate polyform setups")

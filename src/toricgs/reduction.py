@@ -23,8 +23,7 @@ first failed check and reports its messages.  A system counts as certified
 once an exhaustive orbit scan, a verified reduction step, or a verified
 relabeling of an already certified system (an explicit embedding
 isomorphism, so the verdict transports along the qubit bijection) vouches
-for its digest; a :class:`CertStore` writes each such record to a file
-named by that digest.  The exhaustive scan of a base system is
+for its digest.  The exhaustive scan of a base system is
 :func:`~toricgs.lc.certify_nonlocal`, called by the chain itself; its
 orbit's ``complete`` flag is the base's verdict.
 """
@@ -32,9 +31,8 @@ orbit's ``complete`` flag is the base's verdict.
 from __future__ import annotations
 
 import itertools
-import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .graphs import (
@@ -134,35 +132,7 @@ def is_stricter(rel1: SimpleGraph, rel2: SimpleGraph, sub_qubits: Iterable) -> t
 
 
 # ---------------------------------------------------------------------------
-# Certificates
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Content-addressed nonlocality record for one system digest."""
-
-    system: str  # embedding digest
-    kind: str  # "exhaustive" | "step" | "relabel"
-    payload: dict = field(default_factory=dict)
-
-
-class CertStore:
-    """Flat-file certificate store, one JSON file per system digest."""
-
-    def __init__(self, directory):
-        self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
-
-    def save(self, cert: Certificate) -> None:
-        """Write to a temporary file beside the target, then rename it in place."""
-        path = os.path.join(self.directory, f"{cert.system}.json")
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(asdict(cert), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())  # the data is on disk before the rename can be
-        os.replace(tmp, path)
+# Relabelings
 
 
 def verify_relabeling(
@@ -399,11 +369,7 @@ def derive_chain(setup: Embedding) -> ChainSpec:
         steps.append(ChainStep(f"s{k}", qa, qb, s, mirror, LeafGraph(phi_graph(big, tree), qa, qb)))
 
 
-def reduction_chain(
-    spec: ChainSpec,
-    budget: int = DEFAULT_ORBIT_BUDGET,
-    store: Optional[CertStore] = None,
-) -> ChainReport:
+def reduction_chain(spec: ChainSpec, budget: int = DEFAULT_ORBIT_BUDGET) -> ChainReport:
     """Verify a whole reduction chain from its exhaustive base upward.
 
     Each base system is searched with :func:`certify_nonlocal`.  A nonlocal
@@ -423,11 +389,6 @@ def reduction_chain(
     base_orbits: dict[str, dict] = {}
     steps_verified = 0
 
-    def record(cert: Certificate) -> None:
-        certified.add(cert.system)
-        if store:
-            store.save(cert)
-
     def finish(*failures: str) -> ChainReport:
         verdicts = {
             name: "nonlocal" if digest in certified else "unverified"
@@ -439,14 +400,12 @@ def reduction_chain(
         return ChainReport(verdicts, base_orbits, steps_verified, list(failures))
 
     for name in spec.base:
-        emb = spec.systems[name]
-        orbit = certify_nonlocal(*locality_pair(emb), budget=budget)
+        orbit = certify_nonlocal(*locality_pair(spec.systems[name]), budget=budget)
         if not orbit.complete:
             base_orbits[name] = {"nonlocal": False, "complementations": list(orbit.hit_path)}
             return finish(f"base system {name} has a local representative")
-        found = {"orbit_size": orbit.size, "orbit_digest": orbit.digest()}
-        base_orbits[name] = {"nonlocal": True, **found}
-        record(Certificate(digests[name], "exhaustive", {"n_qubits": emb.n_qubits, **found}))
+        base_orbits[name] = {"nonlocal": True, "orbit_size": orbit.size, "orbit_digest": orbit.digest()}
+        certified.add(digests[name])
 
     while True:
         n_certified = len(certified)
@@ -457,11 +416,7 @@ def reduction_chain(
                 spec.systems[r.system], spec.systems[r.source], r.edge_map, r.vertex_map
             ):
                 return finish(f"relabeling of {r.system} onto {r.source} does not verify")
-            record(Certificate(
-                digests[r.system],
-                "relabel",
-                {"source": digests[r.source], "edge_map": {str(k): v for k, v in r.edge_map.items()}},
-            ))
+            certified.add(digests[r.system])
         for s in spec.steps:
             if digests[s.system] in certified:
                 continue
@@ -479,15 +434,6 @@ def reduction_chain(
             steps_verified += 1
             if failures:
                 return finish(*(f"step for {s.system}: {msg}" for msg in failures))
-            record(Certificate(
-                digests[s.system],
-                "step",
-                {
-                    "a": s.a,
-                    "b": s.b,
-                    "reduced_a": digests[s.reduced_a],
-                    "reduced_b": digests[s.reduced_b],
-                },
-            ))
+            certified.add(digests[s.system])
         if len(certified) == n_certified:
             return finish()

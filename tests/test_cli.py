@@ -360,20 +360,12 @@ def test_locality_rejects_a_degenerate_setup(capsys, tmp_path):
     assert run_error(capsys, "verify-thm1", "--setup", path) == error
 
 
-def test_reduce_chain(capsys, tmp_path):
-    code, report = run_json(
-        capsys,
-        "reduce",
-        "--chain",
-        fixture_path("chain/pentomino_chain.json"),
-        "--certs",
-        str(tmp_path / "certs"),
-    )
+def test_reduce_chain(capsys):
+    code, report = run_json(capsys, "reduce", "--chain", fixture_path("chain/pentomino_chain.json"))
     assert code == EXIT_OK
     assert report["result"]["ok"] is True
     assert report["result"]["verdicts"]["s0"] == "nonlocal"
-    # one certificate file per system, named by its digest
-    assert len(list((tmp_path / "certs").iterdir())) == len(report["result"]["verdicts"]) == 17
+    assert len(report["result"]["verdicts"]) == 17
 
 
 def test_enumerate_writes_fixtures(capsys, tmp_path):
@@ -431,6 +423,12 @@ def test_selftest_subset(capsys):
 def test_selftest_unknown_criterion_is_an_error_report(capsys):
     error = run_error(capsys, "selftest", "--only", "1,99")
     assert error == "unknown criterion numbers [99]; criteria are numbered 1 to 11"
+
+
+@pytest.mark.parametrize("only", [",", " , ", ""])
+def test_selftest_only_naming_no_criterion_is_an_error_report(capsys, only):
+    # not "0/0 criteria passed", and not every criterion
+    assert run_error(capsys, "selftest", "--only", only) == f"--only names no criterion, got {only!r}"
 
 
 @pytest.mark.parametrize("only", ["0_9", "\u0669", "+9", "9.0", "-"])

@@ -1,6 +1,4 @@
-"""Leaf machinery, strictness, certificates and chain verification."""
-
-import json
+"""Leaf machinery, strictness, relabelings and chain verification."""
 
 import numpy as np
 import pytest
@@ -9,8 +7,6 @@ from toricgs.fixture_files import fixture_path
 from toricgs.graphs import GraphError, SimpleGraph
 from toricgs.lc import CertificateError
 from toricgs.reduction import (
-    Certificate,
-    CertStore,
     ChainSpec,
     LeafGraph,
     classify,
@@ -170,18 +166,6 @@ def test_strictness_qubit_set_mismatch():
         is_stricter(rel1, rel2, [0, 1])
 
 
-# -- certificates -------------------------------------------------------------
-
-
-def test_cert_store_round_trip(tmp_path):
-    store = CertStore(tmp_path)
-    cert = Certificate("abc123", "exhaustive", {"orbit_size": 5})
-    store.save(cert)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["abc123.json"]  # no temporary left
-    saved = json.loads((tmp_path / "abc123.json").read_text())
-    assert saved == {"system": "abc123", "kind": "exhaustive", "payload": {"orbit_size": 5}}
-
-
 # -- relabeling ---------------------------------------------------------------
 
 
@@ -209,6 +193,17 @@ def test_verify_relabeling_compares_labels_of_mixed_types():
     assert not verify_relabeling(emb, emb, edge_map | {1: 0}, {v: v for v in emb.graph.vertices})
 
 
+def test_verify_relabeling_compares_closed_flags():
+    from toricgs.surface import Embedding
+
+    torus = load_setup(fixture_path("torus_2x2.json"))
+    opened = Embedding(torus.graph, torus.faces, False, torus.qubit_ids)
+    edge_map = {q: q for q in torus.qubit_ids}
+    vertex_map = {v: v for v in torus.graph.vertices}
+    assert not verify_relabeling(opened, torus, edge_map, vertex_map)  # the same graph and faces, one open
+    assert verify_relabeling(opened, opened, edge_map, vertex_map)
+
+
 # -- chain verification -------------------------------------------------------
 
 
@@ -217,17 +212,29 @@ def chain_spec():
     return load_chain_spec(fixture_path("chain/pentomino_chain.json"))
 
 
-def test_bundled_chain_verifies(chain_spec, tmp_path):
-    store = CertStore(tmp_path / "certs")
-    report = reduction_chain(chain_spec, store=store)
+def test_bundled_chain_verifies(chain_spec):
+    report = reduction_chain(chain_spec)
     assert report.ok
     assert report.verdicts["s0"] == "nonlocal"
     assert all(v == "nonlocal" for v in report.verdicts.values())
     assert report.base_orbits["s8"]["nonlocal"]
-    # certificates were persisted, content-addressed by system digest
-    s0_digest = chain_spec.systems["s0"].digest()
-    saved = json.loads((tmp_path / "certs" / f"{s0_digest}.json").read_text())
-    assert saved["system"] == s0_digest and saved["kind"] == "step"
+
+
+def test_certification_is_keyed_by_embedding_digest():
+    # One embedding under two names: the base scan of "a" certifies "b" too,
+    # with no step and no relabeling, since both names share one digest.
+    systems = {name: load_setup(fixture_path("tetriamond.json")) for name in ("a", "b")}
+    report = reduction_chain(ChainSpec(systems, (), ("a",), ()))
+    assert report.ok
+    assert report.verdicts == {"a": "nonlocal", "b": "nonlocal"}
+    assert report.steps_verified == 0
+    assert report.base_orbits == {
+        "a": {
+            "nonlocal": True,
+            "orbit_size": 828,
+            "orbit_digest": "025c936bcef23014179ddf1b42b30a4e763e34c955d0956557cf28e82cded436",
+        }
+    }
 
 
 def test_verified_step_and_strictness_violation(chain_spec):

@@ -17,9 +17,8 @@ cells; ``locality`` and ``phi`` in json and dot, and ``verify-thm1``, on
 every setup fixture and every polyform written by ``enumerate``
 (``torus_3x3`` with ``--budget 100000``); ``lc-orbit`` with and without
 ``--paths``, dumping its members, on each graph fixture; the 16 ``lc-equiv``
-pairs of the graph fixtures; ``reduce`` on the bundled chain, also with
-``--certs`` (every certificate file hashed into its line) and with a budget
-it exceeds; ``reduce`` on a chain whose one base, the polyform
+pairs of the graph fixtures; ``reduce`` on the bundled chain, also with a
+budget it exceeds; ``reduce`` on a chain whose one base, the polyform
 ``square_3_1``, is local; ``lc-orbit`` with a budget it exceeds;
 ``lc-equiv`` on an edgeless 13-vertex graph against the same graph with
 edge (0, 1), whose witness search exceeds its budget; an error
@@ -57,17 +56,13 @@ BUDGETS = {"torus_3x3.json": ["--budget", "100000"]}  # its class is far larger 
 def run(argv: list[str], written: Optional[Path] = None) -> str:
     """One line: the fingerprint of one in-process call, then its command line.
 
-    ``written`` is a file the call writes, or a directory it writes files
-    to; each of them is hashed with its name, in name order.
+    ``written`` is a file the call writes; its bytes are hashed too.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     h = hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
-    if written is not None and written.is_dir():
-        for path in sorted(written.iterdir()):
-            h.update(f"{path.name}\n".encode() + path.read_bytes())
-    elif written is not None:
+    if written is not None:
         h.update(written.read_bytes())
     return f"{h.hexdigest()}  {' '.join(os.path.basename(a) for a in argv)}"
 
@@ -92,7 +87,6 @@ def reports(workdir: Path, max_cells: int = 5, setups: Sequence[Path] = SETUPS) 
             yield run(["lc-equiv", "--g", str(g), "--h", str(h)])
     chain = fixture_path("chain/pentomino_chain.json")
     yield run(["reduce", "--chain", chain])
-    yield run(["reduce", "--chain", chain, "--certs", str(workdir / "certs")], workdir / "certs")
     yield run(["reduce", "--chain", chain, "--budget", "10"])
     yield run(["lc-orbit", "--graph", fixture_path("complete5.graph.json"), "--budget", "3"])
     inputs = workdir / "inputs"  # beside the polyforms, which are globbed above
