@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import polyforms
 from .fixture_files import fixture_path
@@ -59,8 +58,7 @@ SEED = 987123
 MULTIGRAPH_MAX_EDGES = 12  # size of the random hosts of criterion 3
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool

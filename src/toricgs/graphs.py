@@ -16,7 +16,6 @@ import json
 import operator
 from array import array
 from collections.abc import Hashable, Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import gf2
@@ -323,8 +322,40 @@ class Multigraph:
         return f"Multigraph({list(self.vertices)!r}, edges={pairs!r})"
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class Record:
+    """Base of the immutable values that keep derived state: equality, hash and repr over the ``_fields`` tuple.
+
+    A constructor sets the fields once, with :meth:`_set`; assigning or
+    deleting an attribute afterwards raises ``AttributeError``, so what a
+    subclass caches in its ``__dict__`` cannot go stale.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class SpanningTree(Record):
     """A spanning tree of a host multigraph, stored as an edge-index subset.
 
     The constructor, where caller data enters, checks that the edges span the
@@ -333,26 +364,24 @@ class SpanningTree:
     does not.
     """
 
-    host: Multigraph
-    tree_edges: frozenset[int]
+    _fields = ("host", "tree_edges")
 
-    def __post_init__(self):
-        host = self.host
-        if self.tree_edges and not (0 <= min(self.tree_edges) and max(self.tree_edges) < host.n_edges):
+    def __init__(self, host: Multigraph, tree_edges: frozenset[int]):
+        if tree_edges and not (0 <= min(tree_edges) and max(tree_edges) < host.n_edges):
             raise GraphError(f"tree edge indices must lie in 0..{host.n_edges - 1}")
-        if len(self.tree_edges) != host.n_vertices - 1:
+        if len(tree_edges) != host.n_vertices - 1:
             raise GraphError("a spanning tree has |V| - 1 edges")
         # |V| - 1 edges span the host iff none of them closes a cycle.
         dsu = list(range(host.n_vertices))
-        if not all(_union(dsu, *host.edges[k]) for k in self.tree_edges):
+        if not all(_union(dsu, *host.edges[k]) for k in tree_edges):
             raise GraphError("tree edges do not span the host (disconnected or cyclic)")
+        self._set(host, tree_edges)
 
     @classmethod
     def _derived(cls, host: Multigraph, tree_edges: frozenset[int]) -> "SpanningTree":
         """A tree valid by construction (``tree_edges`` span ``host``): nothing is checked."""
         t = cls.__new__(cls)
-        object.__setattr__(t, "host", host)
-        object.__setattr__(t, "tree_edges", tree_edges)
+        t._set(host, tree_edges)
         return t
 
     @cached_property

@@ -46,8 +46,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import SimpleGraph, local_complement_sequence
 from .lazy_numpy import np
@@ -114,7 +113,6 @@ def graph_from_key(key: int, labels: Sequence) -> SimpleGraph:
     return SimpleGraph(labels, _unpack_key(key, len(labels)))
 
 
-@dataclass(eq=False)
 class LcOrbit:
     """An enumerated (or partially enumerated) local-complementation class.
 
@@ -133,12 +131,17 @@ class LcOrbit:
     Complementation paths list vertex positions in ``labels``, not labels.
     """
 
-    labels: tuple
-    seed_key: int
-    words: np.ndarray  # the keys, one column each, most significant word first
-    origins: list  # per generation after the seed: parent * n + vertex of each member
-    hit_key: Optional[int] = None
-    hit_path: Optional[tuple] = None
+    def __init__(
+        self,
+        labels: tuple,
+        seed_key: int,
+        words: np.ndarray,  # the keys, one column each, most significant word first
+        origins: list,  # per generation after the seed: parent * n + vertex of each member
+        hit_key: Optional[int] = None,
+        hit_path: Optional[tuple] = None,
+    ):
+        self.labels, self.seed_key, self.words, self.origins = labels, seed_key, words, origins
+        self.hit_key, self.hit_path = hit_key, hit_path
 
     @property
     def complete(self) -> bool:
@@ -194,8 +197,7 @@ class LcOrbit:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """Where complementation flips land in the key words, fixed per vertex count.
 
     Row i of the upper triangle occupies key bits ``S_i .. S_i + n - 2 - i``
@@ -233,7 +235,7 @@ def _plan(n: int) -> _Plan:
             stop = min(start + _TABLE_BLOCK, 1 << n)
             table[:, start:stop] = _flips(np.arange(start, stop, dtype=dtype), plan)
         table.setflags(write=False)
-        plan = replace(plan, table=table)
+        plan = plan._replace(table=table)
     return plan
 
 

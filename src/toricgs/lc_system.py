@@ -16,8 +16,7 @@ and :mod:`toricgs.graphs`, so no numpy and nothing of the orbit search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import gf2
 from .graphs import GraphError, SimpleGraph
@@ -41,8 +40,7 @@ def _determinant_ok(mask: int, a: int, b: int, c: int, d: int) -> bool:
     return ((a & d) ^ (b & c)) == mask
 
 
-@dataclass(frozen=True)
-class LcWitness:
+class LcWitness(NamedTuple):
     """Diagonals (a, b, c, d) certifying LC-equivalence of a graph pair."""
 
     n: int

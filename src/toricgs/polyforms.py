@@ -18,8 +18,7 @@ are read back as a cell: a triangle's three corners, or a square's corner
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import Multigraph
 from .surface import Embedding
@@ -29,8 +28,7 @@ Point = tuple[int, int]
 Matrix = tuple[int, int, int, int]  # (a, b, c, d) maps (x, y) to (a x + b y, c x + d y)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """One lattice's geometry.  A cell is (x, y) then its kind: nothing for a square, o for a triangle."""
 
     seed: Cell

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import (
     GraphError,
+    Record,
     SimpleGraph,
     SpanningTree,
     _union,
@@ -54,21 +54,17 @@ from .lc_system import lc_equivalent
 from .surface import Embedding, contract_embedding, locality_pair, phi_graph, setup_from_dict
 
 
-@dataclass(frozen=True)
-class LeafGraph:
+class LeafGraph(Record):
     """A simple graph with a designated leaf: outer vertex a, inner vertex b."""
 
-    graph: SimpleGraph
-    outer: object
-    inner: object
+    _fields = ("graph", "outer", "inner")
 
-    def __post_init__(self):
-        if self.graph.degree(self.outer) != 1:
-            raise GraphError(f"outer vertex {self.outer!r} must have degree 1")
-        if self.graph.neighbors(self.outer) != (self.inner,):
-            raise GraphError(
-                f"inner vertex {self.inner!r} must be the unique neighbour of the leaf"
-            )
+    def __init__(self, graph: SimpleGraph, outer: object, inner: object):
+        if graph.degree(outer) != 1:
+            raise GraphError(f"outer vertex {outer!r} must have degree 1")
+        if graph.neighbors(outer) != (inner,):
+            raise GraphError(f"inner vertex {inner!r} must be the unique neighbour of the leaf")
+        self._set(graph, outer, inner)
 
 
 def epsilon_swap(leaf: LeafGraph) -> LeafGraph:
@@ -225,8 +221,9 @@ def verify_reduction_step(
     return tuple(failures)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
+    """A step: ``reduced_a`` / ``reduced_b`` name ``system`` minus qubit ``a`` / ``b``; ``leaf`` has outer a, inner b."""
+
     system: str
     a: int
     b: int
@@ -235,24 +232,27 @@ class ChainStep:
     leaf: LeafGraph
 
 
-@dataclass(frozen=True)
-class Relabeling:
+class Relabeling(NamedTuple):
+    """``system`` copies ``source``: ``edge_map`` / ``vertex_map`` send its qubit ids / vertices to ``source``'s."""
+
     system: str
     source: str
     edge_map: dict
     vertex_map: dict
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(NamedTuple):
+    """The ``systems`` by name, the ``steps`` and ``relabelings`` over them, and the ``base`` names to search in full."""
+
     systems: dict[str, Embedding]
     steps: tuple[ChainStep, ...]
     base: tuple[str, ...]
     relabelings: tuple[Relabeling, ...]
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
+    """Per system name its verdict, per base name its orbit's summary, the steps checked, and the failure messages."""
+
     verdicts: dict[str, str]  # system name -> "nonlocal" | "unverified"
     base_orbits: dict[str, dict]
     steps_verified: int  # steps checked, a failing one included

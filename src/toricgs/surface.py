@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import gf2
 from .graphs import (
     Multigraph,
+    Record,
     SimpleGraph,
     SpanningTree,
     array_at,
@@ -49,24 +49,21 @@ def _degenerate(h: int) -> DegeneracyError:
     return DegeneracyError(f"residual degeneracy 2^{h}: the instance does not pin a unique state")
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """A surface-code instance: multigraph, face walks, closed flag.
 
-    Valid by construction (``__post_init__`` runs :func:`validate_embedding`),
+    Valid by construction (the constructor runs :func:`validate_embedding`),
     so no function that receives one checks it again.  Its star/plaquette
     stabilizer is built and checked once, on first use, and kept with the
     instance: every field is immutable, so it cannot go stale.
     """
 
-    graph: Multigraph
-    faces: tuple[tuple[int, ...], ...]
-    closed: bool
-    qubit_ids: Optional[tuple[int, ...]] = None  # None: 0 .. n_edges - 1
+    _fields = ("graph", "faces", "closed", "qubit_ids")
 
-    def __post_init__(self):
-        if self.qubit_ids is None:
-            object.__setattr__(self, "qubit_ids", tuple(range(self.graph.n_edges)))
+    def __init__(
+        self, graph: Multigraph, faces: tuple[tuple[int, ...], ...], closed: bool, qubit_ids: Optional[tuple] = None
+    ):
+        self._set(graph, faces, closed, tuple(range(graph.n_edges)) if qubit_ids is None else qubit_ids)
         if len(self.qubit_ids) != self.graph.n_edges:
             raise EmbeddingError("one qubit id per edge required")
         if len(set(self.qubit_ids)) != len(self.qubit_ids):
@@ -286,8 +283,7 @@ def one_point_double_plaquette() -> Embedding:
     return Embedding(Multigraph(verts, edges), ((0, 1, 2, 3), (4, 5, 6, 7)), closed=False)
 
 
-@dataclass(frozen=True)
-class LoopOperatorPair:
+class LoopOperatorPair(NamedTuple):
     """A homologically nontrivial Z-loop and its crossing X-co-loop."""
 
     z_loop: PauliString
@@ -347,8 +343,7 @@ def sector_tableau(e: Embedding, tree: Optional[SpanningTree] = None) -> Tableau
     return Tableau(n, gens) if e.closed else tab
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class TransformResult(NamedTuple):
     """Outcome of the geometric surface-code-to-graph-state transformation.
 
     ``verified`` is True iff ``rotated_tableau`` generates the stabilizer

@@ -1,6 +1,5 @@
 """Command-line interface: reports, determinism, exit codes."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -197,7 +196,7 @@ def test_lc_equiv_rejects_a_witness_that_fails_the_identity(capsys, monkeypatch,
 
     def flipped(g, h):
         witness = real(g, h)
-        return dataclasses.replace(witness, **{diagonal: getattr(witness, diagonal) ^ 1})
+        return witness._replace(**{diagonal: getattr(witness, diagonal) ^ 1})
 
     monkeypatch.setattr(cli, "lc_equivalent", flipped)
     error = run_error(

@@ -315,6 +315,20 @@ def test_bad_tree_subset_rejected():
         SpanningTree(Multigraph([], []), frozenset())
 
 
+def test_spanning_tree_fields_are_immutable_and_valued_as_a_tuple():
+    m = Multigraph([0, 1, 2, 3], [(0, 1), (1, 2), (0, 2), (2, 3), (0, 1)])
+    derived = first_spanning_tree(m)  # built by _derived, unchecked
+    checked = SpanningTree(m, derived.tree_edges)
+    assert checked == derived and hash(checked) == hash(derived) == hash((m, derived.tree_edges))
+    assert checked.path_mask(0, 3) == derived.path_mask(0, 3)  # both now hold their root masks
+    for name in ("host", "tree_edges", "_root_masks"):
+        with pytest.raises(AttributeError):
+            setattr(checked, name, getattr(checked, name))
+        with pytest.raises(AttributeError):
+            delattr(checked, name)
+    assert checked == derived
+
+
 def test_first_spanning_tree_is_lowest_indices():
     m = Multigraph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     assert sorted(first_spanning_tree(m).tree_edges) == [0, 1]

@@ -97,6 +97,13 @@ def test_k3_orbit_is_triangle_plus_paths():
     assert frozenset([(1, 2), (1, 3), (2, 3)]) in members
 
 
+def test_orbits_compare_by_identity():
+    # Two searches of one graph hold equal members, yet stay two orbits.
+    first, second = lc_orbit(SimpleGraph.complete([1, 2, 3])), lc_orbit(SimpleGraph.complete([1, 2, 3]))
+    assert first.members == second.members and first.digest() == second.digest()
+    assert first != second and first == first and len({first, second}) == 2
+
+
 def test_star_orbit_contains_complete_graph():
     orbit = lc_orbit(star(4))
     assert orbit.contains(canonical_key(SimpleGraph.complete(range(4))))

@@ -1,6 +1,5 @@
 """The Van den Nest system: witnesses, the solution walk and the independent recheck."""
 
-import dataclasses
 import hashlib
 import itertools
 from collections import Counter
@@ -76,7 +75,7 @@ def test_verify_witness_matches_a_numpy_evaluation():
         assert verify_witness(g, h, w) and matrix_identity_holds(g, h, w)
         for name in "abcd":
             for i in range(n):
-                flipped = dataclasses.replace(w, **{name: getattr(w, name) ^ 1 << i})
+                flipped = w._replace(**{name: getattr(w, name) ^ 1 << i})
                 expected = matrix_identity_holds(g, h, flipped)
                 assert verify_witness(g, h, flipped) == expected
                 verdicts[expected] += 1

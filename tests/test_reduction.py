@@ -79,6 +79,17 @@ def test_leaf_graph_validation():
         LeafGraph(leaf_path3().graph, "a", "c")  # wrong inner
 
 
+def test_leaf_graph_fields_are_immutable():
+    # The constructor validated this leaf; no assignment can swap its fields afterwards.
+    leaf = leaf_path3()
+    for name, value in (("graph", leaf.graph), ("outer", "c"), ("inner", "a")):
+        with pytest.raises(AttributeError):
+            setattr(leaf, name, value)
+        with pytest.raises(AttributeError):
+            delattr(leaf, name)
+    assert leaf == leaf_path3() and hash(leaf) == hash((leaf.graph, leaf.outer, leaf.inner))
+
+
 # -- classification -----------------------------------------------------------
 
 
@@ -367,15 +378,13 @@ def test_step_rejects_leaf_outside_the_class(chain_spec):
 
 
 def test_chain_with_tampered_relabeling_fails(chain_spec):
-    from dataclasses import replace
-
     bad = list(chain_spec.relabelings)
     first = bad[0]
     # swap two entries of the vertex map so the bijection no longer matches
     vm = dict(first.vertex_map)
     keys = sorted(vm, key=str)[:2]
     vm[keys[0]], vm[keys[1]] = vm[keys[1]], vm[keys[0]]
-    bad[0] = replace(first, vertex_map=vm)
+    bad[0] = first._replace(vertex_map=vm)
     spec = ChainSpec(
         systems=chain_spec.systems,
         steps=chain_spec.steps,

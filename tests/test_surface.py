@@ -419,6 +419,21 @@ def test_built_stabilizer_leaves_equality_and_hash_alone():
         assert again.digest() == emb.digest()
 
 
+def test_embedding_fields_are_immutable_and_valued_as_a_tuple():
+    # The kept stabilizer cannot go stale because no field can be assigned or deleted.
+    emb = load_setup(fixture_path("tetriamond.json"))
+    surface_stabilizer(emb)
+    for name in ("graph", "faces", "closed", "qubit_ids", "_stabilizer"):
+        with pytest.raises(AttributeError):
+            setattr(emb, name, getattr(emb, name))
+        with pytest.raises(AttributeError):
+            delattr(emb, name)
+    again = load_setup(fixture_path("tetriamond.json"))
+    assert again == emb and again is not emb
+    assert hash(again) == hash(emb) == hash((emb.graph, emb.faces, emb.closed, emb.qubit_ids))
+    assert emb != (emb.graph, emb.faces, emb.closed, emb.qubit_ids)
+
+
 # -- qubit ids, contraction, files --------------------------------------------
 
 
